@@ -17,14 +17,14 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import dataio, explain, forecast, gbm, pffra, stats, timebase
 from .dataio import SplitSpec, SynthConfig, TimeTable
 from .errors import ConfigError, DataError, NumericError, ToolkitError
-from .features import EngineeringConfig, build_design_matrix, feature_order
+from .features import EngineeringConfig, build_design_matrix
 from .gbm import Ensemble, HyperparamGrid, Hyperparams
 from .timebase import HolidayCalendar
 
@@ -46,7 +46,7 @@ _KNOWN_KEYS = {
     "synth.seed", "synth.days", "synth.rt_base", "synth.seasonal_amp",
     "synth.daily_amp", "synth.holiday_shift", "synth.noise_sd", "synth.quantization",
     "split.data_start", "split.train_end", "split.val_end", "split.data_cutoff",
-    "features.groups", "features.mva_window", "features.horizon_steps",
+    "features.groups", "features.mva_window",
     "features.utc_offset_hours", "features.work_start", "features.work_end",
     "features.holiday_file", "features.weekends_are_holidays",
     "model.max_depth", "model.n_trees", "model.gamma", "model.lambda",
@@ -192,7 +192,6 @@ def _build_config(args) -> PipelineConfig:
             calendar = HolidayCalendar(dates=calendar.dates, include_weekends=False)
     cfg.engineering = EngineeringConfig(
         mva_window=get_int("features.mva_window", 6),
-        horizon_steps=get_int("features.horizon_steps", 48),
         holiday_calendar=calendar,
         utc_offset_hours=get_float("features.utc_offset_hours", 2.0),
         work_start_hour=get_int("features.work_start", 8),
@@ -253,7 +252,7 @@ class ArtifactWriter:
         self.artifacts = []
         os.makedirs(out_dir, exist_ok=True)
 
-    def _emit(self, name: str, data: bytes):
+    def write_bytes(self, name: str, data: bytes) -> None:
         path = os.path.join(self.out_dir, name)
         if os.path.exists(path):
             raise ConfigError(f"refusing to overwrite existing artifact {path}")
@@ -267,7 +266,7 @@ class ArtifactWriter:
 
     def write_json(self, name: str, obj) -> None:
         doc = {"schema_version": SCHEMA_VERSION, **obj}
-        self._emit(name, (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode())
+        self.write_bytes(name, (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode())
 
     def write_csv(self, name: str, header, rows) -> None:
         buf = io.StringIO()
@@ -275,12 +274,12 @@ class ArtifactWriter:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_cell(v) for v in row])
-        self._emit(name, buf.getvalue().encode())
+        self.write_bytes(name, buf.getvalue().encode())
 
     def write_table(self, name: str, table: TimeTable) -> None:
         buf = io.StringIO()
         dataio.write_csv(table, buf)
-        self._emit(name, buf.getvalue().encode())
+        self.write_bytes(name, buf.getvalue().encode())
 
     def finish(self, extra: dict | None = None) -> None:
         doc = {
@@ -293,7 +292,7 @@ class ArtifactWriter:
         if extra:
             doc.update(extra)
         data = (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
-        self._emit(f"manifest_{self.command}.json", data)
+        self.write_bytes(f"manifest_{self.command}.json", data)
 
 
 def _cell(v):
@@ -450,8 +449,7 @@ def cmd_train(cfg: PipelineConfig, args) -> None:
         )
     model = gbm.train(x_train, params)
 
-    doc = gbm.to_dict(model)
-    out._emit("model.json", (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode())
+    out.write_bytes("model.json", gbm.dumps(model).encode())
     out.write_json("params.json", {
         "params": _params_doc(params),
         "groups": sorted(cfg.groups),
@@ -616,7 +614,7 @@ def cmd_explain(cfg: PipelineConfig, args) -> None:
 
     if method == "importance":
         out.write_json("importance.json", {
-            "gain": gbm.feature_importance_gain(model),
+            "gain": gbm.feature_importance_gain(model.trees, model.feature_names),
             "permutation_mean_substitute": explain.permutation_importance(
                 model, x_train, x_train.target, metric="mae",
                 strategy="mean_substitute", means=means,
@@ -648,7 +646,7 @@ def cmd_explain(cfg: PipelineConfig, args) -> None:
         out.write_json("surrogate_tree.json", {
             "tree": gbm._node_to_dict(tree),
             "fidelity_r2": fidelity,
-            "importance": explain.surrogate_tree_importance(tree, x_train.feature_names),
+            "importance": gbm.feature_importance_gain((tree,), x_train.feature_names),
             "max_depth": cfg.explain_tree_depth,
         })
 
@@ -705,45 +703,25 @@ def cmd_explain(cfg: PipelineConfig, args) -> None:
                 model, x_part, x_part.target, args.feature, means=means
             )
         else:
-            others = [n for n in model.feature_names if n != args.feature]
-            base = forecast.rolling_forecast(
-                model, part, cfg.engineering,
-                access_interval_seconds=cfg.access_seconds,
-                horizon_seconds=cfg.horizon_seconds,
+            others = {n: means[n] for n in model.feature_names if n != args.feature}
+            runs = {
+                variant: forecast.rolling_forecast(
+                    model, part, cfg.engineering,
+                    access_interval_seconds=cfg.access_seconds,
+                    horizon_seconds=cfg.horizon_seconds,
+                    input_overrides=overrides,
+                )
+                for variant, overrides in (
+                    ("original", None),
+                    ("feature_permuted", {args.feature: means[args.feature]}),
+                    ("feature_only", others),
+                )
+            }
+            series = {variant: run.y_pred for variant, run in runs.items()}
+            series["truth"] = runs["original"].y_true
+            report = pffra.report_from_series(
+                args.feature, series, part.interval_seconds, pffra.DEFAULT_BANDS
             )
-            permuted = forecast.rolling_forecast(
-                model, part, cfg.engineering,
-                access_interval_seconds=cfg.access_seconds,
-                horizon_seconds=cfg.horizon_seconds,
-                input_overrides={args.feature: means[args.feature]},
-            )
-            only = forecast.rolling_forecast(
-                model, part, cfg.engineering,
-                access_interval_seconds=cfg.access_seconds,
-                horizon_seconds=cfg.horizon_seconds,
-                input_overrides={n: means[n] for n in others},
-            )
-            step = part.interval_seconds
-            report = pffra.PffraReport(
-                feature=args.feature,
-                spectrum_feature_only=pffra.dft(only.y_pred, step),
-                spectrum_feature_permuted=pffra.dft(permuted.y_pred, step),
-                spectrum_original=pffra.dft(base.y_pred, step),
-                spectrum_truth=pffra.dft(base.y_true, step),
-                band_energies={},
-            )
-            energies = {}
-            for band_name, interval in pffra.DEFAULT_BANDS.items():
-                energies[band_name] = {
-                    variant: pffra.band_energy(spec, {band_name: interval})[band_name]
-                    for variant, spec in {
-                        "feature_only": report.spectrum_feature_only,
-                        "feature_permuted": report.spectrum_feature_permuted,
-                        "original": report.spectrum_original,
-                        "truth": report.spectrum_truth,
-                    }.items()
-                }
-            report = replace(report, band_energies=energies)
 
         tag = f"{args.feature}_{args.split}"
         out.write_json(f"pffra_{tag}.json", {

@@ -1,4 +1,4 @@
-"""Ingest, synthesize, align, and chronologically split sensor tables.
+"""Ingest, synthesize, and chronologically split sensor tables.
 
 The central type is :class:`TimeTable`: a uniformly sampled, timestamp-indexed
 table of named numeric columns plus the room-temperature target. Tables are
@@ -16,7 +16,6 @@ import numpy as np
 from . import timebase
 from .errors import (
     ConfigError,
-    CoverageError,
     DataError,
     IntegrityError,
     ParseError,
@@ -295,39 +294,6 @@ def write_csv(table: TimeTable, dest) -> None:
     finally:
         if close:
             dest.close()
-
-
-def align_state_change(events, grid) -> np.ndarray:
-    """Forward-fill state-change events onto a regular timestamp grid.
-
-    Parameters
-    ----------
-    events : sequence of (instant, value)
-        Sorted by instant; the first event must be at or before ``grid[0]``.
-    grid : ndarray of int64
-        Target timestamps.
-
-    Returns
-    -------
-    ndarray of float64
-        For each grid instant, the value of the most recent event at or
-        before it (last observation carried forward).
-    """
-    if len(events) == 0:
-        raise CoverageError("empty event log")
-    times = np.array([timebase.parse_instant(t) if isinstance(t, str) else int(t)
-                      for t, _ in events], dtype=np.int64)
-    values = np.array([float(v) for _, v in events], dtype=np.float64)
-    if np.any(np.diff(times) < 0):
-        raise DataError("event log is not sorted by instant")
-    grid = np.asarray(grid, dtype=np.int64)
-    if times[0] > grid[0]:
-        raise CoverageError(
-            "no event at or before the first grid instant "
-            f"({timebase.format_instant(grid[0])})"
-        )
-    idx = np.searchsorted(times, grid, side="right") - 1
-    return values[idx]
 
 
 def split(

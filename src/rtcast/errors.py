@@ -29,10 +29,6 @@ class ParseError(DataError):
     """A cell or line could not be parsed."""
 
 
-class CoverageError(DataError):
-    """An event log or history window does not cover the requested range."""
-
-
 class SplitError(DataError):
     """A chronological split produced an empty partition."""
 

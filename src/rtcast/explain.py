@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
 from .features import FeatureMatrix
-from .gbm import TreeNode, _tree_outputs, grow_tree
+from .gbm import _tree_outputs, grow_tree
 from .stats import metrics
 
 
@@ -210,22 +210,6 @@ def fit_surrogate_tree(model, X: FeatureMatrix, max_depth: int = 6):
     fitted = _tree_outputs(root, X.rows)
     rep = metrics(z, fitted)
     return root, (rep.r2 if rep.r2 is not None else 1.0)
-
-
-def surrogate_tree_importance(root: TreeNode, feature_names) -> dict:
-    """Normalized gain importance of a single surrogate tree."""
-    totals = dict.fromkeys(feature_names, 0.0)
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        if not node.is_leaf:
-            totals[feature_names[node.feature_index]] += node.gain
-            stack.append(node.left)
-            stack.append(node.right)
-    total = sum(totals.values())
-    if total > 0.0:
-        totals = {k: v / total for k, v in totals.items()}
-    return totals
 
 
 def _bin_edges(col: np.ndarray) -> np.ndarray:

@@ -11,9 +11,9 @@ the ablation vocabulary:
     Same, but with the outdoor sensor channels smoothed by a trailing moving
     average (columns OutHumidMVA / OutTempMVA).
 ``MVART``
-    Trailing moving average of *past* room temperature — in oracle mode over
-    true values, in rolling mode over a mix of true values up to the last
-    anchor and self-predicted values after it.
+    Trailing moving average of the previous room-temperature values. Here
+    they are the true values; the rolling forecast feeds its own predictions
+    into the same mean (see the forecast module).
 ``Holiday``
     Binary weekend/national-holiday indicator.
 
@@ -41,9 +41,7 @@ class EngineeringConfig:
     """Knobs of the feature-engineering pipeline."""
 
     mva_window: int = 6
-    horizon_steps: int = 48
     holiday_calendar: HolidayCalendar = field(default_factory=HolidayCalendar.default)
-    mvart_mode: str = "oracle"
     utc_offset_hours: float = timebase.DEFAULT_UTC_OFFSET_HOURS
     work_start_hour: int = 8
     work_end_hour: int = 18
@@ -51,10 +49,6 @@ class EngineeringConfig:
     def __post_init__(self):
         if self.mva_window < 1:
             raise ConfigError(f"mva_window must be >= 1, got {self.mva_window}")
-        if self.horizon_steps < 1:
-            raise ConfigError(f"horizon_steps must be >= 1, got {self.horizon_steps}")
-        if self.mvart_mode not in ("oracle", "rolling"):
-            raise ConfigError(f"mvart_mode must be oracle or rolling, got {self.mvart_mode!r}")
         if not (0 <= self.work_start_hour < self.work_end_hour <= 24):
             raise ConfigError(
                 f"bad working hours {self.work_start_hour}..{self.work_end_hour}"
@@ -173,33 +167,15 @@ def add_occupancy(
     return table.with_column("Occupancy", occ.astype(np.float64))
 
 
-def add_mvart(
-    table: TimeTable, config: EngineeringConfig, predictions=None
-) -> TimeTable:
-    """Add ``MVART``: trailing mean of the previous ``mva_window`` RT samples.
+def add_mvart(table: TimeTable, config: EngineeringConfig) -> TimeTable:
+    """Add ``MVART``: mean of the previous ``mva_window`` true RT values.
 
     Strictly past values only — the sample at the row's own instant is never
     included. The first ``mva_window`` rows have no full history and are
-    flagged NaN (the design-matrix builder drops them).
-
-    In rolling mode, ``predictions`` must be supplied: an array aligned to the
-    table where NaN means "use the true target at this index" and any other
-    value is a self-predicted RT that replaces the true one. This lets the
-    window mix true values up to an anchor instant with model predictions
-    after it.
+    flagged NaN (the design-matrix builder drops them). The rolling forecast
+    computes the same mean over its own predictions after each anchor.
     """
-    src = table.target.astype(np.float64, copy=True)
-    if config.mvart_mode == "rolling":
-        if predictions is None:
-            raise ConfigError("rolling MVART needs a predictions array")
-        pred = np.asarray(predictions, dtype=np.float64)
-        if pred.shape != src.shape:
-            raise DataError("predictions length does not match table")
-        use = ~np.isnan(pred)
-        src[use] = pred[use]
-    elif predictions is not None:
-        raise ConfigError("predictions are only meaningful in rolling mode")
-
+    src = np.asarray(table.target, dtype=np.float64)
     w = config.mva_window
     n = len(src)
     mvart = np.full(n, np.nan)
@@ -265,11 +241,21 @@ def engineered_table(
     return out
 
 
+def check_finite(rows, names, timestamps) -> None:
+    """Raise DataError naming the column and instant of the first non-finite cell."""
+    bad = ~np.isfinite(rows)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise DataError(
+            f"missing value in column {names[j]!r} at "
+            f"{timebase.format_instant(timestamps[i])}"
+        )
+
+
 def build_design_matrix(
     table: TimeTable,
     config: EngineeringConfig,
     feature_selection,
-    predictions=None,
 ) -> FeatureMatrix:
     """Assemble the model's design matrix for a feature-group selection.
 
@@ -281,7 +267,7 @@ def build_design_matrix(
     names = feature_order(feature_selection)
     work = engineered_table(table, config, feature_selection)
     if "MVART" in names:
-        work = add_mvart(work, config, predictions)
+        work = add_mvart(work, config)
 
     rows = np.column_stack([work.columns[n] for n in names])
     start = config.mva_window if "MVART" in names else 0
@@ -293,13 +279,7 @@ def build_design_matrix(
     target = work.target[start:]
     ts = work.timestamps[start:]
 
-    bad = ~np.isfinite(rows)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise DataError(
-            f"missing value in column {names[j]!r} at "
-            f"{timebase.format_instant(ts[i])}"
-        )
+    check_finite(rows, names, ts)
     if not np.isfinite(target).all():
         i = int(np.flatnonzero(~np.isfinite(target))[0])
         raise DataError(f"missing target value at {timebase.format_instant(ts[i])}")

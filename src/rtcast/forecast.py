@@ -16,7 +16,9 @@ import numpy as np
 from . import timebase
 from .dataio import TimeTable
 from .errors import ConfigError, DataError
-from .features import EngineeringConfig, build_design_matrix, engineered_table, feature_order
+from .features import (
+    EngineeringConfig, build_design_matrix, check_finite, engineered_table, feature_order,
+)
 from .gbm import Ensemble, HyperparamGrid, Hyperparams, grid_search, train
 from .stats import MetricReport, metrics
 
@@ -69,7 +71,8 @@ def rolling_forecast(
     model : Ensemble
     table : TimeTable
         Evaluation data; true RT is consumed only at anchors (and for
-        scoring), exogenous columns are treated as known scenario inputs.
+        scoring), exogenous columns are treated as known scenario inputs
+        and must hold no missing values (DataError names the first one).
     config : EngineeringConfig
         Must match the training-time engineering (same window, offsets).
     access_interval_seconds : int
@@ -113,6 +116,8 @@ def rolling_forecast(
     ])
     use_mvart = "MVART" in names
     mvart_pos = names.index("MVART") if use_mvart else -1
+    exogenous = [j for j, n in enumerate(names) if n != "MVART"]
+    check_finite(static[:, exogenous], [names[j] for j in exogenous], table.timestamps)
 
     override_pos = {}
     if input_overrides:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ToolkitError
 from .features import FeatureMatrix
-from .stats import MetricReport, metrics
+from .stats import metrics
 
 
 @dataclass
@@ -295,18 +295,20 @@ def grid_search(X_train: FeatureMatrix, X_val: FeatureMatrix, grid: HyperparamGr
     return table[best_pos][0], table
 
 
-def feature_importance_gain(model: Ensemble) -> dict:
+def feature_importance_gain(trees, feature_names) -> dict:
     """Per-feature sum of realized split gains, normalized to sum to 1.
 
-    A model with no splits at all returns an all-zero map.
+    ``trees`` is a sequence of root nodes: an ensemble's ``trees``, or a
+    one-tuple holding a surrogate tree. Trees without any split give an
+    all-zero map.
     """
-    totals = dict.fromkeys(model.feature_names, 0.0)
-    for tree in model.trees:
+    totals = dict.fromkeys(feature_names, 0.0)
+    for tree in trees:
         stack = [tree]
         while stack:
             node = stack.pop()
             if not node.is_leaf:
-                totals[model.feature_names[node.feature_index]] += node.gain
+                totals[feature_names[node.feature_index]] += node.gain
                 stack.append(node.left)
                 stack.append(node.right)
     total = sum(totals.values())
@@ -327,15 +329,18 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(d: dict) -> TreeNode:
+def _node_from_dict(d: dict, width: int) -> TreeNode:
     if "weight" in d:
         return TreeNode(weight=float(d["weight"]))
+    f = int(d["feature_index"])
+    if not 0 <= f < width:
+        raise DataError(f"malformed model document: feature_index {f} outside 0..{width - 1}")
     return TreeNode(
-        feature_index=int(d["feature_index"]),
+        feature_index=f,
         threshold=float(d["threshold"]),
         gain=float(d.get("gain", 0.0)),
-        left=_node_from_dict(d["left"]),
-        right=_node_from_dict(d["right"]),
+        left=_node_from_dict(d["left"], width),
+        right=_node_from_dict(d["right"], width),
     )
 
 
@@ -353,11 +358,16 @@ def to_dict(model: Ensemble) -> dict:
 
 def from_dict(doc: dict) -> Ensemble:
     try:
+        if doc["kind"] != "boosted-trees":
+            raise DataError(
+                f"malformed model document: kind {doc['kind']!r} is not boosted-trees"
+            )
+        names = tuple(doc["feature_names"])
         return Ensemble(
             base_score=float(doc["base_score"]),
             learning_rate=float(doc["learning_rate"]),
-            trees=tuple(_node_from_dict(t) for t in doc["trees"]),
-            feature_names=tuple(doc["feature_names"]),
+            trees=tuple(_node_from_dict(t, len(names)) for t in doc["trees"]),
+            feature_names=names,
             lambda_=float(doc["lambda"]),
             gamma=float(doc["gamma"]),
         )
@@ -365,10 +375,14 @@ def from_dict(doc: dict) -> Ensemble:
         raise DataError(f"malformed model document: {exc}") from exc
 
 
+def dumps(model: Ensemble) -> str:
+    """The ``model.json`` text: sorted keys, one-space indent, final newline."""
+    return json.dumps(to_dict(model), sort_keys=True, indent=1) + "\n"
+
+
 def save(model: Ensemble, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_dict(model), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(dumps(model))
 
 
 def load(path) -> Ensemble:

@@ -267,18 +267,24 @@ def pffra(
     if series["truth"].shape != series["original"].shape:
         raise DataError("y_true length does not match the design matrix")
 
+    return report_from_series(feature, series, step, bands)
+
+
+def report_from_series(feature: str, series: dict, step: int, bands: dict) -> PffraReport:
+    """Spectra and band energies of the four series of one analysis.
+
+    ``series`` maps ``original``, ``feature_permuted``, ``feature_only`` and
+    ``truth`` to equal-length series sampled every ``step`` seconds. Both the
+    static protocol (:func:`pffra`) and the rolling-forecast protocol build
+    their report here. ``band_energies`` maps band -> variant -> energy.
+    """
     spectra = {k: dft(v, step) for k, v in series.items()}
-    energies = {}
-    for band_name in bands:
-        energies[band_name] = {
-            variant: band_energy(spectra[variant], {band_name: bands[band_name]})[band_name]
-            for variant in spectra
-        }
+    energies = {k: band_energy(spec, bands) for k, spec in spectra.items()}
     return PffraReport(
         feature=feature,
         spectrum_feature_only=spectra["feature_only"],
         spectrum_feature_permuted=spectra["feature_permuted"],
         spectrum_original=spectra["original"],
         spectrum_truth=spectra["truth"],
-        band_energies=energies,
+        band_energies={b: {k: energies[k][b] for k in spectra} for b in bands},
     )

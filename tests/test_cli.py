@@ -232,6 +232,50 @@ class TestExitCodes:
                        "ingest", "--csv", str(bad), check=False)
         assert proc.returncode == 3
 
+    def test_removed_horizon_steps_key_is_unknown(self, tmp_path):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(CONFIG + "features.horizon_steps = 48\n")
+        proc = run_cli("--config", str(cfg), "--out", str(tmp_path / "x"),
+                       "--quiet", "synth", check=False)
+        assert proc.returncode == 2
+        assert "features.horizon_steps" in proc.stderr
+
+    @pytest.mark.parametrize("field, value", [
+        ("kind", "linear"),
+        ("feature_index", -1),
+        ("feature_index", 99),
+    ])
+    def test_invalid_model_file_is_exit_three(self, pipeline, tmp_path, field, value):
+        cfg, out = pipeline
+        doc = json.loads((out / "model.json").read_text())
+        if field == "kind":
+            doc["kind"] = value
+        else:
+            doc["trees"][0]["feature_index"] = value
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        proc = run_cli("--config", str(cfg), "--out", str(tmp_path / "x"), "--quiet",
+                       "evaluate", "--model", str(model), check=False)
+        assert proc.returncode == 3, proc.stderr
+        assert "malformed model document" in proc.stderr
+
+    def test_blank_exogenous_cell_in_test_split_is_exit_three(self, pipeline, tmp_path):
+        cfg, out = pipeline
+        rows = read_csv(out / "synthetic.csv")
+        col = rows[0].index("OutTemp")
+        hole = len(rows) - 100  # inside the last 20%: the test split
+        rows[hole][col] = ""
+        data = tmp_path / "holed.csv"
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        holed = tmp_path / "holed.ini"
+        holed.write_text(CONFIG.replace("data.source = synth",
+                                        f"data.source = csv\ndata.csv = {data}"))
+        proc = run_cli("--config", str(holed), "--out", str(tmp_path / "x"), "--quiet",
+                       "evaluate", "--model", str(out / "model.json"), check=False)
+        assert proc.returncode == 3, proc.stderr
+        assert f"'OutTempMVA' at {rows[hole][0]}" in proc.stderr
+
     def test_unknown_method_is_rejected_by_the_parser(self, tmp_path):
         proc = run_cli("--out", str(tmp_path / "x"), "--quiet",
                        "explain", "nonsense", check=False)

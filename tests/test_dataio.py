@@ -8,7 +8,6 @@ from rtcast import dataio, timebase
 from rtcast.dataio import SplitSpec, SynthConfig, TimeTable
 from rtcast.errors import (
     ConfigError,
-    CoverageError,
     DataError,
     IntegrityError,
     ParseError,
@@ -123,29 +122,6 @@ class TestIngest:
         schema = {"a": "timestamp", "b": "timestamp", "c": "target"}
         with pytest.raises(SchemaError):
             dataio.ingest_csv(io.StringIO("a,b,c\n1,2,3\n"), schema)
-
-
-class TestAlignStateChange:
-    def test_forward_fill_matches_loop(self):
-        grid = np.arange(0, 6000, 600, dtype=np.int64)
-        events = [(0, 1.0), (1500, 2.0), (3000, 0.0)]
-        got = dataio.align_state_change(events, grid)
-        want = []
-        for t in grid:
-            last = None
-            for et, ev in events:
-                if et <= t:
-                    last = ev
-            want.append(last)
-        assert got.tolist() == want
-
-    def test_unsorted_events(self):
-        with pytest.raises(DataError):
-            dataio.align_state_change([(600, 1.0), (0, 2.0)], np.array([600], dtype=np.int64))
-
-    def test_grid_before_first_event(self):
-        with pytest.raises(CoverageError):
-            dataio.align_state_change([(600, 1.0)], np.array([0, 600], dtype=np.int64))
 
 
 class TestSplit:

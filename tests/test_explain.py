@@ -162,7 +162,7 @@ class TestTreeSurrogate:
         root, fidelity = explain.fit_surrogate_tree(f, X, max_depth=1)
         assert fidelity == pytest.approx(1.0, abs=1e-9)
         assert root.feature_index == 1
-        imp = explain.surrogate_tree_importance(root, X.feature_names)
+        imp = gbm.feature_importance_gain((root,), X.feature_names)
         assert imp["v"] == pytest.approx(1.0)
 
     def test_depth_budget_is_respected(self, random_matrix):

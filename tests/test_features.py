@@ -45,29 +45,6 @@ class TestMvart:
         for i in (w, w + 1, 50, len(t) - 1):
             assert col[i] == pytest.approx(synth_table.target[i - w: i].mean())
 
-    def test_rolling_mode_substitutes_predictions(self):
-        target = np.arange(10, dtype=np.float64)
-        ts = 600 * np.arange(10, dtype=np.int64)
-        t = dataio.TimeTable(timestamps=ts, columns={}, target=target,
-                             interval_seconds=600)
-        cfg = EngineeringConfig(mva_window=2, mvart_mode="rolling")
-        preds = np.full(10, np.nan)
-        preds[4] = 100.0  # model said 100 where the truth was 4
-        got = features.add_mvart(t, cfg, predictions=preds).columns["MVART"]
-        assert got[5] == pytest.approx((3.0 + 100.0) / 2)  # window covers rows 3,4
-        assert got[6] == pytest.approx((100.0 + 5.0) / 2)
-        assert got[7] == pytest.approx((5.0 + 6.0) / 2)  # back to true history
-
-    def test_rolling_mode_requires_predictions(self, synth_table):
-        cfg = EngineeringConfig(mvart_mode="rolling")
-        with pytest.raises(ConfigError):
-            features.add_mvart(synth_table, cfg)
-
-    def test_oracle_mode_rejects_predictions(self, synth_table):
-        cfg = EngineeringConfig()
-        with pytest.raises(ConfigError):
-            features.add_mvart(synth_table, cfg, predictions=np.zeros(len(synth_table)))
-
 
 class TestCalendarColumns:
     def test_time_fields_against_known_instant(self):

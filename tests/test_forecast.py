@@ -52,6 +52,19 @@ class TestRollingForecast:
                 )
                 buffer.append(val_run.y_pred[i])
 
+    def test_first_step_mvart_equals_the_design_matrix(self, val_run, synth_splits,
+                                                       engineering):
+        """One MVART definition: right after an anchor the window holds only
+        true values, so the forecast's input must be the training feature."""
+        X = features.build_design_matrix(synth_splits[1], engineering, FULL_GROUPS)
+        pos = {ts: i for i, ts in enumerate(X.row_timestamps)}
+        mvart = X.index("MVART")
+        firsts = np.flatnonzero(np.diff(val_run.anchor_ids, prepend=-1) != 0)
+        assert len(firsts) == len(val_run.anchors)
+        for i in firsts:
+            j = pos[val_run.timestamps[i]]
+            assert val_run.feature_rows[i, mvart] == X.rows[j, mvart]
+
     def test_predictions_match_recorded_rows(self, val_run, small_model):
         for i in range(0, len(val_run), 7):
             assert val_run.y_pred[i] == pytest.approx(

@@ -258,12 +258,12 @@ class TestImportanceAndSerialization:
         rows = np.array([[1.0, 7.0], [2.0, 7.0], [3.0, 7.0], [4.0, 7.0]])
         X = make_matrix(rows, ["x", "const"], target=[0.0, 0.0, 1.0, 1.0])
         model = gbm.train(X, Hyperparams(max_depth=1, n_trees=1, learning_rate=1.0))
-        imp = gbm.feature_importance_gain(model)
+        imp = gbm.feature_importance_gain(model.trees, model.feature_names)
         assert imp["x"] == pytest.approx(1.0)
         assert imp["const"] == 0.0
 
     def test_gain_importance_sums_to_one(self, small_model):
-        imp = gbm.feature_importance_gain(small_model)
+        imp = gbm.feature_importance_gain(small_model.trees, small_model.feature_names)
         assert sum(imp.values()) == pytest.approx(1.0)
         assert set(imp) == set(small_model.feature_names)
 
