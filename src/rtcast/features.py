@@ -241,15 +241,17 @@ def engineered_table(
     return out
 
 
-def check_finite(rows, names, timestamps) -> None:
-    """Raise DataError naming the column and instant of the first non-finite cell."""
+def check_finite(rows, names, timestamps=None) -> None:
+    """Raise DataError naming the column and row of the first non-finite cell.
+
+    The row is named by its instant when ``timestamps`` are given, else by
+    its index.
+    """
     bad = ~np.isfinite(rows)
     if bad.any():
         i, j = np.argwhere(bad)[0]
-        raise DataError(
-            f"missing value in column {names[j]!r} at "
-            f"{timebase.format_instant(timestamps[i])}"
-        )
+        where = f"row {i}" if timestamps is None else timebase.format_instant(timestamps[i])
+        raise DataError(f"non-finite value in column {names[j]!r} at {where}")
 
 
 def build_design_matrix(

@@ -71,8 +71,10 @@ def rolling_forecast(
     model : Ensemble
     table : TimeTable
         Evaluation data; true RT is consumed only at anchors (and for
-        scoring), exogenous columns are treated as known scenario inputs
-        and must hold no missing values (DataError names the first one).
+        scoring), exogenous columns are treated as known scenario inputs.
+        The exogenous columns, and the true RT in the MVART window of each
+        anchor that seeds a prediction, must be finite (DataError names
+        the first non-finite cell).
     config : EngineeringConfig
         Must match the training-time engineering (same window, offsets).
     access_interval_seconds : int
@@ -135,9 +137,14 @@ def rolling_forecast(
         raise DataError("no usable anchor instants in the table")
 
     w = config.mva_window
+    target = table.target
     h_steps = horizon_seconds // step
     n_rows = len(table)
-    target = table.target
+    if use_mvart and mvart_pos not in override_pos:
+        # Only anchors with a step inside the table read their window.
+        scored = anchor_idx[anchor_idx + 1 < n_rows]
+        seeded = np.unique(scored[:, None] + np.arange(1 - w, 1))
+        check_finite(target[seeded, None], ["RT"], table.timestamps[seeded])
 
     ts_out, yt, yp, aid, rows_out = [], [], [], [], []
     for a_num, a in enumerate(anchor_idx):

@@ -10,6 +10,17 @@ maximized by exact greedy search over every feature and every midpoint of
 consecutive distinct sorted values. A sample routes left when
 ``feature < threshold``. Everything is deterministic: ties break toward the
 lowest feature index, then the lowest threshold.
+
+Split search runs on a pre-sorted column block (exact greedy of XGBoost,
+Chen & Guestrin 2016, sections 3.1 and 4.1). Each tree sorts every column
+once, stably, into a ``(features + 1) x rows`` index array whose last row is
+the row indices in ascending order. A node is a slice of that block; a split
+partitions every row of the slice (only the ascending row when the children
+are leaves) stably in place, left rows first, so the children are adjacent
+slices and no node sorts again. A stable partition of
+a stable sort orders each node exactly as a stable sort of the node's own
+ascending rows would, so the gradient sums, gains and trees are the same bit
+for bit as sorting per node.
 """
 from __future__ import annotations
 
@@ -20,7 +31,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, ToolkitError
-from .features import FeatureMatrix
+from .features import FeatureMatrix, check_finite
 from .stats import metrics
 
 
@@ -121,6 +132,7 @@ class Ensemble:
             raise ConfigError(
                 f"rows have shape {x.shape}, model expects width {len(self.feature_names)}"
             )
+        check_finite(x, self.feature_names)
         out = np.full(len(x), self.base_score)
         for tree in self.trees:
             out += self.learning_rate * _tree_outputs(tree, x)
@@ -141,35 +153,71 @@ def _tree_outputs(root: TreeNode, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _best_split(rows, g, h, idx, lambda_, gamma):
+def _best_split(cols, g, h, node, lambda_, gamma):
     """Exact greedy search over all (feature, midpoint-threshold) candidates.
 
-    Returns (gain, feature, threshold) of the best strictly-positive-gain
-    split, or None. Ties keep the lowest feature index, then (via argmax over
-    ascending thresholds) the lowest threshold.
+    ``node`` is the node's slice of the column block: row ``f`` holds the
+    node's row indices sorted by feature ``f``, the last row holds them in
+    ascending order. Gains are evaluated only where consecutive sorted
+    values differ. Returns (gain, feature,
+    threshold) of the best strictly-positive-gain split, or None. Ties keep
+    the lowest feature index, then (via argmax over ascending thresholds)
+    the lowest threshold.
     """
+    idx = node[-1]
     g_sum = float(g[idx].sum())
     h_sum = float(h[idx].sum())
     parent = g_sum * g_sum / (h_sum + lambda_)
     best = None
-    for f in range(rows.shape[1]):
-        x = rows[idx, f]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        if xs[0] == xs[-1]:
+    for f, col in enumerate(cols):
+        order = node[f]
+        xs = col[order]
+        cut = np.flatnonzero(xs[:-1] != xs[1:])
+        if len(cut) == 0:
             continue
-        gl = np.cumsum(g[idx][order])[:-1]
-        hl = np.cumsum(h[idx][order])[:-1]
+        gl = np.cumsum(g[order])[cut]
+        hl = np.cumsum(h[order])[cut]
         gr = g_sum - gl
         hr = h_sum - hl
         gains = 0.5 * (gl * gl / (hl + lambda_) + gr * gr / (hr + lambda_) - parent) - gamma
-        gains[xs[:-1] == xs[1:]] = -np.inf
-        j = int(np.argmax(gains))
-        if best is None or gains[j] > best[0]:
-            best = (float(gains[j]), f, float((xs[j] + xs[j + 1]) / 2.0))
+        k = int(np.argmax(gains))
+        if best is None or gains[k] > best[0]:
+            j = cut[k]
+            best = (float(gains[k]), f, float((xs[j] + xs[j + 1]) / 2.0))
     if best is None or best[0] <= 0.0:
         return None
     return best
+
+
+def _grow(cols, grad, hess, block, lo, hi, depth, max_depth, lambda_, gamma, goes_left):
+    """Grow the subtree of the block slice ``[lo, hi)``, partitioning it in place."""
+    node = block[:, lo:hi]
+    idx = node[-1]
+    split = _best_split(cols, grad, hess, node, lambda_, gamma) if depth < max_depth else None
+    if split is None:
+        w = -float(grad[idx].sum()) / (float(hess[idx].sum()) + lambda_)
+        return TreeNode(weight=w)
+    gain, f, thr = split
+    left = cols[f][idx] < thr
+    n_left = int(np.count_nonzero(left))
+    goes_left[idx] = left
+    # Boolean indexing keeps order, so each row is partitioned stably. Leaf
+    # children read only the ascending row; others need every sorted row.
+    for order in node if depth + 1 < max_depth else node[-1:]:
+        mask = goes_left[order]
+        lefts = order[mask]
+        order[n_left:] = order[~mask]
+        order[:n_left] = lefts
+    del left, mask, lefts  # free this level's temporaries before recursing
+    return TreeNode(
+        feature_index=f,
+        threshold=thr,
+        left=_grow(cols, grad, hess, block, lo, lo + n_left, depth + 1,
+                   max_depth, lambda_, gamma, goes_left),
+        right=_grow(cols, grad, hess, block, lo + n_left, hi, depth + 1,
+                    max_depth, lambda_, gamma, goes_left),
+        gain=gain,
+    )
 
 
 def grow_tree(rows, grad, hess, max_depth: int, lambda_: float, gamma: float) -> TreeNode:
@@ -179,26 +227,16 @@ def grow_tree(rows, grad, hess, max_depth: int, lambda_: float, gamma: float) ->
     ``grad = -targets, hess = 1, lambda_ = 0`` to get a CART-style
     variance-reduction tree).
     """
-    rows = np.asarray(rows, dtype=np.float64)
+    cols = np.ascontiguousarray(np.asarray(rows, dtype=np.float64).T)
     grad = np.asarray(grad, dtype=np.float64)
     hess = np.asarray(hess, dtype=np.float64)
-
-    def build(idx, depth):
-        split = _best_split(rows, grad, hess, idx, lambda_, gamma) if depth < max_depth else None
-        if split is None:
-            w = -float(grad[idx].sum()) / (float(hess[idx].sum()) + lambda_)
-            return TreeNode(weight=w)
-        gain, f, thr = split
-        left = rows[idx, f] < thr
-        return TreeNode(
-            feature_index=f,
-            threshold=thr,
-            left=build(idx[left], depth + 1),
-            right=build(idx[~left], depth + 1),
-            gain=gain,
-        )
-
-    return build(np.arange(len(rows)), 0)
+    d, n = cols.shape
+    block = np.empty((d + 1, n), dtype=np.intp)
+    for f, col in enumerate(cols):
+        block[f] = np.argsort(col, kind="stable")
+    block[d] = np.arange(n)
+    goes_left = np.zeros(n, dtype=bool)
+    return _grow(cols, grad, hess, block, 0, n, 0, max_depth, lambda_, gamma, goes_left)
 
 
 def train(X: FeatureMatrix, params: Hyperparams) -> Ensemble:
@@ -329,19 +367,37 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(d: dict, width: int) -> TreeNode:
-    if "weight" in d:
-        return TreeNode(weight=float(d["weight"]))
-    f = int(d["feature_index"])
-    if not 0 <= f < width:
-        raise DataError(f"malformed model document: feature_index {f} outside 0..{width - 1}")
-    return TreeNode(
-        feature_index=f,
-        threshold=float(d["threshold"]),
-        gain=float(d.get("gain", 0.0)),
-        left=_node_from_dict(d["left"], width),
-        right=_node_from_dict(d["right"], width),
-    )
+def _node_from_dict(doc: dict, width: int) -> TreeNode:
+    """Build a tree from its nested dict without recursion, so any depth loads."""
+    pending, preorder = [doc], []
+    while pending:
+        d = pending.pop()
+        preorder.append(d)
+        if "weight" not in d:
+            pending.append(d["left"])
+            pending.append(d["right"])
+    # In reversed preorder every child is built before its parent: the right
+    # subtree's root sits on top of the stack, the left one's below it.
+    stack = []
+    for d in reversed(preorder):
+        if "weight" in d:
+            stack.append(TreeNode(weight=float(d["weight"])))
+            continue
+        f = int(d["feature_index"])
+        if not 0 <= f < width:
+            raise DataError(
+                f"malformed model document: feature_index {f} outside 0..{width - 1}"
+            )
+        right = stack.pop()
+        left = stack.pop()
+        stack.append(TreeNode(
+            feature_index=f,
+            threshold=float(d["threshold"]),
+            gain=float(d.get("gain", 0.0)),
+            left=left,
+            right=right,
+        ))
+    return stack.pop()
 
 
 def to_dict(model: Ensemble) -> dict:
@@ -391,4 +447,6 @@ def load(path) -> Ensemble:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"model file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DataError(f"malformed model document: {exc}") from exc
     return from_dict(doc)

@@ -43,6 +43,17 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def csv_config(tmp_path, rows):
+    """Write ``rows`` as a CSV and return a config that reads it."""
+    data = tmp_path / "edited.csv"
+    with open(data, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    cfg = tmp_path / "edited.ini"
+    cfg.write_text(CONFIG.replace("data.source = synth",
+                                  f"data.source = csv\ndata.csv = {data}"))
+    return cfg
+
+
 class TestPipelineArtifacts:
     def test_manifest_hashes_match_files(self, pipeline):
         _, out = pipeline
@@ -265,16 +276,53 @@ class TestExitCodes:
         col = rows[0].index("OutTemp")
         hole = len(rows) - 100  # inside the last 20%: the test split
         rows[hole][col] = ""
-        data = tmp_path / "holed.csv"
-        with open(data, "w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
-        holed = tmp_path / "holed.ini"
-        holed.write_text(CONFIG.replace("data.source = synth",
-                                        f"data.source = csv\ndata.csv = {data}"))
-        proc = run_cli("--config", str(holed), "--out", str(tmp_path / "x"), "--quiet",
+        edited = csv_config(tmp_path, rows)
+        proc = run_cli("--config", str(edited), "--out", str(tmp_path / "x"), "--quiet",
                        "evaluate", "--model", str(out / "model.json"), check=False)
         assert proc.returncode == 3, proc.stderr
         assert f"'OutTempMVA' at {rows[hole][0]}" in proc.stderr
+
+    def test_blank_rt_cell_before_a_test_anchor_is_exit_three(self, pipeline, tmp_path):
+        cfg, out = pipeline
+        scored = read_csv(out / "forecast_test.csv")[1:]
+        first = next(r for r in scored if r[3] == "1")  # one step after anchor 1
+        rows = read_csv(out / "synthetic.csv")
+        hole = [r[0] for r in rows].index(first[0]) - 3  # two rows before the anchor
+        rows[hole][rows[0].index("RT")] = ""
+        edited = csv_config(tmp_path, rows)
+        proc = run_cli("--config", str(edited), "--out", str(tmp_path / "x"), "--quiet",
+                       "evaluate", "--model", str(out / "model.json"), check=False)
+        assert proc.returncode == 3, proc.stderr
+        assert f"'RT' at {rows[hole][0]}" in proc.stderr
+
+    def test_non_finite_model_input_is_exit_three(self, pipeline, tmp_path):
+        """Finite cells whose training mean overflows: the mean-substituted
+        rows that permutation importance predicts on hold inf."""
+        cfg, out = pipeline
+        rows = read_csv(out / "synthetic.csv")
+        col = rows[0].index("OnOffState")
+        for r in rows[10:14]:
+            r[col] = "1e308"
+        edited = csv_config(tmp_path, rows)
+        proc = run_cli("--config", str(edited), "--out", str(tmp_path / "x"), "--quiet",
+                       "explain", "importance", "--model", str(out / "model.json"),
+                       check=False)
+        assert proc.returncode == 3, proc.stderr
+        assert "non-finite value in column 'OnOffState' at row 0" in proc.stderr
+
+    def test_too_deep_model_file_is_exit_three(self, pipeline, tmp_path):
+        cfg, out = pipeline
+        doc = json.loads((out / "model.json").read_text())
+        depth = 3000
+        branch = '{"feature_index": 0, "threshold": 0.5, "left": {"weight": 0.0}, "right": '
+        deep = branch * depth + '{"weight": 0.0}' + "}" * depth
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({**doc, "trees": []}).replace('"trees": []',
+                                                                  f'"trees": [{deep}]'))
+        proc = run_cli("--config", str(cfg), "--out", str(tmp_path / "x"), "--quiet",
+                       "evaluate", "--model", str(model), check=False)
+        assert proc.returncode == 3, proc.stderr
+        assert "malformed model document" in proc.stderr
 
     def test_unknown_method_is_rejected_by_the_parser(self, tmp_path):
         proc = run_cli("--out", str(tmp_path / "x"), "--quiet",

@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from rtcast import features, forecast, gbm, stats, timebase
-from rtcast.errors import ConfigError
+from rtcast import dataio, features, forecast, gbm, stats, timebase
+from rtcast.errors import ConfigError, DataError
 from rtcast.features import EngineeringConfig
 
 from conftest import FULL_GROUPS, make_matrix
@@ -127,6 +127,39 @@ class TestRollingForecast:
                 small_model, synth_splits[1], engineering,
                 input_overrides={"Bogus": 0.0},
             )
+
+    def test_missing_rt_in_an_anchor_window_names_rt_and_the_instant(
+            self, small_model, engineering):
+        """True RT seeds each anchor's MVART window; a NaN there must not
+        flow silently into the first steps' MVART input."""
+        table = dataio.synthesize(dataio.SynthConfig(seed=42, n_days=20))
+        run = forecast.rolling_forecast(small_model, table, engineering)
+        a = int(np.searchsorted(table.timestamps, run.anchors[3]))
+        target = table.target.copy()
+        target[a - 2] = np.nan
+        holed = dataio.TimeTable(table.timestamps, table.columns, target,
+                                 table.interval_seconds)
+        instant = timebase.format_instant(table.timestamps[a - 2])
+        with pytest.raises(DataError, match=f"'RT' at {instant}"):
+            forecast.rolling_forecast(small_model, holed, engineering)
+
+    def test_missing_rt_read_by_no_step_is_ignored(self, small_model, engineering):
+        """The window of an anchor on the last row, and any window when MVART
+        is overridden, seeds no prediction; a NaN there changes nothing."""
+        table = dataio.synthesize(dataio.SynthConfig(seed=42, n_days=20))
+        run = forecast.rolling_forecast(small_model, table, engineering)
+        end = int(np.searchsorted(table.timestamps, run.anchors[-1])) + 1
+        target = table.target.copy()
+        target[end - 3] = np.nan
+        holed = dataio.TimeTable(table.timestamps, table.columns, target,
+                                 table.interval_seconds)
+        for overrides in (None, {"MVART": 20.0}):
+            want = forecast.rolling_forecast(small_model, table.row_slice(0, end),
+                                             engineering, input_overrides=overrides)
+            got = forecast.rolling_forecast(small_model, holed.row_slice(0, end),
+                                            engineering, input_overrides=overrides)
+            assert np.array_equal(got.y_pred, want.y_pred)
+            assert np.array_equal(got.anchors, want.anchors)
 
 
 class TestSweeps:
