@@ -15,50 +15,27 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import dataio, explain, forecast, gbm, pffra, stats, timebase
 from .dataio import SplitSpec, SynthConfig, TimeTable
 from .errors import ConfigError, DataError, NumericError, ToolkitError
-from .features import EngineeringConfig, build_design_matrix
+from .features import EngineeringConfig, build_design_matrix, training_means
 from .gbm import Ensemble, HyperparamGrid, Hyperparams
 from .timebase import HolidayCalendar
 
 SCHEMA_VERSION = 1
 
 _DEFAULT_ABLATE_COMBOS = (
-    "IOTS",
-    "IOTS+Holiday",
-    "IOTS+MVART",
-    "IOTS+MVART+Holiday",
-    "IOTS-MVA",
-    "IOTS-MVA+Holiday",
-    "IOTS-MVA+MVART",
-    "IOTS-MVA+MVART+Holiday",
+    "IOTS", "IOTS+Holiday", "IOTS+MVART", "IOTS+MVART+Holiday",
+    "IOTS-MVA", "IOTS-MVA+Holiday", "IOTS-MVA+MVART", "IOTS-MVA+MVART+Holiday",
 )
-
-_KNOWN_KEYS = {
-    "data.source", "data.csv", "data.schema",
-    "synth.seed", "synth.days", "synth.rt_base", "synth.seasonal_amp",
-    "synth.daily_amp", "synth.holiday_shift", "synth.noise_sd", "synth.quantization",
-    "split.data_start", "split.train_end", "split.val_end", "split.data_cutoff",
-    "features.groups", "features.mva_window",
-    "features.utc_offset_hours", "features.work_start", "features.work_end",
-    "features.holiday_file", "features.weekends_are_holidays",
-    "model.max_depth", "model.n_trees", "model.gamma", "model.lambda",
-    "model.learning_rate",
-    "grid.max_depth", "grid.n_trees", "grid.gamma", "grid.lambda",
-    "grid.learning_rate",
-    "forecast.access_minutes", "forecast.horizon_minutes",
-    "forecast.anchor_offset_minutes",
-    "ablate.combos", "ablate.window_widths_minutes", "ablate.intervals_minutes",
-    "explain.lambda", "explain.tree_depth", "explain.lime_samples",
-    "diagnose.max_lag", "diagnose.bin_width",
-}
 
 
 def _parse_kv_file(path: str) -> dict:
@@ -83,9 +60,8 @@ def _groups_from(text: str) -> frozenset:
 class PipelineConfig:
     """Fully resolved run configuration (config file + flag overrides)."""
 
-    out_dir: str = "runs"
-    seed: int = 42
-    quiet: bool = False
+    out_dir: str
+    quiet: bool
     source: str = "synth"
     csv_path: str | None = None
     schema_path: str | None = None
@@ -97,7 +73,6 @@ class PipelineConfig:
     grid: HyperparamGrid | None = None
     access_seconds: int = 86400
     horizon_seconds: int = 28800
-    anchor_offset_seconds: int = 0
     ablate_combos: tuple = tuple(_groups_from(c) for c in _DEFAULT_ABLATE_COMBOS)
     window_widths_seconds: tuple = (0, 600, 3600, 21600, 86400)
     intervals_seconds: tuple = (600, 3600, 28800, 86400)
@@ -108,137 +83,178 @@ class PipelineConfig:
     bin_width: float = 1.0
     raw: dict = field(default_factory=dict)
 
+    @property
+    def seed(self) -> int:
+        return self.synth.seed
+
+
+# Value parsers: (key, text) -> value, raising a ConfigError that names the key.
+
+def _text(key, text):
+    return text
+
+
+def _int(key, text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"config {key} must be an integer, got {text!r}") from None
+
+
+def _float(key, text):
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"config {key} must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"config {key} must be a finite number, got {text!r}")
+    return value
+
+
+def _minutes(key, text):
+    return _int(key, text) * 60
+
+
+def _bool(key, text):
+    if text.lower() not in ("true", "false"):
+        raise ConfigError(f"config {key} must be true or false, got {text!r}")
+    return text.lower() == "true"
+
+
+def _nonempty(key, text, parts):
+    if not parts:
+        raise ConfigError(f"config {key} needs at least one value, got {text!r}")
+    return parts
+
+
+def _list(parse):
+    def parse_list(key, text):
+        parts = [part.strip() for part in text.split(",") if part.strip()]
+        try:
+            values = tuple(parse(key, part) for part in parts)
+        except ConfigError:
+            raise ConfigError(f"config {key} has a malformed list: {text!r}") from None
+        return _nonempty(key, text, values)
+    return parse_list
+
+
+def _groups(key, text):
+    return _nonempty(key, text, _groups_from(text))
+
+
+def _combos(key, text):
+    return _nonempty(
+        key, text, tuple(_groups_from(part) for part in text.split(";") if part.strip())
+    )
+
+
+def _day(key, text):
+    return timebase.parse_day(text)
+
+
+def _source(key, text):
+    if text not in ("synth", "csv"):
+        raise ConfigError(f"{key} must be synth or csv, got {text!r}")
+    return text
+
+
+def _holidays(key, text):
+    try:
+        return HolidayCalendar.from_file(text).dates
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"config {key}: cannot read {text!r}: {exc}") from None
+
+
+_SOURCE_KEY, _CSV_KEY = "data.source", "data.csv"
+
+#: One entry per config key: the object it configures, the field it sets and
+#: the parser of its value. Only keys present in the file are passed on, so
+#: every default lives in its dataclass. ``split`` fields become a SplitSpec
+#: (all four or none) and ``calendar`` fields replace those of the packaged
+#: holiday calendar.
+_KEYS = {
+    _SOURCE_KEY: ("pipeline", "source", _source),
+    _CSV_KEY: ("pipeline", "csv_path", _text),
+    "data.schema": ("pipeline", "schema_path", _text),
+    "synth.seed": ("synth", "seed", _int),
+    "synth.days": ("synth", "n_days", _int),
+    "synth.rt_base": ("synth", "rt_base", _float),
+    "synth.seasonal_amp": ("synth", "seasonal_amp", _float),
+    "synth.daily_amp": ("synth", "daily_amp", _float),
+    "synth.holiday_shift": ("synth", "holiday_shift", _float),
+    "synth.noise_sd": ("synth", "noise_sd", _float),
+    "synth.quantization": ("synth", "quantization", _float),
+    "split.data_start": ("split", "data_start", _day),
+    "split.train_end": ("split", "train_end", _day),
+    "split.val_end": ("split", "val_end", _day),
+    "split.data_cutoff": ("split", "data_cutoff", _day),
+    "features.groups": ("pipeline", "groups", _groups),
+    "features.mva_window": ("engineering", "mva_window", _int),
+    "features.utc_offset_hours": ("engineering", "utc_offset_hours", _float),
+    "features.work_start": ("engineering", "work_start_hour", _int),
+    "features.work_end": ("engineering", "work_end_hour", _int),
+    "features.holiday_file": ("calendar", "dates", _holidays),
+    "features.weekends_are_holidays": ("calendar", "include_weekends", _bool),
+    "model.max_depth": ("params", "max_depth", _int),
+    "model.n_trees": ("params", "n_trees", _int),
+    "model.gamma": ("params", "gamma", _float),
+    "model.lambda": ("params", "lambda_", _float),
+    "model.learning_rate": ("params", "learning_rate", _float),
+    "grid.max_depth": ("grid", "max_depth", _list(_int)),
+    "grid.n_trees": ("grid", "n_trees", _list(_int)),
+    "grid.gamma": ("grid", "gamma", _list(_float)),
+    "grid.lambda": ("grid", "lambda_", _list(_float)),
+    "grid.learning_rate": ("grid", "learning_rate", _list(_float)),
+    "forecast.access_minutes": ("pipeline", "access_seconds", _minutes),
+    "forecast.horizon_minutes": ("pipeline", "horizon_seconds", _minutes),
+    "ablate.combos": ("pipeline", "ablate_combos", _combos),
+    "ablate.window_widths_minutes": ("pipeline", "window_widths_seconds", _list(_minutes)),
+    "ablate.intervals_minutes": ("pipeline", "intervals_seconds", _list(_minutes)),
+    "explain.lambda": ("pipeline", "explain_lambda", _float),
+    "explain.tree_depth": ("pipeline", "explain_tree_depth", _int),
+    "explain.lime_samples": ("pipeline", "lime_samples", _int),
+    "diagnose.max_lag": ("pipeline", "max_lag", _int),
+    "diagnose.bin_width": ("pipeline", "bin_width", _float),
+}
+
 
 def _build_config(args) -> PipelineConfig:
-    kv = {}
-    if args.config:
-        kv = _parse_kv_file(args.config)
-        unknown = set(kv) - _KNOWN_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
+    kv = _parse_kv_file(args.config) if args.config else {}
+    unknown = set(kv) - set(_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
 
-    def get(key, default=None):
-        return kv.get(key, default)
-
-    def get_int(key, default):
-        v = get(key)
-        try:
-            return int(v) if v is not None else default
-        except ValueError:
-            raise ConfigError(f"config {key} must be an integer, got {v!r}") from None
-
-    def get_float(key, default):
-        v = get(key)
-        try:
-            return float(v) if v is not None else default
-        except ValueError:
-            raise ConfigError(f"config {key} must be a number, got {v!r}") from None
-
-    def get_list(key, cast):
-        v = get(key)
-        if v is None:
-            return None
-        try:
-            return tuple(cast(part.strip()) for part in v.split(",") if part.strip())
-        except ValueError:
-            raise ConfigError(f"config {key} has a malformed list: {v!r}") from None
-
-    cfg = PipelineConfig(raw=dict(kv))
-    cfg.seed = args.seed if args.seed is not None else get_int("synth.seed", 42)
-    cfg.out_dir = args.out
-    cfg.quiet = args.quiet
-
-    cfg.source = get("data.source", "synth")
-    if cfg.source not in ("synth", "csv"):
-        raise ConfigError(f"data.source must be synth or csv, got {cfg.source!r}")
-    cfg.csv_path = get("data.csv")
-    cfg.schema_path = get("data.schema")
-    if cfg.source == "csv" and not cfg.csv_path:
-        raise ConfigError("data.source=csv needs data.csv=<path>")
-
-    days = get_int("synth.days", 365)
+    kw = defaultdict(dict)  # target -> field -> value
+    for key, text in kv.items():
+        target, name, parse = _KEYS[key]
+        kw[target][name] = parse(key, text)
+    if args.seed is not None:
+        kw["synth"]["seed"] = args.seed
     if getattr(args, "days", None) is not None:
-        days = args.days
-    cfg.synth = SynthConfig(
-        seed=cfg.seed,
-        n_days=days,
-        rt_base=get_float("synth.rt_base", 26.0),
-        seasonal_amp=get_float("synth.seasonal_amp", 8.0),
-        daily_amp=get_float("synth.daily_amp", 2.5),
-        holiday_shift=get_float("synth.holiday_shift", 1.0),
-        noise_sd=get_float("synth.noise_sd", 0.25),
-        quantization=get_float("synth.quantization", 0.5),
-    )
+        kw["synth"]["n_days"] = args.days
+    if getattr(args, "groups", None):
+        kw["pipeline"]["groups"] = _groups_from(args.groups)
 
-    split_keys = ["split.data_start", "split.train_end", "split.val_end", "split.data_cutoff"]
-    present = [k for k in split_keys if k in kv]
-    if present and len(present) != 4:
+    split = kw["split"]
+    if split and len(split) != 4:
         raise ConfigError("either give all four split.* dates or none")
-    if present:
-        cfg.split_spec = SplitSpec(
-            data_start=timebase.parse_day(kv["split.data_start"]),
-            train_end=timebase.parse_day(kv["split.train_end"]),
-            val_end=timebase.parse_day(kv["split.val_end"]),
-            data_cutoff=timebase.parse_day(kv["split.data_cutoff"]),
+    if kw["calendar"]:
+        kw["engineering"]["holiday_calendar"] = replace(
+            HolidayCalendar.default(), **kw["calendar"]
         )
-
-    holiday_file = get("features.holiday_file")
-    weekends = get("features.weekends_are_holidays", "true").lower() != "false"
-    if holiday_file:
-        calendar = HolidayCalendar.from_file(holiday_file, include_weekends=weekends)
-    else:
-        calendar = HolidayCalendar.default()
-        if not weekends:
-            calendar = HolidayCalendar(dates=calendar.dates, include_weekends=False)
-    cfg.engineering = EngineeringConfig(
-        mva_window=get_int("features.mva_window", 6),
-        holiday_calendar=calendar,
-        utc_offset_hours=get_float("features.utc_offset_hours", 2.0),
-        work_start_hour=get_int("features.work_start", 8),
-        work_end_hour=get_int("features.work_end", 18),
+    cfg = PipelineConfig(
+        out_dir=args.out,
+        quiet=args.quiet,
+        synth=SynthConfig(**kw["synth"]),
+        split_spec=SplitSpec(**split) if split else None,
+        engineering=EngineeringConfig(**kw["engineering"]),
+        params=Hyperparams(**kw["params"]),
+        grid=HyperparamGrid(**kw["grid"]) if kw["grid"] else None,
+        raw=dict(kv),
+        **kw["pipeline"],
     )
-    groups_text = getattr(args, "groups", None) or get("features.groups")
-    if groups_text:
-        cfg.groups = _groups_from(groups_text)
-
-    cfg.params = Hyperparams(
-        max_depth=get_int("model.max_depth", 6),
-        n_trees=get_int("model.n_trees", 100),
-        gamma=get_float("model.gamma", 0.0),
-        lambda_=get_float("model.lambda", 1.0),
-        learning_rate=get_float("model.learning_rate", 0.3),
-    )
-    if any(k.startswith("grid.") for k in kv):
-        base = HyperparamGrid()
-        cfg.grid = HyperparamGrid(
-            max_depth=get_list("grid.max_depth", int) or base.max_depth,
-            n_trees=get_list("grid.n_trees", int) or base.n_trees,
-            gamma=get_list("grid.gamma", float) or base.gamma,
-            lambda_=get_list("grid.lambda", float) or base.lambda_,
-            learning_rate=get_list("grid.learning_rate", float) or base.learning_rate,
-        )
-
-    cfg.access_seconds = get_int("forecast.access_minutes", 1440) * 60
-    cfg.horizon_seconds = get_int("forecast.horizon_minutes", 480) * 60
-    cfg.anchor_offset_seconds = get_int("forecast.anchor_offset_minutes", 0) * 60
-
-    combos = get("ablate.combos")
-    if combos:
-        cfg.ablate_combos = tuple(
-            _groups_from(part) for part in combos.split(";") if part.strip()
-        )
-    widths = get_list("ablate.window_widths_minutes", int)
-    if widths is not None:
-        cfg.window_widths_seconds = tuple(w * 60 for w in widths)
-    intervals = get_list("ablate.intervals_minutes", int)
-    if intervals is not None:
-        cfg.intervals_seconds = tuple(i * 60 for i in intervals)
-
-    cfg.explain_lambda = get_float("explain.lambda", 1.0)
-    cfg.explain_tree_depth = get_int("explain.tree_depth", 6)
-    cfg.lime_samples = get_int("explain.lime_samples", 1000)
-    cfg.max_lag = get_int("diagnose.max_lag", 30)
-    cfg.bin_width = get_float("diagnose.bin_width", 1.0)
+    if cfg.source == "csv" and not cfg.csv_path:
+        raise ConfigError(f"{_SOURCE_KEY}=csv needs {_CSV_KEY}=<path>")
     return cfg
 
 
@@ -303,32 +319,22 @@ def _cell(v):
     return v
 
 
-def _load_schema(path: str) -> dict:
-    schema = {}
-    for key, val in _parse_kv_file(path).items():
-        schema[key] = val
-    return schema
-
-
-def _load_table(cfg: PipelineConfig) -> TimeTable:
+def _load_splits(cfg: PipelineConfig) -> dict:
+    """The configured table split into ``train``, ``val`` and ``test``."""
     if cfg.source == "synth":
-        return dataio.synthesize(cfg.synth)
-    schema = _load_schema(cfg.schema_path) if cfg.schema_path else None
-    return dataio.ingest_csv(cfg.csv_path, schema)
-
-
-def _split_table(cfg: PipelineConfig, table: TimeTable):
+        table = dataio.synthesize(cfg.synth)
+    else:
+        schema = _parse_kv_file(cfg.schema_path) if cfg.schema_path else None
+        table = dataio.ingest_csv(cfg.csv_path, schema)
     if cfg.split_spec is not None:
-        return dataio.split(table, cfg.split_spec, cfg.engineering.utc_offset_hours)
-    n = len(table)
-    i1, i2 = int(n * 0.6), int(n * 0.8)
-    if not (0 < i1 < i2 < n):
-        raise DataError(f"table too short to split 60/20/20: {n} rows")
-    return (
-        table.row_slice(0, i1),
-        table.row_slice(i1, i2),
-        table.row_slice(i2, n),
-    )
+        parts = dataio.split(table, cfg.split_spec, cfg.engineering.utc_offset_hours)
+    else:
+        n = len(table)
+        i1, i2 = int(n * 0.6), int(n * 0.8)
+        if not (0 < i1 < i2 < n):
+            raise DataError(f"table too short to split 60/20/20: {n} rows")
+        parts = (table.row_slice(0, i1), table.row_slice(i1, i2), table.row_slice(i2, n))
+    return dict(zip(("train", "val", "test"), parts))
 
 
 def _metric_row(first, report) -> list:
@@ -356,6 +362,16 @@ def _adf_doc(result: stats.AdfResult) -> dict:
     }
 
 
+def _rolling(cfg: PipelineConfig, model: Ensemble, table: TimeTable, overrides=None):
+    """The configured rolling forecast: every command re-anchors alike."""
+    return forecast.rolling_forecast(
+        model, table, cfg.engineering,
+        access_interval_seconds=cfg.access_seconds,
+        horizon_seconds=cfg.horizon_seconds,
+        input_overrides=overrides,
+    )
+
+
 def _require_model(path: str) -> Ensemble:
     if not path or not os.path.exists(path):
         raise ConfigError(f"model file not found: {path!r} (train first or pass --model)")
@@ -375,8 +391,8 @@ def cmd_ingest(cfg: PipelineConfig, args) -> None:
     if args.schema:
         cfg.schema_path = args.schema
     if not cfg.csv_path:
-        raise ConfigError("ingest needs --csv PATH or data.csv in the config")
-    schema = _load_schema(cfg.schema_path) if cfg.schema_path else None
+        raise ConfigError(f"ingest needs --csv PATH or {_CSV_KEY} in the config")
+    schema = _parse_kv_file(cfg.schema_path) if cfg.schema_path else None
     table = dataio.ingest_csv(cfg.csv_path, schema)
     out = ArtifactWriter(cfg.out_dir, "ingest", cfg)
     out.write_table("normalized.csv", table)
@@ -394,26 +410,18 @@ def cmd_ingest(cfg: PipelineConfig, args) -> None:
 
 
 def cmd_split(cfg: PipelineConfig, args) -> None:
-    table = _load_table(cfg)
-    train_t, val_t, test_t = _split_table(cfg, table)
+    parts = _load_splits(cfg)
     out = ArtifactWriter(cfg.out_dir, "split", cfg)
-    out.write_table("train.csv", train_t)
-    out.write_table("val.csv", val_t)
-    out.write_table("test.csv", test_t)
-    out.write_json(
-        "split_report.json",
-        {
-            "rows": {"train": len(train_t), "val": len(val_t), "test": len(test_t)},
-            "boundaries": {
-                "train": [timebase.format_instant(train_t.timestamps[0]),
-                          timebase.format_instant(train_t.timestamps[-1])],
-                "val": [timebase.format_instant(val_t.timestamps[0]),
-                        timebase.format_instant(val_t.timestamps[-1])],
-                "test": [timebase.format_instant(test_t.timestamps[0]),
-                         timebase.format_instant(test_t.timestamps[-1])],
-            },
+    for name, part in parts.items():
+        out.write_table(f"{name}.csv", part)
+    out.write_json("split_report.json", {
+        "rows": {name: len(part) for name, part in parts.items()},
+        "boundaries": {
+            name: [timebase.format_instant(part.timestamps[0]),
+                   timebase.format_instant(part.timestamps[-1])]
+            for name, part in parts.items()
         },
-    )
+    })
     out.finish()
 
 
@@ -428,8 +436,7 @@ def _params_doc(params: Hyperparams) -> dict:
 
 
 def cmd_train(cfg: PipelineConfig, args) -> None:
-    table = _load_table(cfg)
-    train_t, val_t, _ = _split_table(cfg, table)
+    train_t, val_t, _ = _load_splits(cfg).values()
     x_train = build_design_matrix(train_t, cfg.engineering, cfg.groups)
     x_val = build_design_matrix(val_t, cfg.engineering, cfg.groups)
 
@@ -465,19 +472,12 @@ def cmd_train(cfg: PipelineConfig, args) -> None:
 
 def cmd_evaluate(cfg: PipelineConfig, args) -> None:
     model = _require_model(args.model)
-    table = _load_table(cfg)
-    parts = dict(zip(("train", "val", "test"), _split_table(cfg, table)))
+    parts = _load_splits(cfg)
+
+    runs = {name: _rolling(cfg, model, part) for name, part in parts.items()}
 
     out = ArtifactWriter(cfg.out_dir, "evaluate", cfg)
-    runs = {}
-    for name, part in parts.items():
-        run = forecast.rolling_forecast(
-            model, part, cfg.engineering,
-            access_interval_seconds=cfg.access_seconds,
-            horizon_seconds=cfg.horizon_seconds,
-            anchor_offset_seconds=cfg.anchor_offset_seconds,
-        )
-        runs[name] = run
+    for name, run in runs.items():
         out.write_csv(
             f"forecast_{name}.csv",
             ["timestamp", "y_true", "y_pred", "anchor_id"],
@@ -509,19 +509,14 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> None:
 
 
 def cmd_ablate(cfg: PipelineConfig, args) -> None:
-    table = _load_table(cfg)
-    train_t, val_t, _ = _split_table(cfg, table)
+    train_t, val_t, _ = _load_splits(cfg).values()
     out = ArtifactWriter(cfg.out_dir, "ablate", cfg)
 
     rows = []
     for combo in cfg.ablate_combos:
         x_train = build_design_matrix(train_t, cfg.engineering, combo)
         model = gbm.train(x_train, cfg.params)
-        run = forecast.rolling_forecast(
-            model, val_t, cfg.engineering,
-            access_interval_seconds=cfg.access_seconds,
-            horizon_seconds=cfg.horizon_seconds,
-        )
+        run = _rolling(cfg, model, val_t)
         rows.append(_metric_row("+".join(sorted(combo)), run.report()))
     out.write_csv("ablation.csv", ["group", "mse", "mae", "mape", "r2"], rows)
 
@@ -603,11 +598,11 @@ def _force_rows(att: explain.Attribution, values: dict) -> list:
 
 def cmd_explain(cfg: PipelineConfig, args) -> None:
     model = _require_model(args.model)
-    table = _load_table(cfg)
-    train_t, val_t, test_t = _split_table(cfg, table)
+    parts = _load_splits(cfg)
+    train_t, test_t = parts["train"], parts["test"]
     groups = forecast.groups_for_model(model)
     x_train = build_design_matrix(train_t, cfg.engineering, groups)
-    means = {n: float(x_train.column(n).mean()) for n in x_train.feature_names}
+    means = training_means(x_train)
 
     out = ArtifactWriter(cfg.out_dir, f"explain_{args.method}", cfg)
     method = args.method
@@ -652,11 +647,7 @@ def cmd_explain(cfg: PipelineConfig, args) -> None:
 
     elif method in ("lime", "shap"):
         if args.select:
-            run = forecast.rolling_forecast(
-                model, test_t, cfg.engineering,
-                access_interval_seconds=cfg.access_seconds,
-                horizon_seconds=cfg.horizon_seconds,
-            )
+            run = _rolling(cfg, model, test_t)
             a, d = _select_case_pair(run, args.threshold_acc, args.threshold_dev)
             cases = {"accurate": run.feature_rows[a], "deviated": run.feature_rows[d]}
             case_meta = {
@@ -693,10 +684,10 @@ def cmd_explain(cfg: PipelineConfig, args) -> None:
                     _force_rows(att, values),
                 )
 
-    elif method == "pffra":
+    else:
         if not args.feature:
             raise ConfigError("pffra needs --feature NAME")
-        part = {"train": train_t, "val": val_t, "test": test_t}[args.split]
+        part = parts[args.split]
         if args.protocol == "static":
             x_part = build_design_matrix(part, cfg.engineering, groups)
             report = pffra.pffra(
@@ -705,12 +696,7 @@ def cmd_explain(cfg: PipelineConfig, args) -> None:
         else:
             others = {n: means[n] for n in model.feature_names if n != args.feature}
             runs = {
-                variant: forecast.rolling_forecast(
-                    model, part, cfg.engineering,
-                    access_interval_seconds=cfg.access_seconds,
-                    horizon_seconds=cfg.horizon_seconds,
-                    input_overrides=overrides,
-                )
+                variant: _rolling(cfg, model, part, overrides)
                 for variant, overrides in (
                     ("original", None),
                     ("feature_permuted", {args.feature: means[args.feature]}),
@@ -724,40 +710,30 @@ def cmd_explain(cfg: PipelineConfig, args) -> None:
             )
 
         tag = f"{args.feature}_{args.split}"
+        spectra = {
+            "feature_only": report.spectrum_feature_only,
+            "feature_permuted": report.spectrum_feature_permuted,
+            "original": report.spectrum_original,
+            "truth": report.spectrum_truth,
+        }
         out.write_json(f"pffra_{tag}.json", {
             "feature": report.feature,
             "protocol": args.protocol,
             "split": args.split,
-            "dc": {
-                "feature_only": report.spectrum_feature_only.dc,
-                "feature_permuted": report.spectrum_feature_permuted.dc,
-                "original": report.spectrum_original.dc,
-                "truth": report.spectrum_truth.dc,
-            },
+            "dc": {variant: spec.dc for variant, spec in spectra.items()},
             "band_energies": report.band_energies,
         })
-        for variant, spec in (
-            ("feature_only", report.spectrum_feature_only),
-            ("feature_permuted", report.spectrum_feature_permuted),
-            ("original", report.spectrum_original),
-            ("truth", report.spectrum_truth),
-        ):
+        for variant, spec in spectra.items():
             out.write_csv(
                 f"spectrum_{variant}_{tag}.csv",
                 ["frequency", "magnitude"],
                 _spectrum_rows(spec),
             )
-    else:
-        raise ConfigError(
-            f"unknown explain method {method!r}; "
-            "choose importance, pdp, surrogate, lime, shap, or pffra"
-        )
     out.finish(extra={"method": method})
 
 
 def cmd_diagnose(cfg: PipelineConfig, args) -> None:
-    table = _load_table(cfg)
-    parts = dict(zip(("train", "val", "test"), _split_table(cfg, table)))
+    parts = _load_splits(cfg)
     series = parts[args.split].target
     out = ArtifactWriter(cfg.out_dir, f"diagnose_{args.which}", cfg)
 
@@ -772,17 +748,13 @@ def cmd_diagnose(cfg: PipelineConfig, args) -> None:
     elif args.which == "adf":
         out.write_json("adf_rt.json", _adf_doc(stats.adf_test(series)))
         out.write_json("adf_diff.json", _adf_doc(stats.adf_test(np.diff(series))))
-    elif args.which == "hist":
+    else:
         for name, part in parts.items():
             out.write_csv(
                 f"hist_{name}.csv",
                 ["bin", "count"],
                 stats.histogram(part.target, cfg.bin_width),
             )
-    else:
-        raise ConfigError(
-            f"unknown diagnostic {args.which!r}; choose acf, pacf, adf, or hist"
-        )
     out.finish(extra={"which": args.which, "split": args.split})
 
 

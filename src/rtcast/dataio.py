@@ -143,6 +143,8 @@ class SynthConfig:
     quantization: float = 0.5
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_days < 1:
             raise ConfigError(f"n_days must be >= 1, got {self.n_days}")
         if self.quantization <= 0:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
-from .features import FeatureMatrix
+from .features import FeatureMatrix, training_means
 from .gbm import _tree_outputs, grow_tree
 from .stats import metrics
 
@@ -101,13 +101,14 @@ def permutation_importance(
         return rep.mae if metric == "mae" else rep.mse
 
     baseline = score(X.rows)
+    if strategy == "mean_substitute" and means is None:
+        means = training_means(X)
     rng = np.random.default_rng(seed)
     out = {}
     for j, name in enumerate(X.feature_names):
         rows = X.rows.copy()
         if strategy == "mean_substitute":
-            mean = means[name] if means is not None else float(X.rows[:, j].mean())
-            rows[:, j] = mean
+            rows[:, j] = means[name]
         else:
             rows[:, j] = rng.permutation(rows[:, j])
         out[name] = score(rows) - baseline
@@ -236,7 +237,6 @@ def lime_explain(
     instance,
     X_ref: FeatureMatrix,
     n_samples: int = 1000,
-    kernel_width: float | None = None,
     seed: int = 0,
 ) -> Attribution:
     """Local explanation by a weighted ridge fit around one instance.
@@ -244,7 +244,8 @@ def lime_explain(
     Continuous features are discretized into quartile bins computed from
     ``X_ref``. Perturbed samples are drawn by resampling observed values per
     feature; each sample is weighted by ``exp(-d^2 / width^2)`` where d is
-    the fraction of features whose bin differs from the instance's. A ridge
+    the fraction of features whose bin differs from the instance's and the
+    width is ``0.75 * sqrt(number of features)``. A ridge
     model on binary "same bin as the instance" indicators yields the
     contributions, and its weighted R-squared on the perturbations is
     reported as ``local_r2``.
@@ -256,8 +257,7 @@ def lime_explain(
     d = len(X_ref.feature_names)
     if x0.shape != (d,):
         raise ConfigError(f"instance has shape {x0.shape}, expected ({d},)")
-    if kernel_width is None:
-        kernel_width = 0.75 * math.sqrt(d)
+    kernel_width = 0.75 * math.sqrt(d)
 
     rng = np.random.default_rng(seed)
     edges = [_bin_edges(X_ref.rows[:, j]) for j in range(d)]

@@ -49,6 +49,10 @@ class EngineeringConfig:
     def __post_init__(self):
         if self.mva_window < 1:
             raise ConfigError(f"mva_window must be >= 1, got {self.mva_window}")
+        if not -24.0 <= self.utc_offset_hours <= 24.0:
+            raise ConfigError(
+                f"utc_offset_hours must be within -24..24, got {self.utc_offset_hours}"
+            )
         if not (0 <= self.work_start_hour < self.work_end_hour <= 24):
             raise ConfigError(
                 f"bad working hours {self.work_start_hour}..{self.work_end_hour}"
@@ -252,6 +256,19 @@ def check_finite(rows, names, timestamps=None) -> None:
         i, j = np.argwhere(bad)[0]
         where = f"row {i}" if timestamps is None else timebase.format_instant(timestamps[i])
         raise DataError(f"non-finite value in column {names[j]!r} at {where}")
+
+
+def training_means(X: FeatureMatrix) -> dict:
+    """Per-column means, the values the mean-substitution explainers use.
+
+    A mean that is not finite (finite cells can overflow) raises DataError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = {n: float(X.column(n).mean()) for n in X.feature_names}
+    for name, mean in means.items():
+        if not np.isfinite(mean):
+            raise DataError(f"training mean of column {name!r} is not finite")
+    return means
 
 
 def build_design_matrix(

@@ -61,7 +61,6 @@ def rolling_forecast(
     config: EngineeringConfig,
     access_interval_seconds: int = 86400,
     horizon_seconds: int = 28800,
-    anchor_offset_seconds: int = 0,
     input_overrides: dict | None = None,
 ) -> ForecastRun:
     """Predict over a table in the rolling re-anchored regime.
@@ -72,15 +71,14 @@ def rolling_forecast(
     table : TimeTable
         Evaluation data; true RT is consumed only at anchors (and for
         scoring), exogenous columns are treated as known scenario inputs.
-        The exogenous columns, and the true RT in the MVART window of each
-        anchor that seeds a prediction, must be finite (DataError names
-        the first non-finite cell).
+        The exogenous columns, the true RT in the MVART window of each
+        anchor that seeds a prediction, and the true RT of every scored row
+        must be finite (DataError names the first non-finite cell).
     config : EngineeringConfig
         Must match the training-time engineering (same window, offsets).
     access_interval_seconds : int
         Spacing of true-RT re-anchoring; anchors sit where local time is a
-        multiple of this (offset by ``anchor_offset_seconds``), so the default
-        86400 anchors at local midnight.
+        multiple of this, so the default 86400 anchors at local midnight.
     horizon_seconds : int
         How far past each anchor to predict (and score).
     input_overrides : dict, optional
@@ -129,7 +127,7 @@ def rolling_forecast(
             override_pos[names.index(key)] = float(val)
 
     local = table.timestamps + timebase.offset_seconds(config.utc_offset_hours)
-    on_grid = (local - anchor_offset_seconds) % access_interval_seconds == 0
+    on_grid = local % access_interval_seconds == 0
     anchor_idx = np.flatnonzero(on_grid)
     if use_mvart:
         anchor_idx = anchor_idx[anchor_idx >= config.mva_window - 1]
@@ -170,11 +168,14 @@ def rolling_forecast(
 
     if not ts_out:
         raise DataError("no scored predictions: horizon never lands inside the table")
+    timestamps = np.array(ts_out, dtype=np.int64)
+    y_true = np.array(yt)
+    check_finite(y_true[:, None], ["RT"], timestamps)
     return ForecastRun(
         access_interval_seconds=access_interval_seconds,
         horizon_seconds=horizon_seconds,
-        timestamps=np.array(ts_out, dtype=np.int64),
-        y_true=np.array(yt),
+        timestamps=timestamps,
+        y_true=y_true,
         y_pred=np.array(yp),
         anchor_ids=np.array(aid, dtype=np.int64),
         anchors=table.timestamps[anchor_idx],

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError, SelectionError
-from .features import FeatureMatrix
+from .features import FeatureMatrix, training_means
 
 #: Default analysis bands in cycles/hour. A band (lo, hi) covers bins with
 #: lo < f <= hi; the DC term belongs to a band only when lo < 0 or the band
@@ -221,14 +221,14 @@ def pffra(
     y_true,
     feature: str,
     means: dict | None = None,
-    bands: dict | None = None,
 ) -> PffraReport:
     """Frequency response analysis of one feature's contribution.
 
     Computes prediction series for (a) the design matrix with ``feature``
     mean-substituted, (b) the matrix with every OTHER feature
     mean-substituted, and (c) the original matrix; takes spectra of all three
-    plus the true series; and integrates band energies for each variant.
+    plus the true series; and integrates the DEFAULT_BANDS energies for each
+    variant.
 
     Parameters
     ----------
@@ -241,16 +241,12 @@ def pffra(
         The interested feature; must be one of X's columns.
     means : dict, optional
         Training means per feature; defaults to the column means of X.
-    bands : dict, optional
-        name -> (lo, hi) in cycles/hour; defaults to DEFAULT_BANDS.
     """
     predict = model.predict_batch if hasattr(model, "predict_batch") else model
     if feature not in X.feature_names:
         raise SelectionError(f"unknown feature {feature!r}")
     if means is None:
-        means = {n: float(X.column(n).mean()) for n in X.feature_names}
-    if bands is None:
-        bands = DEFAULT_BANDS
+        means = training_means(X)
     step = _uniform_step_seconds(X.row_timestamps)
 
     others = [n for n in X.feature_names if n != feature]
@@ -267,7 +263,7 @@ def pffra(
     if series["truth"].shape != series["original"].shape:
         raise DataError("y_true length does not match the design matrix")
 
-    return report_from_series(feature, series, step, bands)
+    return report_from_series(feature, series, step, DEFAULT_BANDS)
 
 
 def report_from_series(feature: str, series: dict, step: int, bands: dict) -> PffraReport:

@@ -38,10 +38,6 @@ class AdfResult:
     reject_at: dict
     p_bracket: tuple
 
-    @property
-    def is_stationary_5pct(self) -> bool:
-        return self.reject_at[0.05]
-
 
 @dataclass(frozen=True)
 class MetricReport:

@@ -243,13 +243,32 @@ class TestExitCodes:
                        "ingest", "--csv", str(bad), check=False)
         assert proc.returncode == 3
 
-    def test_removed_horizon_steps_key_is_unknown(self, tmp_path):
+    @pytest.mark.parametrize("key, value", [
+        ("features.horizon_steps", "48"),
+        ("forecast.anchor_offset_minutes", "60"),
+    ])
+    def test_removed_horizon_steps_key_is_unknown(self, tmp_path, key, value):
         cfg = tmp_path / "c.ini"
-        cfg.write_text(CONFIG + "features.horizon_steps = 48\n")
+        cfg.write_text(CONFIG + f"{key} = {value}\n")
         proc = run_cli("--config", str(cfg), "--out", str(tmp_path / "x"),
                        "--quiet", "synth", check=False)
         assert proc.returncode == 2
-        assert "features.horizon_steps" in proc.stderr
+        assert key in proc.stderr
+
+    @pytest.mark.parametrize("line, command", [
+        ("model.gamma = nan", ["train"]),
+        ("diagnose.bin_width = nan", ["diagnose", "hist"]),
+        ("features.utc_offset_hours = inf", ["train"]),
+    ])
+    def test_non_finite_number_is_exit_two(self, tmp_path, line, command):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(CONFIG + line + "\n")
+        proc = run_cli("--config", str(cfg), "--out", str(tmp_path / "x"),
+                       "--quiet", *command, check=False)
+        assert proc.returncode == 2, proc.stderr
+        key, value = line.split(" = ")
+        assert proc.stderr == f"error: config {key} must be a finite number, got {value!r}\n"
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("field, value", [
         ("kind", "linear"),
@@ -295,9 +314,25 @@ class TestExitCodes:
         assert proc.returncode == 3, proc.stderr
         assert f"'RT' at {rows[hole][0]}" in proc.stderr
 
+    def test_blank_rt_cell_in_a_scored_test_row_is_exit_three(self, pipeline, tmp_path):
+        cfg, out = pipeline
+        scored = read_csv(out / "forecast_test.csv")[1:]
+        sixth = scored[5]  # six steps after the first test anchor
+        assert sixth[3] == "0"
+        rows = read_csv(out / "synthetic.csv")
+        hole = [r[0] for r in rows].index(sixth[0])
+        rows[hole][rows[0].index("RT")] = ""
+        edited = csv_config(tmp_path, rows)
+        dest = tmp_path / "x"
+        proc = run_cli("--config", str(edited), "--out", str(dest), "--quiet",
+                       "evaluate", "--model", str(out / "model.json"), check=False)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == f"error: non-finite value in column 'RT' at {sixth[0]}\n"
+        assert not list(dest.glob("metrics_*.json"))
+
     def test_non_finite_model_input_is_exit_three(self, pipeline, tmp_path):
-        """Finite cells whose training mean overflows: the mean-substituted
-        rows that permutation importance predicts on hold inf."""
+        """Finite cells whose training mean overflows: one error line, no
+        numpy warning, before any mean-substituted row is predicted."""
         cfg, out = pipeline
         rows = read_csv(out / "synthetic.csv")
         col = rows[0].index("OnOffState")
@@ -308,7 +343,7 @@ class TestExitCodes:
                        "explain", "importance", "--model", str(out / "model.json"),
                        check=False)
         assert proc.returncode == 3, proc.stderr
-        assert "non-finite value in column 'OnOffState' at row 0" in proc.stderr
+        assert proc.stderr == "error: training mean of column 'OnOffState' is not finite\n"
 
     def test_too_deep_model_file_is_exit_three(self, pipeline, tmp_path):
         cfg, out = pipeline

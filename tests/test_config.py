@@ -1,11 +1,16 @@
 """Config resolution: each key of a config file lands on exactly one field,
 unset keys take the library defaults, and malformed values exit 2."""
+import re
 from datetime import date
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtcast import cli, timebase
 from rtcast.dataio import SplitSpec, SynthConfig
+from rtcast.errors import ConfigError, DataError
 from rtcast.features import EngineeringConfig
 from rtcast.gbm import HyperparamGrid, Hyperparams
 
@@ -166,3 +171,69 @@ def test_malformed_value_exits_two(tmp_path, capsys, text, message):
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("model.gamma = nan\n", "config model.gamma must be a finite number, got 'nan'"),
+    ("grid.gamma = 0.5,inf\n", "config grid.gamma has a malformed list: '0.5,inf'"),
+    ("grid.n_trees = ,\n", "config grid.n_trees needs at least one value, got ','"),
+    ("features.groups = +\n", "config features.groups needs at least one value, got '+'"),
+    ("features.weekends_are_holidays = no\n",
+     "config features.weekends_are_holidays must be true or false, got 'no'"),
+    ("features.utc_offset_hours = 1e300\n",
+     "utc_offset_hours must be within -24..24, got 1e+300"),
+    ("synth.seed = -1\n", "seed must be >= 0, got -1"),
+])
+def test_non_finite_empty_or_out_of_range_value_exits_two(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    code = cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet", "synth"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_unreadable_holiday_file_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="features.holiday_file"):
+        resolve(tmp_path, f"features.holiday_file = {tmp_path / 'missing.txt'}\n")
+
+
+FLOAT_KEYS = (
+    "synth.rt_base", "synth.seasonal_amp", "synth.daily_amp", "synth.holiday_shift",
+    "synth.noise_sd", "synth.quantization", "features.utc_offset_hours",
+    "model.gamma", "model.lambda", "model.learning_rate",
+    "grid.gamma", "grid.lambda", "grid.learning_rate",
+    "explain.lambda", "diagnose.bin_width",
+)
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_non_finite_float_is_a_config_error(tmp_path, key, value):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        resolve(tmp_path, f"{key} = {value}\n")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    key=st.sampled_from(sorted(cli._KEYS)),
+    value=st.text(st.characters(blacklist_categories=("Cs",),
+                                blacklist_characters="\n\r#"), max_size=12),
+)
+def test_any_value_resolves_or_is_a_config_or_data_error(fuzz_dir, key, value):
+    try:
+        resolve(fuzz_dir, f"{key} = {value}\n")
+    except (ConfigError, DataError):
+        pass
+
+
+def test_readme_configuration_block_resolves(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    cfg = resolve(tmp_path, block)
+    assert set(cfg.raw) <= set(cli._KEYS)
+    assert len(cfg.raw) == block.count("=")

@@ -1,4 +1,6 @@
 """Feature engineering: smoothing, lag features, and matrix assembly."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -152,3 +154,29 @@ class TestBuildDesignMatrix:
         assert train_matrix.index("Hour") == 5
         with pytest.raises(SelectionError):
             train_matrix.column("NoSuchFeature")
+
+
+class TestTrainingMeans:
+    def test_one_float_mean_per_column(self, train_matrix):
+        means = features.training_means(train_matrix)
+        assert list(means) == list(train_matrix.feature_names)
+        for n, m in means.items():
+            assert type(m) is float and m == float(train_matrix.column(n).mean())
+
+    def test_overflowing_mean_names_the_column_without_a_warning(self):
+        X = FeatureMatrix(
+            feature_names=("A", "B"),
+            rows=np.array([[1.0, 1e308], [2.0, 1e308]]),
+            target=np.zeros(2),
+            row_timestamps=np.array([0, 600], dtype=np.int64),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="training mean of column 'B'"):
+                features.training_means(X)
+
+
+@pytest.mark.parametrize("offset", [-24.5, 25.0, float("nan"), float("inf")])
+def test_utc_offset_must_be_a_real_offset(offset):
+    with pytest.raises(ConfigError, match="utc_offset_hours"):
+        EngineeringConfig(utc_offset_hours=offset)

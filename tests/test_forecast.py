@@ -143,6 +143,21 @@ class TestRollingForecast:
         with pytest.raises(DataError, match=f"'RT' at {instant}"):
             forecast.rolling_forecast(small_model, holed, engineering)
 
+    def test_missing_rt_in_a_scored_row_names_rt_and_the_instant(
+            self, small_model, engineering):
+        """A scored row's true RT feeds the metrics; a NaN there must not
+        turn them into NaN."""
+        table = dataio.synthesize(dataio.SynthConfig(seed=42, n_days=20))
+        run = forecast.rolling_forecast(small_model, table, engineering)
+        t = int(np.searchsorted(table.timestamps, run.timestamps[5]))
+        target = table.target.copy()
+        target[t] = np.nan
+        holed = dataio.TimeTable(table.timestamps, table.columns, target,
+                                 table.interval_seconds)
+        instant = timebase.format_instant(table.timestamps[t])
+        with pytest.raises(DataError, match=f"'RT' at {instant}"):
+            forecast.rolling_forecast(small_model, holed, engineering)
+
     def test_missing_rt_read_by_no_step_is_ignored(self, small_model, engineering):
         """The window of an anchor on the last row, and any window when MVART
         is overridden, seeds no prediction; a NaN there changes nothing."""
