@@ -118,13 +118,13 @@ class Ensemble:
             raise ConfigError(
                 f"row has {x.shape} values, model expects {len(self.feature_names)}"
             )
-        total = 0.0
+        total = self.base_score
         for tree in self.trees:
             node = tree
             while not node.is_leaf:
                 node = node.left if x[node.feature_index] < node.threshold else node.right
-            total += node.weight
-        return self.base_score + self.learning_rate * total
+            total += self.learning_rate * node.weight
+        return total
 
     def predict_batch(self, rows) -> np.ndarray:
         x = np.asarray(rows, dtype=np.float64)

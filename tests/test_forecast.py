@@ -71,6 +71,16 @@ class TestRollingForecast:
                 small_model.predict_row(val_run.feature_rows[i]), abs=1e-12
             )
 
+    def test_one_step_forecast_equals_predict_batch(self, small_model, synth_splits,
+                                                    engineering):
+        """At a 600 s access interval every step reads a true MVART window,
+        so each row must equal the batch read bit for bit."""
+        X = features.build_design_matrix(synth_splits[1], engineering, FULL_GROUPS)
+        run = forecast.rolling_forecast(small_model, synth_splits[1], engineering,
+                                        access_interval_seconds=600, horizon_seconds=600)
+        assert np.array_equal(run.timestamps, X.row_timestamps)
+        assert np.array_equal(run.y_pred, small_model.predict_batch(X.rows))
+
     def test_report_reduces_arrays(self, val_run):
         rep = val_run.report()
         want = stats.metrics(val_run.y_true, val_run.y_pred)

@@ -308,7 +308,7 @@ class TestTrain:
         rows = val_matrix.rows[:20]
         batch = small_model.predict_batch(rows)
         single = [small_model.predict_row(r) for r in rows]
-        assert np.allclose(batch, single, atol=1e-12)
+        assert np.array_equal(batch, single)
 
     def test_row_width_is_checked(self, small_model):
         with pytest.raises(ConfigError):
