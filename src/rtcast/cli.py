@@ -33,8 +33,14 @@ from .timebase import HolidayCalendar
 SCHEMA_VERSION = 1
 
 _DEFAULT_ABLATE_COMBOS = (
-    "IOTS", "IOTS+Holiday", "IOTS+MVART", "IOTS+MVART+Holiday",
-    "IOTS-MVA", "IOTS-MVA+Holiday", "IOTS-MVA+MVART", "IOTS-MVA+MVART+Holiday",
+    "IOTS",
+    "IOTS+Holiday",
+    "IOTS+MVART",
+    "IOTS+MVART+Holiday",
+    "IOTS-MVA",
+    "IOTS-MVA+Holiday",
+    "IOTS-MVA+MVART",
+    "IOTS-MVA+MVART+Holiday",
 )
 
 
