@@ -3,8 +3,9 @@ explain, diagnose.
 
 Every command reads a flat key=value config file (flags override file
 values), writes its artifacts write-once into the output directory, and drops
-a ``manifest_<command>.json`` listing each artifact with its SHA-256. Given
-the same config and seed, every artifact is byte-identical across runs.
+a ``manifest_<command>.json`` listing each artifact with its SHA-256. Nothing
+reaches the output directory unless the command succeeds. Given the same
+config and seed, every artifact is byte-identical across runs.
 
 Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numeric failure.
 """
@@ -265,26 +266,23 @@ def _build_config(args) -> PipelineConfig:
 
 
 class ArtifactWriter:
-    """Write-once artifact store with a deterministic manifest."""
+    """Write-once artifact store with a deterministic manifest.
+
+    Artifacts are held in memory, in order, until ``finish`` writes them all
+    and the manifest last, so a command that raises writes nothing.
+    """
 
     def __init__(self, out_dir: str, command: str, config: PipelineConfig):
         self.out_dir = out_dir
         self.command = command
         self.config = config
-        self.artifacts = []
-        os.makedirs(out_dir, exist_ok=True)
+        self.artifacts = {}  # name -> bytes, in write order
 
     def write_bytes(self, name: str, data: bytes) -> None:
         path = os.path.join(self.out_dir, name)
-        if os.path.exists(path):
+        if name in self.artifacts or os.path.exists(path):
             raise ConfigError(f"refusing to overwrite existing artifact {path}")
-        with open(path, "wb") as fh:
-            fh.write(data)
-        self.artifacts.append(
-            {"path": name, "sha256": hashlib.sha256(data).hexdigest()}
-        )
-        if not self.config.quiet:
-            print(f"wrote {path}")
+        self.artifacts[name] = data
 
     def write_json(self, name: str, obj) -> None:
         doc = {"schema_version": SCHEMA_VERSION, **obj}
@@ -304,20 +302,34 @@ class ArtifactWriter:
         self.write_bytes(name, buf.getvalue().encode())
 
     def finish(self, extra: dict | None = None) -> None:
+        """Write every artifact, then the manifest that lists them."""
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": self.command,
             "seed": self.config.seed,
             "config": dict(sorted(self.config.raw.items())),
-            "artifacts": sorted(self.artifacts, key=lambda a: a["path"]),
+            "artifacts": [
+                {"path": name, "sha256": hashlib.sha256(data).hexdigest()}
+                for name, data in sorted(self.artifacts.items())
+            ],
         }
         if extra:
             doc.update(extra)
         data = (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
         self.write_bytes(f"manifest_{self.command}.json", data)
+        os.makedirs(self.out_dir, exist_ok=True)
+        for name, data in self.artifacts.items():
+            path = os.path.join(self.out_dir, name)
+            with open(path, "xb") as fh:
+                fh.write(data)
+            if not self.config.quiet:
+                print(f"wrote {path}")
 
 
 def _cell(v):
+    """A CSV cell: floats (numpy's too) in shortest round-trip form, None blank."""
+    if isinstance(v, np.floating):
+        v = float(v)
     if isinstance(v, float):
         return repr(v)
     if v is None:
@@ -347,18 +359,6 @@ def _metric_row(first, report) -> list:
     return [first, report.mse, report.mae, report.mape, report.r2]
 
 
-def _forecast_rows(run) -> list:
-    return [
-        (
-            timebase.format_instant(run.timestamps[i]),
-            repr(float(run.y_true[i])),
-            repr(float(run.y_pred[i])),
-            int(run.anchor_ids[i]),
-        )
-        for i in range(len(run))
-    ]
-
-
 def _adf_doc(result: stats.AdfResult) -> dict:
     return {
         "statistic": result.statistic,
@@ -384,14 +384,13 @@ def _require_model(path: str) -> Ensemble:
     return gbm.load(path)
 
 
-def cmd_synth(cfg: PipelineConfig, args) -> None:
+def cmd_synth(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
     table = dataio.synthesize(cfg.synth)
-    out = ArtifactWriter(cfg.out_dir, "synth", cfg)
     out.write_table("synthetic.csv", table)
-    out.finish(extra={"rows": len(table)})
+    return {"rows": len(table)}
 
 
-def cmd_ingest(cfg: PipelineConfig, args) -> None:
+def cmd_ingest(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
     if args.csv:
         cfg.csv_path, cfg.source = args.csv, "csv"
     if args.schema:
@@ -400,7 +399,6 @@ def cmd_ingest(cfg: PipelineConfig, args) -> None:
         raise ConfigError(f"ingest needs --csv PATH or {_CSV_KEY} in the config")
     schema = _parse_kv_file(cfg.schema_path) if cfg.schema_path else None
     table = dataio.ingest_csv(cfg.csv_path, schema)
-    out = ArtifactWriter(cfg.out_dir, "ingest", cfg)
     out.write_table("normalized.csv", table)
     out.write_json(
         "ingest_report.json",
@@ -412,12 +410,10 @@ def cmd_ingest(cfg: PipelineConfig, args) -> None:
             "end": timebase.format_instant(table.timestamps[-1]),
         },
     )
-    out.finish()
 
 
-def cmd_split(cfg: PipelineConfig, args) -> None:
+def cmd_split(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
     parts = _load_splits(cfg)
-    out = ArtifactWriter(cfg.out_dir, "split", cfg)
     for name, part in parts.items():
         out.write_table(f"{name}.csv", part)
     out.write_json("split_report.json", {
@@ -428,7 +424,6 @@ def cmd_split(cfg: PipelineConfig, args) -> None:
             for name, part in parts.items()
         },
     })
-    out.finish()
 
 
 def _params_doc(params: Hyperparams) -> dict:
@@ -441,12 +436,11 @@ def _params_doc(params: Hyperparams) -> dict:
     }
 
 
-def cmd_train(cfg: PipelineConfig, args) -> None:
+def cmd_train(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
     train_t, val_t, _ = _load_splits(cfg).values()
     x_train = build_design_matrix(train_t, cfg.engineering, cfg.groups)
     x_val = build_design_matrix(val_t, cfg.engineering, cfg.groups)
 
-    out = ArtifactWriter(cfg.out_dir, "train", cfg)
     params = cfg.params
     if cfg.grid is not None:
         params, score_table = gbm.grid_search(x_train, x_val, cfg.grid)
@@ -473,21 +467,18 @@ def cmd_train(cfg: PipelineConfig, args) -> None:
                    stats.metrics(x_train.target, model.predict_batch(x_train.rows)).as_dict())
     out.write_json("metrics_fit_val.json",
                    stats.metrics(x_val.target, model.predict_batch(x_val.rows)).as_dict())
-    out.finish(extra={"n_features": len(model.feature_names)})
+    return {"n_features": len(model.feature_names)}
 
 
-def cmd_evaluate(cfg: PipelineConfig, args) -> None:
+def cmd_evaluate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
     model = _require_model(args.model)
-    parts = _load_splits(cfg)
-
-    runs = {name: _rolling(cfg, model, part) for name, part in parts.items()}
-
-    out = ArtifactWriter(cfg.out_dir, "evaluate", cfg)
+    runs = {name: _rolling(cfg, model, part) for name, part in _load_splits(cfg).items()}
     for name, run in runs.items():
         out.write_csv(
             f"forecast_{name}.csv",
             ["timestamp", "y_true", "y_pred", "anchor_id"],
-            _forecast_rows(run),
+            zip(map(timebase.format_instant, run.timestamps),
+                run.y_true, run.y_pred, run.anchor_ids),
         )
         out.write_json(f"metrics_{name}.json", run.report().as_dict())
 
@@ -496,10 +487,7 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> None:
     out.write_csv(
         "residuals_test.csv",
         ["timestamp", "residual"],
-        [
-            (timebase.format_instant(t), repr(float(r)))
-            for t, r in zip(test_run.timestamps, residuals)
-        ],
+        zip(map(timebase.format_instant, test_run.timestamps), residuals),
     )
     out.write_csv(
         "residual_hist_test.csv",
@@ -511,12 +499,10 @@ def cmd_evaluate(cfg: PipelineConfig, args) -> None:
         ["theoretical", "sample"],
         stats.qq_normal(residuals),
     )
-    out.finish()
 
 
-def cmd_ablate(cfg: PipelineConfig, args) -> None:
+def cmd_ablate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
     train_t, val_t, _ = _load_splits(cfg).values()
-    out = ArtifactWriter(cfg.out_dir, "ablate", cfg)
 
     rows = []
     for combo in cfg.ablate_combos:
@@ -547,16 +533,6 @@ def cmd_ablate(cfg: PipelineConfig, args) -> None:
             ["width_or_interval", "mse", "mae", "mape", "r2"],
             [[r["interval_seconds"], r["mse"], r["mae"], r["mape"], r["r2"]] for r in hsweep],
         )
-    out.finish()
-
-
-def _spectrum_rows(spec: pffra.Spectrum) -> list:
-    rows = [(repr(0.0), repr(float(spec.dc)))]
-    rows.extend(
-        (repr(float(f)), repr(float(m)))
-        for f, m in zip(spec.frequencies, spec.magnitudes)
-    )
-    return rows
 
 
 def _select_case_pair(run, thr_acc: float, thr_dev: float):
@@ -589,28 +565,24 @@ def _attribution_doc(att: explain.Attribution) -> dict:
 
 
 def _force_rows(att: explain.Attribution, values: dict) -> list:
-    rows = [("__base__", "", repr(float(att.base_value)), repr(float(att.base_value)))]
+    rows = [("__base__", "", att.base_value, att.base_value)]
     running = att.base_value
     ordered = sorted(
         att.contributions.items(), key=lambda kv: (-abs(kv[1]), kv[0])
     )
     for name, contrib in ordered:
         running += contrib
-        rows.append(
-            (name, repr(float(values[name])), repr(float(contrib)), repr(float(running)))
-        )
+        rows.append((name, values[name], contrib, running))
     return rows
 
 
-def cmd_explain(cfg: PipelineConfig, args) -> None:
+def cmd_explain(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
     model = _require_model(args.model)
     parts = _load_splits(cfg)
     train_t, test_t = parts["train"], parts["test"]
     groups = forecast.groups_for_model(model)
     x_train = build_design_matrix(train_t, cfg.engineering, groups)
     means = training_means(x_train)
-
-    out = ArtifactWriter(cfg.out_dir, f"explain_{args.method}", cfg)
     method = args.method
 
     if method == "importance":
@@ -629,8 +601,7 @@ def cmd_explain(cfg: PipelineConfig, args) -> None:
             out.write_csv(
                 f"pdp_{name}.csv",
                 ["value", "mean_response"],
-                [(repr(float(g)), repr(float(r)))
-                 for g, r in zip(curve.grid, curve.mean_response)],
+                zip(curve.grid, curve.mean_response),
             )
 
     elif method == "surrogate":
@@ -652,26 +623,26 @@ def cmd_explain(cfg: PipelineConfig, args) -> None:
         })
 
     elif method in ("lime", "shap"):
-        if args.select:
+        if args.select:  # label -> (feature row, case metadata)
             run = _rolling(cfg, model, test_t)
-            a, d = _select_case_pair(run, args.threshold_acc, args.threshold_dev)
-            cases = {"accurate": run.feature_rows[a], "deviated": run.feature_rows[d]}
-            case_meta = {
-                "accurate": {"timestamp": timebase.format_instant(run.timestamps[a]),
-                             "y_true": float(run.y_true[a]), "y_pred": float(run.y_pred[a])},
-                "deviated": {"timestamp": timebase.format_instant(run.timestamps[d]),
-                             "y_true": float(run.y_true[d]), "y_pred": float(run.y_pred[d])},
+            pair = _select_case_pair(run, args.threshold_acc, args.threshold_dev)
+            cases = {
+                label: (run.feature_rows[i], {
+                    "timestamp": timebase.format_instant(run.timestamps[i]),
+                    "y_true": float(run.y_true[i]),
+                    "y_pred": float(run.y_pred[i]),
+                })
+                for label, i in zip(("accurate", "deviated"), pair)
             }
         else:
             x_test = build_design_matrix(test_t, cfg.engineering, groups)
             idx = args.instance
             if not 0 <= idx < len(x_test):
                 raise ConfigError(f"--instance {idx} out of range 0..{len(x_test) - 1}")
-            cases = {f"instance{idx}": x_test.rows[idx]}
-            case_meta = {f"instance{idx}": {"y_true": float(x_test.target[idx])}}
+            cases = {f"instance{idx}": (x_test.rows[idx], {"y_true": float(x_test.target[idx])})}
 
         bg = np.array([means[n] for n in model.feature_names])
-        for label, row in cases.items():
+        for label, (row, case) in cases.items():
             if method == "shap":
                 att = explain.shap_exact(model, row, bg, model.feature_names)
             else:
@@ -680,14 +651,13 @@ def cmd_explain(cfg: PipelineConfig, args) -> None:
                     n_samples=cfg.lime_samples, seed=cfg.seed,
                 )
             doc = _attribution_doc(att)
-            doc["case"] = case_meta[label]
+            doc["case"] = case
             out.write_json(f"{method}_{label}.json", doc)
             if method == "shap":
-                values = dict(zip(model.feature_names, (float(v) for v in row)))
                 out.write_csv(
                     f"shap_{label}_force.csv",
                     ["feature", "value", "push", "cumulative"],
-                    _force_rows(att, values),
+                    _force_rows(att, dict(zip(model.feature_names, row))),
                 )
 
     else:
@@ -733,24 +703,19 @@ def cmd_explain(cfg: PipelineConfig, args) -> None:
             out.write_csv(
                 f"spectrum_{variant}_{tag}.csv",
                 ["frequency", "magnitude"],
-                _spectrum_rows(spec),
+                [(0.0, spec.dc), *zip(spec.frequencies, spec.magnitudes)],
             )
-    out.finish(extra={"method": method})
+    return {"method": method}
 
 
-def cmd_diagnose(cfg: PipelineConfig, args) -> None:
+def cmd_diagnose(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
     parts = _load_splits(cfg)
     series = parts[args.split].target
-    out = ArtifactWriter(cfg.out_dir, f"diagnose_{args.which}", cfg)
 
-    if args.which == "acf":
-        vals = stats.acf(series, cfg.max_lag)
-        out.write_csv("acf.csv", ["lag", "value"],
-                      [(k, repr(float(v))) for k, v in enumerate(vals)])
-    elif args.which == "pacf":
-        vals = stats.pacf(series, cfg.max_lag)
-        out.write_csv("pacf.csv", ["lag", "value"],
-                      [(k, repr(float(v))) for k, v in enumerate(vals)])
+    if args.which in ("acf", "pacf"):
+        correlations = stats.acf if args.which == "acf" else stats.pacf
+        out.write_csv(f"{args.which}.csv", ["lag", "value"],
+                      enumerate(correlations(series, cfg.max_lag)))
     elif args.which == "adf":
         out.write_json("adf_rt.json", _adf_doc(stats.adf_test(series)))
         out.write_json("adf_diff.json", _adf_doc(stats.adf_test(np.diff(series))))
@@ -761,7 +726,7 @@ def cmd_diagnose(cfg: PipelineConfig, args) -> None:
                 ["bin", "count"],
                 stats.histogram(part.target, cfg.bin_width),
             )
-    out.finish(extra={"which": args.which, "split": args.split})
+    return {"which": args.which, "split": args.split}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -822,6 +787,12 @@ _COMMANDS = {
 }
 
 
+def _label(args) -> str:
+    """The manifest label: the command, then the explain method or diagnose check."""
+    detail = getattr(args, "method", None) or getattr(args, "which", None)
+    return f"{args.command}_{detail}" if detail else args.command
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -833,7 +804,8 @@ def main(argv=None) -> int:
             wanted = {part.strip() for part in args.select.split(",")}
             if wanted != {"accurate", "deviated"}:
                 raise ConfigError('--select currently supports exactly "accurate,deviated"')
-        _COMMANDS[args.command](cfg, args)
+        out = ArtifactWriter(cfg.out_dir, _label(args), cfg)
+        out.finish(_COMMANDS[args.command](cfg, args, out))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

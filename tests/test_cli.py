@@ -216,6 +216,36 @@ class TestSplitAndIngest:
         assert rep["interval_seconds"] == 600
 
 
+class TestAllOrNothing:
+    """A command that fails leaves ``--out`` exactly as it found it."""
+
+    def test_train_that_would_overwrite_writes_nothing(self, tmp_path):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(CONFIG)
+        dest = tmp_path / "x"
+        dest.mkdir()
+        (dest / "params.json").write_text("{}\n")
+        proc = run_cli("--config", str(cfg), "--out", str(dest), "--quiet",
+                       "train", check=False)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (
+            f"error: refusing to overwrite existing artifact {dest / 'params.json'}\n"
+        )
+        assert [p.name for p in dest.iterdir()] == ["params.json"]
+        assert (dest / "params.json").read_text() == "{}\n"
+
+    def test_case_selection_without_a_pair_creates_no_out_dir(self, pipeline, tmp_path):
+        cfg, out = pipeline
+        dest = tmp_path / "x"
+        proc = run_cli("--config", str(cfg), "--out", str(dest), "--quiet",
+                       "explain", "shap", "--model", str(out / "model.json"),
+                       "--select", "accurate,deviated", "--threshold-acc", "0",
+                       check=False)
+        assert proc.returncode == 3, proc.stderr
+        assert "no accurate/deviated pair" in proc.stderr
+        assert not dest.exists()
+
+
 class TestExitCodes:
     def test_missing_model_is_a_usage_error(self, tmp_path):
         cfg = tmp_path / "c.ini"
