@@ -26,8 +26,8 @@ import numpy as np
 
 from . import dataio, explain, forecast, gbm, pffra, stats, timebase
 from .dataio import SplitSpec, SynthConfig, TimeTable
-from .errors import ConfigError, DataError, NumericError, ToolkitError
-from .features import EngineeringConfig, build_design_matrix, training_means
+from .errors import ConfigError, DataError, NumericError, SelectionError, ToolkitError
+from .features import EngineeringConfig, build_design_matrix, feature_order, training_means
 from .gbm import Ensemble, HyperparamGrid, Hyperparams
 from .timebase import HolidayCalendar
 
@@ -146,12 +146,17 @@ def _list(parse):
 
 
 def _groups(key, text):
-    return _nonempty(key, text, _groups_from(text))
+    groups = _nonempty(key, text, _groups_from(text))
+    try:
+        feature_order(groups)
+    except SelectionError as exc:
+        raise ConfigError(f"config {key}: {exc}") from None
+    return groups
 
 
 def _combos(key, text):
     return _nonempty(
-        key, text, tuple(_groups_from(part) for part in text.split(";") if part.strip())
+        key, text, tuple(_groups(key, part) for part in text.split(";") if part.strip())
     )
 
 
@@ -240,7 +245,7 @@ def _build_config(args) -> PipelineConfig:
     if getattr(args, "days", None) is not None:
         kw["synth"]["n_days"] = args.days
     if getattr(args, "groups", None):
-        kw["pipeline"]["groups"] = _groups_from(args.groups)
+        kw["pipeline"]["groups"] = _groups("--groups", args.groups)
 
     split = kw["split"]
     if split and len(split) != 4:

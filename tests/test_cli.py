@@ -300,6 +300,21 @@ class TestExitCodes:
         assert proc.stderr == f"error: config {key} must be a finite number, got {value!r}\n"
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("line, command, key", [
+        ("", ["train", "--groups", "IOTS-MVA+Foo"], "--groups"),
+        ("ablate.combos = IOTS;Foo", ["ablate", "--skip-sweeps"], "ablate.combos"),
+        ("features.groups = IOTS+IOTS-MVA", ["train"], "features.groups"),
+    ], ids=["train-flag", "ablate-combos", "train-key"])
+    def test_unknown_feature_group_exits_two_before_training(self, tmp_path, line, command,
+                                                            key):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(CONFIG + line + "\n")
+        proc = run_cli("--config", str(cfg), "--out", str(tmp_path / "x"),
+                       "--quiet", *command, check=False)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"error: config {key}: ")
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("field, value", [
         ("kind", "linear"),
         ("feature_index", -1),

@@ -163,6 +163,9 @@ def test_one_grid_key_keeps_the_other_grid_defaults(tmp_path):
     ("features.mva_window = 0\n", "mva_window must be >= 1, got 0"),
     ("model.learning_rate = 2\n", "learning_rate must be in (0, 1], got 2.0"),
     ("synth.noise_sd = -1\n", "noise_sd must be >= 0, got -1.0"),
+    ("features.groups = IOTS-MVA+Foo\n",
+     "config features.groups: unknown feature group(s) ['Foo']; "
+     "known: ['IOTS', 'IOTS-MVA', 'MVART', 'Holiday']"),
 ])
 def test_malformed_value_exits_two(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ini"
