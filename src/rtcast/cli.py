@@ -317,9 +317,8 @@ class ArtifactWriter:
                 {"path": name, "sha256": hashlib.sha256(data).hexdigest()}
                 for name, data in sorted(self.artifacts.items())
             ],
+            **(extra or {}),
         }
-        if extra:
-            doc.update(extra)
         data = (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
         self.write_bytes(f"manifest_{self.command}.json", data)
         os.makedirs(self.out_dir, exist_ok=True)
@@ -360,10 +359,6 @@ def _load_splits(cfg: PipelineConfig) -> dict:
     return dict(zip(("train", "val", "test"), parts))
 
 
-def _metric_row(first, report) -> list:
-    return [first, report.mse, report.mae, report.mape, report.r2]
-
-
 def _adf_doc(result: stats.AdfResult) -> dict:
     return {
         "statistic": result.statistic,
@@ -383,8 +378,10 @@ def _rolling(cfg: PipelineConfig, model: Ensemble, table: TimeTable, overrides=N
     )
 
 
-def _require_model(path: str) -> Ensemble:
-    if not path or not os.path.exists(path):
+def _require_model(cfg: PipelineConfig, args) -> Ensemble:
+    """The model at ``--model``, by default ``model.json`` in ``--out``."""
+    path = args.model or os.path.join(cfg.out_dir, "model.json")
+    if not os.path.exists(path):
         raise ConfigError(f"model file not found: {path!r} (train first or pass --model)")
     return gbm.load(path)
 
@@ -476,7 +473,7 @@ def cmd_train(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
 
 
 def cmd_evaluate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
-    model = _require_model(args.model)
+    model = _require_model(cfg, args)
     runs = {name: _rolling(cfg, model, part) for name, part in _load_splits(cfg).items()}
     for name, run in runs.items():
         out.write_csv(
@@ -513,8 +510,8 @@ def cmd_ablate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
     for combo in cfg.ablate_combos:
         x_train = build_design_matrix(train_t, cfg.engineering, combo)
         model = gbm.train(x_train, cfg.params)
-        run = _rolling(cfg, model, val_t)
-        rows.append(_metric_row("+".join(sorted(combo)), run.report()))
+        report = _rolling(cfg, model, val_t).report()
+        rows.append(["+".join(sorted(combo)), report.mse, report.mae, report.mape, report.r2])
     out.write_csv("ablation.csv", ["group", "mse", "mae", "mape", "r2"], rows)
 
     if not args.skip_sweeps:
@@ -582,7 +579,7 @@ def _force_rows(att: explain.Attribution, values: dict) -> list:
 
 
 def cmd_explain(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
-    model = _require_model(args.model)
+    model = _require_model(cfg, args)
     parts = _load_splits(cfg)
     train_t, test_t = parts["train"], parts["test"]
     groups = forecast.groups_for_model(model)
@@ -803,29 +800,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _build_config(args)
-        if getattr(args, "model", None) is None and hasattr(args, "model"):
-            args.model = os.path.join(cfg.out_dir, "model.json")
         if getattr(args, "select", None):
             wanted = {part.strip() for part in args.select.split(",")}
             if wanted != {"accurate", "deviated"}:
                 raise ConfigError('--select currently supports exactly "accurate,deviated"')
         out = ArtifactWriter(cfg.out_dir, _label(args), cfg)
         out.finish(_COMMANDS[args.command](cfg, args, out))
-    except ConfigError as exc:
+    except (ToolkitError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (NumericError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, (ConfigError, OSError)):
+            return 2
+        return 4 if isinstance(exc, (NumericError, FloatingPointError)) else 3
     return 0
 
 
