@@ -229,23 +229,29 @@ _KEYS = {
     "diagnose.bin_width": ("pipeline", "bin_width", _float),
 }
 
+#: Flags that override a config key, recorded under it as a file entry would be.
+_FLAGS = {
+    "csv": _CSV_KEY,
+    "schema": "data.schema",
+    "seed": "synth.seed",
+    "days": "synth.days",
+    "groups": "features.groups",
+}
+
 
 def _build_config(args) -> PipelineConfig:
     kv = _parse_kv_file(args.config) if args.config else {}
     unknown = set(kv) - set(_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
+    for flag, key in _FLAGS.items():
+        if getattr(args, flag, None) is not None:
+            kv[key] = str(getattr(args, flag))
 
     kw = defaultdict(dict)  # target -> field -> value
     for key, text in kv.items():
         target, name, parse = _KEYS[key]
         kw[target][name] = parse(key, text)
-    if args.seed is not None:
-        kw["synth"]["seed"] = args.seed
-    if getattr(args, "days", None) is not None:
-        kw["synth"]["n_days"] = args.days
-    if getattr(args, "groups", None):
-        kw["pipeline"]["groups"] = _groups("--groups", args.groups)
 
     split = kw["split"]
     if split and len(split) != 4:
@@ -393,10 +399,6 @@ def cmd_synth(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
 
 
 def cmd_ingest(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
-    if args.csv:
-        cfg.csv_path, cfg.source = args.csv, "csv"
-    if args.schema:
-        cfg.schema_path = args.schema
     if not cfg.csv_path:
         raise ConfigError(f"ingest needs --csv PATH or {_CSV_KEY} in the config")
     schema = _parse_kv_file(cfg.schema_path) if cfg.schema_path else None

@@ -215,6 +215,18 @@ class TestSplitAndIngest:
         assert rep["rows"] == 20 * 144
         assert rep["interval_seconds"] == 600
 
+    def test_manifest_records_flag_overrides(self, pipeline, tmp_path):
+        _, out = pipeline
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("data.csv = /nonexistent/a.csv\n")
+        dest = tmp_path / "ing"
+        real = str(out / "synthetic.csv")
+        run_cli("--config", str(cfg), "--seed", "5", "--out", str(dest), "--quiet",
+                "ingest", "--csv", real)
+        doc = json.loads((dest / "manifest_ingest.json").read_text())
+        assert doc["config"] == {"data.csv": real, "synth.seed": "5"}
+        assert doc["seed"] == 5
+
 
 class TestAllOrNothing:
     """A command that fails leaves ``--out`` exactly as it found it."""
@@ -301,7 +313,7 @@ class TestExitCodes:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("line, command, key", [
-        ("", ["train", "--groups", "IOTS-MVA+Foo"], "--groups"),
+        ("", ["train", "--groups", "IOTS-MVA+Foo"], "features.groups"),
         ("ablate.combos = IOTS;Foo", ["ablate", "--skip-sweeps"], "ablate.combos"),
         ("features.groups = IOTS+IOTS-MVA", ["train"], "features.groups"),
     ], ids=["train-flag", "ablate-combos", "train-key"])

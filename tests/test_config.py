@@ -129,6 +129,19 @@ def test_flags_override_the_file(tmp_path, every_key):
     assert cfg.groups == frozenset({"IOTS-MVA", "MVART"})
 
 
+def test_flags_are_recorded_under_their_keys(tmp_path, every_key):
+    cfg = resolve(tmp_path, every_key, "--seed", "9", "ingest", "--csv", "b.csv",
+                  "--schema", "s.txt")
+    assert (cfg.csv_path, cfg.schema_path) == ("b.csv", "s.txt")
+    assert {k: cfg.raw[k] for k in ("data.csv", "data.schema", "synth.seed")} == {
+        "data.csv": "b.csv", "data.schema": "s.txt", "synth.seed": "9",
+    }
+    cfg = resolve(tmp_path, "", "synth", "--days", "11")
+    assert cfg.raw == {"synth.days": "11"}
+    cfg = resolve(tmp_path, "", "train", "--groups", "IOTS+MVART")
+    assert cfg.raw == {"features.groups": "IOTS+MVART"}
+
+
 def test_empty_config_takes_the_library_defaults(tmp_path):
     cfg = resolve(tmp_path, "")
     assert cfg.synth == SynthConfig()
