@@ -25,6 +25,8 @@ for bit as sorting per node.
 from __future__ import annotations
 
 import json
+import math
+import reprlib
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -367,37 +369,58 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
-def _node_from_dict(doc: dict, width: int) -> TreeNode:
-    """Build a tree from its nested dict without recursion, so any depth loads."""
+def _malformed(message: str) -> DataError:
+    return DataError(f"malformed model document: {message}")
+
+
+def _finite(field: str, value) -> float:
+    """A model-document number: a finite JSON number, not a bool or a string."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise _malformed(f"{field} must be a finite number, got {reprlib.repr(value)}")
+
+
+def _node_from_dict(doc: dict, width: int) -> tuple:
+    """Build a tree from its nested dict without recursion, so any depth
+    loads. Returns the tree and its largest absolute leaf weight."""
     pending, preorder = [doc], []
     while pending:
         d = pending.pop()
+        if not isinstance(d, dict):
+            raise _malformed(f"a tree node must be an object, got {reprlib.repr(d)}")
         preorder.append(d)
         if "weight" not in d:
             pending.append(d["left"])
             pending.append(d["right"])
     # In reversed preorder every child is built before its parent: the right
     # subtree's root sits on top of the stack, the left one's below it.
-    stack = []
+    stack, peak = [], 0.0
     for d in reversed(preorder):
         if "weight" in d:
-            stack.append(TreeNode(weight=float(d["weight"])))
+            weight = _finite("weight", d["weight"])
+            peak = max(peak, abs(weight))
+            stack.append(TreeNode(weight=weight))
             continue
-        f = int(d["feature_index"])
+        f = d["feature_index"]
+        if isinstance(f, bool) or not isinstance(f, int):
+            raise _malformed(f"feature_index must be an integer, got {reprlib.repr(f)}")
         if not 0 <= f < width:
-            raise DataError(
-                f"malformed model document: feature_index {f} outside 0..{width - 1}"
-            )
+            raise _malformed(f"feature_index {f} outside 0..{width - 1}")
         right = stack.pop()
         left = stack.pop()
         stack.append(TreeNode(
             feature_index=f,
-            threshold=float(d["threshold"]),
-            gain=float(d.get("gain", 0.0)),
+            threshold=_finite("threshold", d["threshold"]),
+            gain=_finite("gain", d.get("gain", 0.0)),
             left=left,
             right=right,
         ))
-    return stack.pop()
+    return stack.pop(), peak
 
 
 def to_dict(model: Ensemble) -> dict:
@@ -413,22 +436,47 @@ def to_dict(model: Ensemble) -> dict:
 
 
 def from_dict(doc: dict) -> Ensemble:
+    """The model a ``to_dict`` document describes. Every field is checked, and
+    a malformed one raises DataError naming it: numbers are finite JSON
+    numbers, and no prediction can leave the float range."""
     try:
         if doc["kind"] != "boosted-trees":
-            raise DataError(
-                f"malformed model document: kind {doc['kind']!r} is not boosted-trees"
-            )
-        names = tuple(doc["feature_names"])
+            raise _malformed(f"kind {reprlib.repr(doc['kind'])} is not boosted-trees")
+        names = doc["feature_names"]
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
+                and len(set(names)) == len(names)):
+            raise _malformed("feature_names must be a list of distinct strings")
+        if not isinstance(doc["trees"], list):
+            raise _malformed(f"trees must be a list, got {reprlib.repr(doc['trees'])}")
+        base_score = _finite("base_score", doc["base_score"])
+        learning_rate = _finite("learning_rate", doc["learning_rate"])
+        if not 0.0 < learning_rate <= 1.0:
+            raise _malformed(f"learning_rate must be in (0, 1], got {learning_rate}")
+        lambda_ = _finite("lambda", doc["lambda"])
+        gamma = _finite("gamma", doc["gamma"])
+        for field, value in (("lambda", lambda_), ("gamma", gamma)):
+            if value < 0:
+                raise _malformed(f"{field} must be >= 0, got {value}")
+        # A prediction adds learning_rate * weight per tree to base_score, so
+        # its magnitude is at most this bound, summed in the same order (float
+        # rounding is monotonic): a finite bound means finite predictions.
+        trees, bound = [], abs(base_score)
+        for doc_tree in doc["trees"]:
+            tree, peak = _node_from_dict(doc_tree, len(names))
+            trees.append(tree)
+            bound += learning_rate * peak
+        if not math.isfinite(bound):
+            raise _malformed("base_score and leaf weights can add up past the float range")
         return Ensemble(
-            base_score=float(doc["base_score"]),
-            learning_rate=float(doc["learning_rate"]),
-            trees=tuple(_node_from_dict(t, len(names)) for t in doc["trees"]),
-            feature_names=names,
-            lambda_=float(doc["lambda"]),
-            gamma=float(doc["gamma"]),
+            base_score=base_score,
+            learning_rate=learning_rate,
+            trees=tuple(trees),
+            feature_names=tuple(names),
+            lambda_=lambda_,
+            gamma=gamma,
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed model document: {exc}") from exc
+        raise _malformed(str(exc)) from exc
 
 
 def dumps(model: Ensemble) -> str:
@@ -445,7 +493,7 @@ def load(path) -> Ensemble:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, an integer too long to read
         raise DataError(f"model file is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise DataError(f"malformed model document: {exc}") from exc

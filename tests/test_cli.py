@@ -331,20 +331,43 @@ class TestExitCodes:
         ("kind", "linear"),
         ("feature_index", -1),
         ("feature_index", 99),
+        ("feature_index", 1.7),
+        ("feature_index", True),
+        ("threshold", float("nan")),
+        ("threshold", "0.5"),
+        ("weight", float("inf")),
+        ("weight", None),
+        ("gain", float("nan")),
+        pytest.param("trees", {}, id="trees-object"),
+        ("base_score", "1.5"),
+        ("base_score", float("nan")),
+        ("learning_rate", 0),
+        ("learning_rate", 1.5),
+        ("lambda", -1.0),
+        ("gamma", False),
+        ("feature_names", "OnOffState"),
     ])
     def test_invalid_model_file_is_exit_three(self, pipeline, tmp_path, field, value):
+        """Each malformed field exits 3 with one line naming it."""
         cfg, out = pipeline
         doc = json.loads((out / "model.json").read_text())
-        if field == "kind":
-            doc["kind"] = value
+        node = doc["trees"][0]
+        if field in doc:
+            doc[field] = value
+        elif field == "weight":
+            while "weight" not in node:
+                node = node["left"]
+            node["weight"] = value
         else:
-            doc["trees"][0]["feature_index"] = value
+            node[field] = value
         model = tmp_path / "model.json"
         model.write_text(json.dumps(doc))
         proc = run_cli("--config", str(cfg), "--out", str(tmp_path / "x"), "--quiet",
                        "evaluate", "--model", str(model), check=False)
         assert proc.returncode == 3, proc.stderr
-        assert "malformed model document" in proc.stderr
+        assert proc.stderr.startswith("error: malformed model document: ")
+        assert field in proc.stderr
+        assert not (tmp_path / "x").exists()
 
     def test_blank_exogenous_cell_in_test_split_is_exit_three(self, pipeline, tmp_path):
         cfg, out = pipeline

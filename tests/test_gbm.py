@@ -2,9 +2,13 @@
 import gc
 import hashlib
 import json
+import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtcast import dataio, features, gbm
 from rtcast.errors import ConfigError, DataError, NumericError
@@ -451,3 +455,102 @@ class TestImportanceAndSerialization:
         p2.write_text(json.dumps({"surprise": 1}))
         with pytest.raises(DataError):
             gbm.load(str(p2))
+
+    def test_load_rejects_bytes_json_cannot_read(self, tmp_path):
+        p = tmp_path / "binary.json"
+        p.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(DataError, match="not valid JSON"):
+            gbm.load(str(p))
+        p.write_text('{"base_score": ' + "9" * 5000 + "}")
+        with pytest.raises(DataError, match="not valid JSON"):
+            gbm.load(str(p))
+
+
+def one_split_doc(base_score, weight):
+    return {
+        "kind": "boosted-trees", "base_score": base_score, "learning_rate": 1.0,
+        "lambda": 1.0, "gamma": 0.0, "feature_names": ["x"],
+        "trees": [{"feature_index": 0, "threshold": 0.5, "gain": 1.0,
+                   "left": {"weight": -weight}, "right": {"weight": weight}}],
+    }
+
+
+class TestModelDocumentChecks:
+    def test_predictions_that_could_overflow_are_a_data_error(self):
+        with pytest.raises(DataError, match="base_score and leaf weights"):
+            gbm.from_dict(one_split_doc(1e308, 1e308))
+        model = gbm.from_dict(one_split_doc(1e308, 7e307))
+        assert np.isfinite(model.predict_batch(np.array([[0.0], [1.0]]))).all()
+
+    @pytest.mark.parametrize("field, value", [
+        ("feature_names", ["x", "x"]),
+        ("feature_names", [1]),
+        ("gamma", float("inf")),
+        pytest.param("base_score", 10 ** 400, id="base_score-huge-int"),
+    ])
+    def test_malformed_field_is_named(self, field, value):
+        doc = one_split_doc(0.0, 1.0)
+        doc[field] = value
+        with pytest.raises(DataError, match=f"malformed model document: {field}"):
+            gbm.from_dict(doc)
+
+
+#: JSON scalars, with the numbers at the edge of the float range drawn often.
+JSON_SCALARS = (
+    st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 1.7e308, -1.7e308, 10 ** 400])
+    | st.integers() | st.none() | st.booleans() | st.text(max_size=8)
+)
+JSON_VALUES = JSON_SCALARS | st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["weight", "left", "right", "feature_index",
+                                       "threshold"]) | st.text(max_size=8),
+                      inner, max_size=5),
+    max_leaves=10,
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_model(train_matrix):
+    """A small model as ``model.json`` text, and its training rows."""
+    model = gbm.train(train_matrix, Hyperparams(max_depth=3, n_trees=4))
+    return json.dumps(gbm.to_dict(model)), train_matrix.rows
+
+
+def value_slots(doc):
+    """Every (container, key) a mutation may replace, by field name: the
+    document's fields, its trees, and each value of each tree node."""
+    slots = defaultdict(list)
+    for key in doc:
+        slots[key].append((doc, key))
+    slots["trees[i]"] = [(doc["trees"], i) for i in range(len(doc["trees"]))]
+    pending = list(doc["trees"])
+    while pending:
+        node = pending.pop()
+        for key in node:
+            slots[f"node.{key}"].append((node, key))
+        if "weight" not in node:
+            pending += [node["left"], node["right"]]
+    return slots
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_mutated_model_document_loads_or_is_a_data_error(fuzz_model, data):
+    """One field or node value replaced by any JSON value: the document loads
+    into a model that predicts finite values, or raises DataError."""
+    text, rows = fuzz_model
+    doc = json.loads(text)
+    slots = value_slots(doc)
+    field = data.draw(st.sampled_from(sorted(slots)))
+    container, key = data.draw(st.sampled_from(slots[field]))
+    container[key] = data.draw(JSON_VALUES)
+    try:
+        model = gbm.from_dict(doc)
+    except DataError:
+        return
+    if len(model.feature_names) == rows.shape[1]:
+        assert np.isfinite(model.predict_batch(rows)).all()
+    else:  # other feature names: a model of another width, which rows must match
+        with pytest.raises(ConfigError, match="model expects width"):
+            model.predict_batch(rows)
