@@ -229,24 +229,17 @@ _KEYS = {
     "diagnose.bin_width": ("pipeline", "bin_width", _float),
 }
 
-#: Flags that override a config key, recorded under it as a file entry would be.
-_FLAGS = {
-    "csv": _CSV_KEY,
-    "schema": "data.schema",
-    "seed": "synth.seed",
-    "days": "synth.days",
-    "groups": "features.groups",
-}
-
 
 def _build_config(args) -> PipelineConfig:
     kv = _parse_kv_file(args.config) if args.config else {}
     unknown = set(kv) - set(_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-    for flag, key in _FLAGS.items():
-        if getattr(args, flag, None) is not None:
-            kv[key] = str(getattr(args, flag))
+    # A flag that overrides a key has that key as its argparse destination; its
+    # text is parsed and recorded like a file entry.
+    for key, text in vars(args).items():
+        if key in _KEYS and text is not None:
+            kv[key] = text
 
     kw = defaultdict(dict)  # target -> field -> value
     for key, text in kv.items():
@@ -323,8 +316,9 @@ class ArtifactWriter:
                 {"path": name, "sha256": hashlib.sha256(data).hexdigest()}
                 for name, data in sorted(self.artifacts.items())
             ],
-            **(extra or {}),
         }
+        if extra:
+            doc.update(extra)
         data = (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
         self.write_bytes(f"manifest_{self.command}.json", data)
         os.makedirs(self.out_dir, exist_ok=True)
@@ -739,22 +733,24 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Room-temperature forecasting and model-explanation pipeline",
     )
     parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--seed", type=int, default=None, help="global seed (default 42)")
+    parser.add_argument("--seed", dest="synth.seed", metavar="N", help="global seed (default 42)")
     parser.add_argument("--out", default="runs", help="output directory")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--days", type=int, default=None)
+    p.add_argument("--days", dest="synth.days", metavar="N")
 
     p = sub.add_parser("ingest", help="validate and normalize a CSV dataset")
-    p.add_argument("--csv", default=None)
-    p.add_argument("--schema", default=None, help="column role map (name=role lines)")
+    p.add_argument("--csv", dest=_CSV_KEY, metavar="PATH")
+    p.add_argument("--schema", dest="data.schema", metavar="PATH",
+                   help="column role map (name=role lines)")
 
     sub.add_parser("split", help="write train/validation/test tables")
 
     p = sub.add_parser("train", help="fit the boosted-tree model")
-    p.add_argument("--groups", default=None, help='feature groups, e.g. "IOTS-MVA+MVART+Holiday"')
+    p.add_argument("--groups", dest="features.groups", metavar="GROUPS",
+                   help='feature groups, e.g. "IOTS-MVA+MVART+Holiday"')
 
     p = sub.add_parser("evaluate", help="rolling-forecast metrics and residual diagnostics")
     p.add_argument("--model", default=None)
