@@ -345,7 +345,11 @@ class TestExitCodes:
         ("learning_rate", 1.5),
         ("lambda", -1.0),
         ("gamma", False),
+        ("gamma", float("inf")),
+        pytest.param("base_score", 10 ** 400, id="base_score-huge-int"),
         ("feature_names", "OnOffState"),
+        pytest.param("feature_names", ["OnOffState"] * 11, id="feature_names-repeated"),
+        pytest.param("feature_names", list(range(11)), id="feature_names-numbers"),
     ])
     def test_invalid_model_file_is_exit_three(self, pipeline, tmp_path, field, value):
         """Each malformed field exits 3 with one line naming it."""

@@ -482,18 +482,6 @@ class TestModelDocumentChecks:
         model = gbm.from_dict(one_split_doc(1e308, 7e307))
         assert np.isfinite(model.predict_batch(np.array([[0.0], [1.0]]))).all()
 
-    @pytest.mark.parametrize("field, value", [
-        ("feature_names", ["x", "x"]),
-        ("feature_names", [1]),
-        ("gamma", float("inf")),
-        pytest.param("base_score", 10 ** 400, id="base_score-huge-int"),
-    ])
-    def test_malformed_field_is_named(self, field, value):
-        doc = one_split_doc(0.0, 1.0)
-        doc[field] = value
-        with pytest.raises(DataError, match=f"malformed model document: {field}"):
-            gbm.from_dict(doc)
-
 
 #: JSON scalars, with the numbers at the edge of the float range drawn often.
 JSON_SCALARS = (
