@@ -289,15 +289,14 @@ class ArtifactWriter:
         self.artifacts[name] = data
 
     def write_json(self, name: str, obj) -> None:
-        doc = {"schema_version": SCHEMA_VERSION, **obj}
-        self.write_bytes(name, (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode())
+        self.write_bytes(name, _json_bytes(name, {"schema_version": SCHEMA_VERSION, **obj}))
 
     def write_csv(self, name: str, header, rows) -> None:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
-            writer.writerow([_cell(v) for v in row])
+            writer.writerow([_cell(name, v) for v in row])
         self.write_bytes(name, buf.getvalue().encode())
 
     def write_table(self, name: str, table: TimeTable) -> None:
@@ -319,8 +318,8 @@ class ArtifactWriter:
         }
         if extra:
             doc.update(extra)
-        data = (json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()
-        self.write_bytes(f"manifest_{self.command}.json", data)
+        name = f"manifest_{self.command}.json"
+        self.write_bytes(name, _json_bytes(name, doc))
         os.makedirs(self.out_dir, exist_ok=True)
         for name, data in self.artifacts.items():
             path = os.path.join(self.out_dir, name)
@@ -330,11 +329,22 @@ class ArtifactWriter:
                 print(f"wrote {path}")
 
 
-def _cell(v):
-    """A CSV cell: floats (numpy's too) in shortest round-trip form, None blank."""
+def _json_bytes(name: str, doc) -> bytes:
+    """An artifact's JSON text; NaN and infinities are not JSON, so they raise."""
+    try:
+        return (json.dumps(doc, sort_keys=True, indent=1, allow_nan=False) + "\n").encode()
+    except ValueError as exc:
+        raise NumericError(f"artifact {name} would hold a non-finite number") from exc
+
+
+def _cell(name: str, v):
+    """A CSV cell of artifact ``name``: floats (numpy's too) in shortest
+    round-trip form, None blank. A non-finite float raises NumericError."""
     if isinstance(v, np.floating):
         v = float(v)
     if isinstance(v, float):
+        if not math.isfinite(v):
+            raise NumericError(f"artifact {name} would hold a non-finite number {v!r}")
         return repr(v)
     if v is None:
         return ""

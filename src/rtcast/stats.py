@@ -286,14 +286,18 @@ def metrics(y_true, y_pred) -> MetricReport:
     yp = np.asarray(y_pred, dtype=np.float64)
     if yt.shape != yp.shape or yt.ndim != 1 or len(yt) == 0:
         raise DataError("y_true and y_pred must be equal-length non-empty vectors")
-    err = yp - yt
-    mse = float(np.mean(err**2))
-    mae = float(np.mean(np.abs(err)))
-    mape = None
-    if np.all(yt != 0.0):
-        mape = float(np.mean(np.abs(err / yt))) * 100.0
-    sst = float(np.sum((yt - yt.mean()) ** 2))
-    sse = float(np.sum(err**2))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            err = yp - yt
+            mse = float(np.mean(err**2))
+            mae = float(np.mean(np.abs(err)))
+            mape = None
+            if np.all(yt != 0.0):
+                mape = float(np.mean(np.abs(err / yt))) * 100.0
+            sst = float(np.sum((yt - yt.mean()) ** 2))
+            sse = float(np.sum(err**2))
+    except FloatingPointError as exc:  # finite values too large to square
+        raise NumericError(f"error metrics left the float range: {exc}") from exc
     if sst > 0.0:
         r2 = 1.0 - sse / sst
     else:

@@ -3,10 +3,15 @@ determinism, and exit codes."""
 import csv
 import hashlib
 import json
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from rtcast import cli
+from rtcast.errors import NumericError
 
 CONFIG = """\
 data.source = synth
@@ -257,6 +262,22 @@ class TestAllOrNothing:
         assert "no accurate/deviated pair" in proc.stderr
         assert not dest.exists()
 
+    @pytest.mark.parametrize("write", [
+        lambda w: w.write_json("metrics.json", {"mse": math.inf}),
+        lambda w: w.write_json("metrics.json", {"r2": [1.0, math.nan]}),
+        lambda w: w.write_csv("forecast.csv", ["y"], [[1.0], [np.float64("nan")]]),
+        lambda w: w.write_csv("forecast.csv", ["y"], [[-math.inf]]),
+        lambda w: w.finish({"data": {"mae": math.nan}}),
+    ], ids=["json-inf", "json-nested-nan", "csv-numpy-nan", "csv-inf", "manifest-nan"])
+    def test_non_finite_number_is_refused(self, tmp_path, write):
+        dest = tmp_path / "x"
+        writer = cli.ArtifactWriter(str(dest), "train",
+                                    cli.PipelineConfig(out_dir=str(dest), quiet=True))
+        writer.write_json("params.json", {"lr": 0.3})
+        with pytest.raises(NumericError, match="would hold a non-finite number"):
+            write(writer)
+        assert not dest.exists()
+
 
 class TestExitCodes:
     def test_missing_model_is_a_usage_error(self, tmp_path):
@@ -428,6 +449,24 @@ class TestExitCodes:
                        check=False)
         assert proc.returncode == 3, proc.stderr
         assert proc.stderr == "error: training mean of column 'OnOffState' is not finite\n"
+
+    @pytest.mark.parametrize("row, message", [
+        (100, "error: training arithmetic left the float range: "),  # the train split
+        (2000, "error: error metrics left the float range: "),  # the val split
+    ], ids=["train-split", "val-split"])
+    def test_overflowing_rt_cell_is_exit_four(self, pipeline, tmp_path, row, message):
+        """A finite ``1e300`` RT cell overflows when squared: one error line,
+        no numpy warning, and no artifact with NaN or Infinity."""
+        cfg, out = pipeline
+        rows = read_csv(out / "synthetic.csv")
+        rows[row][rows[0].index("RT")] = "1e300"
+        edited = csv_config(tmp_path, rows)
+        dest = tmp_path / "x"
+        proc = run_cli("--config", str(edited), "--out", str(dest), "--quiet", "train",
+                       check=False)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1, proc.stderr
+        assert not dest.exists()
 
     def test_too_deep_model_file_is_exit_three(self, pipeline, tmp_path):
         cfg, out = pipeline

@@ -393,7 +393,7 @@ class TestImportanceAndSerialization:
 
     def test_save_load_round_trip(self, small_model, val_matrix, tmp_path):
         path = tmp_path / "model.json"
-        gbm.save(small_model, str(path))
+        path.write_text(gbm.dumps(small_model), encoding="utf-8")
         back = gbm.load(str(path))
         assert back.feature_names == small_model.feature_names
         assert np.array_equal(
@@ -542,3 +542,108 @@ def test_mutated_model_document_loads_or_is_a_data_error(fuzz_model, data):
     else:  # other feature names: a model of another width, which rows must match
         with pytest.raises(ConfigError, match="model expects width"):
             model.predict_batch(rows)
+
+
+# ---------------------------------------------------------------------------
+# the compiled single-row walk against the TreeNode walk
+# ---------------------------------------------------------------------------
+
+WIDTH = 3
+# Thresholds and row values share a small grid, so rows often sit exactly on
+# a threshold (which routes right).
+GRID = st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.25])
+WEIGHTS = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+TREES = st.recursive(
+    st.builds(lambda w: TreeNode(weight=w), WEIGHTS),
+    lambda inner: st.builds(
+        lambda f, thr, left, right: TreeNode(feature_index=f, threshold=thr,
+                                             left=left, right=right),
+        st.integers(0, WIDTH - 1), GRID, inner, inner),
+    max_leaves=16,
+)
+
+
+def ensemble(trees, base_score=0.25, learning_rate=0.3):
+    return Ensemble(base_score=base_score, learning_rate=learning_rate, trees=tuple(trees),
+                    feature_names=tuple(f"f{i}" for i in range(WIDTH)), lambda_=1.0, gamma=0.0)
+
+
+def node_walk(model, x):
+    """The plain TreeNode walk: each tree root to leaf, added in tree order."""
+    total = model.base_score
+    for tree in model.trees:
+        node = tree
+        while not node.is_leaf:
+            node = node.left if x[node.feature_index] < node.threshold else node.right
+        total += model.learning_rate * node.weight
+    return total
+
+
+def assert_walks_agree(model, rows):
+    for x, want in zip(rows, model.predict_batch(rows)):
+        got = model.predict_row(x)
+        assert got == want == node_walk(model, x)
+        assert type(got) is float
+
+
+def leaf(w):
+    return TreeNode(weight=w)
+
+
+def branch(f, thr, left, right):
+    return TreeNode(feature_index=f, threshold=thr, left=left, right=right)
+
+
+ROWS = np.array([[x, y, z] for x in (-2.0, 0.5, 1.0) for y in (0.0, 3.25) for z in (-1.0, 7.0)])
+
+
+class TestCompiledWalk:
+    @pytest.mark.parametrize("trees", [
+        [],
+        [leaf(1.5)],
+        [leaf(-0.1), leaf(2.0), leaf(0.0)],
+        [branch(0, 0.5, leaf(-1.0), leaf(1.0))],
+        [branch(1, 0.0, leaf(-1.0), branch(0, 1.0, branch(2, 7.0, leaf(0.5), leaf(0.25)),
+                                            leaf(3.0))),
+         leaf(0.125),
+         branch(2, -1.0, leaf(9.0), leaf(-9.0))],
+    ], ids=["no-trees", "leaf-only", "leaves", "stump", "unbalanced-and-mixed"])
+    def test_fixed_shapes(self, trees):
+        model = ensemble(trees)
+        assert_walks_agree(model, ROWS)
+        if not trees:
+            assert model.predict_row(ROWS[0]) == model.base_score
+
+    @settings(max_examples=300, deadline=None)
+    @given(trees=st.lists(TREES, max_size=8),
+           base_score=st.floats(-1e3, 1e3),
+           learning_rate=st.floats(1e-3, 1.0),
+           rows=st.lists(st.lists(GRID | st.floats(-5.0, 5.0), min_size=WIDTH, max_size=WIDTH),
+                         min_size=1, max_size=6))
+    def test_random_ensembles(self, trees, base_score, learning_rate, rows):
+        """Bit for bit: the compiled walk, ``predict_batch`` and the TreeNode walk."""
+        assert_walks_agree(ensemble(trees, base_score, learning_rate), np.array(rows))
+
+    def test_deep_chain_from_dict_walks_without_recursion(self):
+        """A chain deeper than the recursion limit: level i sends x < i + 0.5
+        to a leaf of weight i, the rest down the chain to a leaf of -1."""
+        depth = 3000
+        tree = {"weight": -1.0}
+        for i in reversed(range(depth)):
+            tree = {"feature_index": 0, "threshold": i + 0.5, "left": {"weight": float(i)},
+                    "right": tree}
+        model = gbm.from_dict({
+            "kind": "boosted-trees", "base_score": 0.0, "learning_rate": 1.0,
+            "lambda": 1.0, "gamma": 0.0, "feature_names": ["x"], "trees": [tree],
+        })
+        rows = np.array([[0.0], [900.0], [2999.0], [1e9]])
+        assert [model.predict_row(x) for x in rows] == [0.0, 900.0, 2999.0, -1.0]
+        assert model.predict_batch(rows).tolist() == [0.0, 900.0, 2999.0, -1.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_is_a_data_error(self, small_model, val_matrix, bad):
+        x = val_matrix.rows[0].copy()
+        x[4] = bad
+        name = small_model.feature_names[4]
+        with pytest.raises(DataError, match=f"non-finite value in column {name!r} at row 0"):
+            small_model.predict_row(x)
