@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
 from .features import FeatureMatrix, training_means
-from .gbm import _tree_outputs, grow_tree
+from .gbm import grow_tree
 from .stats import metrics
 
 
@@ -207,8 +207,8 @@ def fit_surrogate_tree(model, X: FeatureMatrix, max_depth: int = 6):
         raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
     predict = _predictor(model)
     z = np.asarray(predict(X.rows), dtype=np.float64)
-    root = grow_tree(X.rows, -z, np.ones(len(z)), max_depth, 0.0, 0.0)
-    fitted = _tree_outputs(root, X.rows)
+    fitted = np.empty(len(z))
+    root = grow_tree(X.rows, -z, np.ones(len(z)), max_depth, 0.0, 0.0, out=fitted)
     rep = metrics(z, fitted)
     return root, (rep.r2 if rep.r2 is not None else 1.0)
 

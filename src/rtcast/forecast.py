@@ -9,6 +9,7 @@ horizon but before the next anchor are not scored.
 """
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,13 +46,20 @@ class ForecastRun:
 
 
 def groups_for_model(model: Ensemble) -> frozenset:
-    """Reconstruct the feature-group selection a model was trained with."""
+    """Reconstruct the feature-group selection a model was trained with.
+
+    Raises DataError unless the model's feature names are exactly the design
+    matrix columns of that selection, in ``feature_order``.
+    """
     names = set(model.feature_names)
     groups = {"IOTS-MVA" if "OutTempMVA" in names else "IOTS"}
     if "MVART" in names:
         groups.add("MVART")
     if "Holiday" in names:
         groups.add("Holiday")
+    if feature_order(groups) != tuple(model.feature_names):
+        raise DataError(f"model feature_names {reprlib.repr(list(model.feature_names))} "
+                        "are not the design-matrix columns of any feature-group selection")
     return frozenset(groups)
 
 
@@ -106,10 +114,6 @@ def rolling_forecast(
 
     names = model.feature_names
     groups = groups_for_model(model)
-    if tuple(feature_order(groups)) != tuple(names):
-        raise ConfigError(
-            f"model features {names} do not form a recognized engineered set"
-        )
     et = engineered_table(table, config, groups)
     static = np.column_stack([
         et.columns[n] if n != "MVART" else np.full(len(et), np.nan) for n in names

@@ -204,7 +204,8 @@ def histogram(series, bin_width: float) -> list:
 
     A value v falls in the bin ``[m*w, (m+1)*w)`` with ``m = floor(v/w)``; the
     returned pairs are ``(m*w, count)`` sorted by bin, and counts sum to the
-    series length.
+    series length. A bin index ``m`` outside the int64 range raises
+    NumericError.
     """
     if bin_width <= 0:
         raise ConfigError(f"bin_width must be > 0, got {bin_width}")
@@ -213,8 +214,13 @@ def histogram(series, bin_width: float) -> list:
         return []
     if not np.isfinite(x).all():
         raise DataError("series contains non-finite values")
-    idx = np.floor(x / bin_width).astype(np.int64)
-    bins, counts = np.unique(idx, return_counts=True)
+    with np.errstate(over="ignore"):  # an infinite quotient fails the range check
+        idx = np.floor(x / bin_width)
+    outside = ~((idx >= -(2.0**63)) & (idx < 2.0**63))
+    if outside.any():
+        raise NumericError(f"histogram bin of value {float(x[outside][0])!r} at width "
+                           f"{bin_width!r} is outside the int64 range")
+    bins, counts = np.unique(idx.astype(np.int64), return_counts=True)
     return [(float(m * bin_width), int(c)) for m, c in zip(bins, counts)]
 
 

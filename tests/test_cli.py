@@ -468,6 +468,37 @@ class TestExitCodes:
         assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1, proc.stderr
         assert not dest.exists()
 
+    def test_overflowing_rt_cell_is_exit_four_in_hist(self, pipeline, tmp_path):
+        """A finite ``1e300`` RT cell has no int64 histogram bin: one error
+        line, no numpy warning, and no histogram written."""
+        cfg, out = pipeline
+        rows = read_csv(out / "synthetic.csv")
+        rows[100][rows[0].index("RT")] = "1e300"
+        edited = csv_config(tmp_path, rows)
+        dest = tmp_path / "x"
+        proc = run_cli("--config", str(edited), "--out", str(dest), "--quiet",
+                       "diagnose", "hist", check=False)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith("error: histogram bin of value 1e+300 ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("command", [["evaluate"], ["explain", "importance"]],
+                             ids=["evaluate", "explain-importance"])
+    def test_renamed_feature_names_are_exit_three(self, pipeline, tmp_path, command):
+        """Distinct names that are no feature-group selection's columns."""
+        cfg, out = pipeline
+        doc = json.loads((out / "model.json").read_text())
+        doc["feature_names"] = [f"f{i}" for i in range(len(doc["feature_names"]))]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        proc = run_cli("--config", str(cfg), "--out", str(tmp_path / "x"), "--quiet",
+                       *command, "--model", str(model), check=False)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("error: model feature_names ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert not (tmp_path / "x").exists()
+
     def test_too_deep_model_file_is_exit_three(self, pipeline, tmp_path):
         cfg, out = pipeline
         doc = json.loads((out / "model.json").read_text())

@@ -112,7 +112,7 @@ class TestRollingForecast:
         X = make_matrix(np.random.default_rng(0).normal(size=(30, 2)),
                         ["a", "b"], target=np.arange(30.0))
         stray = gbm.train(X, gbm.Hyperparams(max_depth=1, n_trees=1))
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataError, match="feature_names"):
             forecast.rolling_forecast(stray, synth_splits[1], engineering)
 
     def test_input_overrides_change_the_model_view(self, small_model,

@@ -234,6 +234,17 @@ class TestColumnBlockGrower:
         want = argsort_tree(rows, grad, hess, np.arange(len(rows)), 0, depth, lam, gamma)
         assert_trees_identical(got, want)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_fitted_output_is_the_walk_of_the_grown_tree(self, seed):
+        """The grower's own leaf assignment, on rows with ties and with
+        duplicate rows, is what walking the returned tree gives."""
+        rows, grad, hess = tied_fixture(seed)
+        dup = np.arange(len(rows)) % 3 == 0
+        rows, grad, hess = (np.concatenate([a, a[dup]]) for a in (rows, grad, hess))
+        out = np.full(len(rows), np.nan)
+        tree = gbm.grow_tree(rows, grad, hess, 1 + seed % 7, 1.0, 0.0, out=out)
+        assert np.array_equal(out, [leaf_weight(tree, x) for x in rows])
+
     def test_leaves_no_reference_cycle(self):
         rows, grad, hess = tied_fixture(3)
         gc.collect()
@@ -568,15 +579,24 @@ def ensemble(trees, base_score=0.25, learning_rate=0.3):
                     feature_names=tuple(f"f{i}" for i in range(WIDTH)), lambda_=1.0, gamma=0.0)
 
 
-def node_walk(model, x):
-    """The plain TreeNode walk: each tree root to leaf, added in tree order."""
-    total = model.base_score
+def leaf_weight(tree, x):
+    """The plain TreeNode walk of one tree, root to leaf."""
+    node = tree
+    while not node.is_leaf:
+        node = node.left if x[node.feature_index] < node.threshold else node.right
+    return node.weight
+
+
+def node_stages(model, x):
+    """Each tree's leaf weight added in tree order: the totals after 0..T trees."""
+    totals = [model.base_score]
     for tree in model.trees:
-        node = tree
-        while not node.is_leaf:
-            node = node.left if x[node.feature_index] < node.threshold else node.right
-        total += model.learning_rate * node.weight
-    return total
+        totals.append(totals[-1] + model.learning_rate * leaf_weight(tree, x))
+    return totals
+
+
+def node_walk(model, x):
+    return node_stages(model, x)[-1]
 
 
 def assert_walks_agree(model, rows):
@@ -621,8 +641,20 @@ class TestCompiledWalk:
            rows=st.lists(st.lists(GRID | st.floats(-5.0, 5.0), min_size=WIDTH, max_size=WIDTH),
                          min_size=1, max_size=6))
     def test_random_ensembles(self, trees, base_score, learning_rate, rows):
-        """Bit for bit: the compiled walk, ``predict_batch`` and the TreeNode walk."""
-        assert_walks_agree(ensemble(trees, base_score, learning_rate), np.array(rows))
+        """Bit for bit: the compiled walk, ``predict_batch``, every stage of
+        ``staged_predictions`` and the TreeNode walk, also on batches that
+        end just before, on and just after a chunk edge. Neighbouring batch
+        rows differ where the drawn rows do, so a row read from the wrong
+        place in its chunk shows."""
+        model = ensemble(trees, base_score, learning_rate)
+        pool = np.array(rows)
+        assert_walks_agree(model, pool)
+        want = np.array([node_stages(model, x) for x in pool]).T  # (T + 1, rows)
+        c = gbm.ROW_CHUNK
+        for n in (0, 1, c - 1, c, c + 1, 2 * c + 3):
+            pick = np.arange(n) % len(pool)
+            assert np.array_equal(model.predict_batch(pool[pick]), want[-1, pick])
+            assert np.array_equal(gbm.staged_predictions(model, pool[pick]), want[:, pick])
 
     def test_deep_chain_from_dict_walks_without_recursion(self):
         """A chain deeper than the recursion limit: level i sends x < i + 0.5

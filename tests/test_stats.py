@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rtcast import stats
-from rtcast.errors import ConfigError, DataError
+from rtcast.errors import ConfigError, DataError, NumericError
 
 
 def ar1(phi, n, seed, sd=1.0):
@@ -138,6 +138,20 @@ class TestHistogram:
     def test_bad_width(self):
         with pytest.raises(ConfigError):
             stats.histogram(np.ones(3), 0.0)
+
+    @pytest.mark.parametrize("values, width", [
+        ([22.5, 1e300], 1.0),  # the bin index passes 2**63
+        ([-1e300], 1.0),
+        ([2.0**63], 1.0),  # the first index past the int64 range
+        ([1e300], 1e-10),  # the quotient itself overflows to inf
+    ], ids=["huge", "huge-negative", "first-outside", "infinite-quotient"])
+    def test_bin_index_outside_int64_is_a_numeric_error(self, values, width):
+        with pytest.raises(NumericError, match="outside the int64 range"):
+            stats.histogram(np.array(values), width)
+
+    def test_bin_indices_at_the_int64_edges(self):
+        low, high = -(2.0**63), 2.0**63 - 1024.0  # the largest double below 2**63
+        assert stats.histogram(np.array([low, high]), 1.0) == [(low, 1), (high, 1)]
 
 
 class TestNormalQuantiles:
