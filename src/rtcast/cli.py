@@ -449,9 +449,11 @@ def cmd_train(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
     x_train = build_design_matrix(train_t, cfg.engineering, cfg.groups)
     x_val = build_design_matrix(val_t, cfg.engineering, cfg.groups)
 
-    params = cfg.params
-    if cfg.grid is not None:
-        params, score_table = gbm.grid_search(x_train, x_val, cfg.grid)
+    if cfg.grid is None:
+        params = cfg.params
+        model = gbm.train(x_train, params)
+    else:
+        params, model, score_table = gbm.grid_search(x_train, x_val, cfg.grid)
         out.write_csv(
             "grid_scores.csv",
             ["max_depth", "n_trees", "gamma", "lambda", "learning_rate",
@@ -462,7 +464,6 @@ def cmd_train(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
                 for p, rep in score_table
             ],
         )
-    model = gbm.train(x_train, params)
 
     out.write_bytes("model.json", gbm.dumps(model).encode())
     out.write_json("params.json", {

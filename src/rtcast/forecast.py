@@ -254,10 +254,9 @@ def window_sweep(
         x_train = build_design_matrix(train_table, cfg, groups)
         if grid is not None:
             x_val = build_design_matrix(val_table, cfg, groups)
-            chosen, _ = grid_search(x_train, x_val, grid)
+            _, model, _ = grid_search(x_train, x_val, grid)
         else:
-            chosen = params
-        model = train(x_train, chosen)
+            model = train(x_train, params)
         run = rolling_forecast(
             model, val_table, cfg,
             access_interval_seconds=access_interval_seconds,

@@ -12,16 +12,25 @@ consecutive distinct sorted values. A sample routes left when
 lowest feature index, then the lowest threshold.
 
 Split search runs on a pre-sorted column block (exact greedy of XGBoost,
-Chen & Guestrin 2016, sections 3.1 and 4.1). Each tree sorts every column
-once, stably, into a ``(features + 1) x rows`` index array whose last row is
-the row indices in ascending order. A node is a slice of that block; a split
-partitions every row of the slice (only the ascending row when the children
-are leaves) stably in place, left rows first, so the children are adjacent
-slices and no node sorts again. A stable partition of a stable sort orders
-each node exactly as a stable sort of the node's own ascending rows would,
-so the gradient sums, gains and trees are the same bit for bit as sorting
-per node. Each leaf writes its weight into the rows of its slice, which is
-the tree's output on its training rows.
+Chen & Guestrin 2016, sections 3.1 and 4.1). ``train`` sorts every column
+once per run, stably, into a ``(features + 1) x rows`` index array whose last
+row is the row indices in ascending order, and copies that block into one
+working buffer before each tree: the rows never change between rounds. A
+node is a slice of the block; a split partitions the slice stably in place,
+left rows first, so the children are adjacent slices and no node sorts
+again. A stable partition of a stable sort orders each node exactly as a
+stable sort of the node's own ascending rows would, so the gradient sums,
+gains and trees are the same bit for bit as sorting per node.
+
+Two shortcuts skip work without changing a bit. When every hessian is
+exactly 1 (checked once per tree), a node's hessian sum is its row count and
+the left sums at the cuts are ``cut + 1``, the values the float sums of ones
+give. A feature whose values are all equal in a node has no cut there, nor
+in any descendant, so a node passes its children only the features that
+still have a cut: only their block rows (and the ascending row; only that
+row when the children are leaves) are searched and partitioned below it.
+Each leaf writes its weight into the rows of its slice, which is the tree's
+output on its training rows.
 
 Every prediction reads one compiled form of the ensemble, built on first
 use: flat arrays over the nodes of all trees, numbered breadth first, node 0
@@ -180,7 +189,8 @@ class Ensemble:
         return _read(self, rows, stages=False)
 
 
-#: Rows per chunk: with 512 the fastest of 64..4096 on 1-10k rows, at half its memory.
+#: Rows per chunk. Of 64..4096 on 1-10k rows, 256 and 512 were the fastest and
+#: tied within noise; 256 holds half the memory.
 ROW_CHUNK = 256
 
 
@@ -225,30 +235,39 @@ def _read(model: Ensemble, rows, stages: bool) -> np.ndarray:
     return out
 
 
-def _best_split(cols, g, h, node, lambda_, gamma):
+def _hess_sum(h, idx) -> float:
+    """The hessian sum of rows ``idx``: their count when ``h`` is None (all 1)."""
+    return float(len(idx)) if h is None else float(h[idx].sum())
+
+
+def _best_split(cols, g, h, node, live, lambda_, gamma):
     """Exact greedy search over all (feature, midpoint-threshold) candidates.
 
     ``node`` is the node's slice of the column block: row ``f`` holds the
     node's row indices sorted by feature ``f``, the last row holds them in
-    ascending order. Gains are evaluated only where consecutive sorted
-    values differ. Returns (gain, feature,
-    threshold) of the best strictly-positive-gain split, or None. Ties keep
-    the lowest feature index, then (via argmax over ascending thresholds)
-    the lowest threshold.
+    ascending order. Only the features in ``live`` (ascending) are searched,
+    and ``h`` is None when every hessian is 1. Gains are evaluated only where
+    consecutive sorted values differ. Returns ``(split, cuttable)``: the
+    (gain, feature, threshold) of the best strictly-positive-gain split, or
+    None, and the features of ``live`` that have a cut here. Ties keep the
+    lowest feature index, then (via argmax over ascending thresholds) the
+    lowest threshold.
     """
     idx = node[-1]
     g_sum = float(g[idx].sum())
-    h_sum = float(h[idx].sum())
+    h_sum = _hess_sum(h, idx)
     parent = g_sum * g_sum / (h_sum + lambda_)
     best = None
-    for f, col in enumerate(cols):
+    cuttable = []
+    for f in live:
         order = node[f]
-        xs = col[order]
+        xs = cols[f][order]
         cut = np.flatnonzero(xs[:-1] != xs[1:])
         if len(cut) == 0:
             continue
+        cuttable.append(f)
         gl = np.cumsum(g[order])[cut]
-        hl = np.cumsum(h[order])[cut]
+        hl = cut + 1.0 if h is None else np.cumsum(h[order])[cut]
         gr = g_sum - gl
         hr = h_sum - hl
         gains = 0.5 * (gl * gl / (hl + lambda_) + gr * gr / (hr + lambda_) - parent) - gamma
@@ -257,61 +276,88 @@ def _best_split(cols, g, h, node, lambda_, gamma):
             j = cut[k]
             best = (float(gains[k]), f, float((xs[j] + xs[j + 1]) / 2.0))
     if best is None or best[0] <= 0.0:
-        return None
-    return best
+        return None, cuttable
+    return best, cuttable
 
 
-def _grow(cols, grad, hess, block, lo, hi, depth, max_depth, lambda_, gamma, goes_left, out):
-    """Grow the subtree of the block slice ``[lo, hi)``, partitioning it in place."""
+def _partition(order, left, n_left):
+    """Partition ``order`` in place, rows where ``left`` first. Boolean
+    indexing keeps order, so the partition is stable."""
+    lefts = order[left]
+    order[n_left:] = order[~left]
+    order[:n_left] = lefts
+
+
+def _grow(cols, grad, hess, block, lo, hi, live, depth, max_depth, lambda_, gamma,
+          goes_left, out):
+    """Grow the subtree of the block slice ``[lo, hi)``, partitioning it in
+    place; ``live`` lists the features that may still have a cut there."""
     node = block[:, lo:hi]
     idx = node[-1]
-    split = _best_split(cols, grad, hess, node, lambda_, gamma) if depth < max_depth else None
+    split = None
+    if depth < max_depth:
+        split, live = _best_split(cols, grad, hess, node, live, lambda_, gamma)
     if split is None:
-        w = -float(grad[idx].sum()) / (float(hess[idx].sum()) + lambda_)
+        w = -float(grad[idx].sum()) / (_hess_sum(hess, idx) + lambda_)
         out[idx] = w
         return TreeNode(weight=w)
     gain, f, thr = split
     left = cols[f][idx] < thr
     n_left = int(np.count_nonzero(left))
-    goes_left[idx] = left
-    # Boolean indexing keeps order, so each row is partitioned stably. Leaf
-    # children read only the ascending row; others need every sorted row.
-    for order in node if depth + 1 < max_depth else node[-1:]:
-        mask = goes_left[order]
-        lefts = order[mask]
-        order[n_left:] = order[~mask]
-        order[:n_left] = lefts
-    del left, mask, lefts  # free this level's temporaries before recursing
+    # Leaf children read only the ascending row; others also read the rows of
+    # the features that still have a cut.
+    if depth + 1 < max_depth:
+        goes_left[idx] = left
+        for k in live:
+            _partition(node[k], goes_left[node[k]], n_left)
+    _partition(idx, left, n_left)
+    del left  # free this level's temporaries before recursing
     return TreeNode(
         feature_index=f,
         threshold=thr,
-        left=_grow(cols, grad, hess, block, lo, lo + n_left, depth + 1,
+        left=_grow(cols, grad, hess, block, lo, lo + n_left, live, depth + 1,
                    max_depth, lambda_, gamma, goes_left, out),
-        right=_grow(cols, grad, hess, block, lo + n_left, hi, depth + 1,
+        right=_grow(cols, grad, hess, block, lo + n_left, hi, live, depth + 1,
                     max_depth, lambda_, gamma, goes_left, out),
         gain=gain,
     )
 
 
-def grow_tree(rows, grad, hess, max_depth: int, lambda_: float, gamma: float,
-              out=None) -> TreeNode:
-    """Grow one regression tree on explicit gradient/hessian vectors.
-
-    Shared by boosting rounds and by the tree surrogate (which passes
-    ``grad = -targets, hess = 1, lambda_ = 0`` to get a CART-style
-    variance-reduction tree). A given ``out`` receives the tree's output on
-    ``rows``, each row's leaf weight, with no walk of the tree.
-    """
+def _sort_block(rows) -> tuple:
+    """The rows' contiguous columns and their sorted column block."""
     cols = np.ascontiguousarray(np.asarray(rows, dtype=np.float64).T)
-    grad = np.asarray(grad, dtype=np.float64)
-    hess = np.asarray(hess, dtype=np.float64)
     d, n = cols.shape
     block = np.empty((d + 1, n), dtype=np.intp)
     for f, col in enumerate(cols):
         block[f] = np.argsort(col, kind="stable")
     block[d] = np.arange(n)
-    goes_left = np.zeros(n, dtype=bool)
-    return _grow(cols, grad, hess, block, 0, n, 0, max_depth, lambda_, gamma, goes_left,
+    return cols, block
+
+
+def grow_tree(rows, grad, hess, max_depth: int, lambda_: float, gamma: float,
+              out=None, presorted=None) -> TreeNode:
+    """Grow one regression tree on explicit gradient/hessian vectors.
+
+    Shared by boosting rounds and by the tree surrogate (which passes
+    ``grad = -targets, hess = 1, lambda_ = 0`` to get a CART-style
+    variance-reduction tree). A given ``out`` receives the tree's output on
+    ``rows``, each row's leaf weight, with no walk of the tree. Hessians that
+    are all exactly 1 take the counting path of the module docstring, any
+    others their float sums. ``train`` passes ``presorted``, the triple
+    ``(cols, start, work)`` of ``_sort_block(rows)`` and a working block of
+    the same shape, which this tree copies ``start`` into and partitions.
+    """
+    if presorted is None:
+        cols, block = _sort_block(rows)
+    else:
+        cols, start, block = presorted
+        block[...] = start
+    grad = np.asarray(grad, dtype=np.float64)
+    hess = np.asarray(hess, dtype=np.float64)
+    unit = bool((hess == 1.0).all())
+    n = block.shape[1]
+    return _grow(cols, grad, None if unit else hess, block, 0, n, range(len(cols)), 0,
+                 max_depth, lambda_, gamma, np.zeros(n, dtype=bool),
                  np.empty(n) if out is None else out)
 
 
@@ -345,9 +391,12 @@ def train(X: FeatureMatrix, params: Hyperparams) -> Ensemble:
             pred = np.full(len(y), base)
             hess = np.ones(len(y))
             fitted = np.empty(len(y))
+            cols, start = _sort_block(X.rows)
+            presorted = (cols, start, np.empty_like(start))
             for _ in range(params.n_trees):
                 tree = grow_tree(X.rows, pred - y, hess, params.max_depth,
-                                 params.lambda_, params.gamma, out=fitted)
+                                 params.lambda_, params.gamma, out=fitted,
+                                 presorted=presorted)
                 pred += params.learning_rate * fitted
                 trees.append(tree)
     except FloatingPointError as exc:
@@ -371,14 +420,16 @@ def staged_predictions(model: Ensemble, rows) -> np.ndarray:
 def grid_search(X_train: FeatureMatrix, X_val: FeatureMatrix, grid: HyperparamGrid):
     """Exhaustive hyperparameter search scored by validation MAE.
 
-    Returns ``(best, table)`` where ``table`` is a list of
-    ``(Hyperparams, MetricReport)`` in grid order (duplicates removed) and
+    Returns ``(best, model, table)`` where ``table`` is a list of
+    ``(Hyperparams, MetricReport)`` in grid order (duplicates removed),
     ``best`` minimizes validation MAE with ties broken by fewer trees, then
-    smaller depth, then first-encountered.
+    smaller depth, then first-encountered, and ``model`` is ``best`` trained
+    on ``X_train``.
 
     Combinations differing only in tree count share one training run: boosting
     is sequential, so the first k trees of a longer run are identical to a
-    k-tree run.
+    k-tree run, and the winner's model is the first ``best.n_trees`` trees of
+    its run. Only the current winner's run is kept.
     """
     combos = grid.combos()
     if not combos:
@@ -390,6 +441,7 @@ def grid_search(X_train: FeatureMatrix, X_val: FeatureMatrix, grid: HyperparamGr
         groups.setdefault(key, []).append((pos, p))
 
     table: list = [None] * len(combos)
+    best = None  # (rank, params, model)
     for key, members in groups.items():
         run = replace(key, n_trees=max(p.n_trees for _, p in members))
         try:
@@ -399,15 +451,13 @@ def grid_search(X_train: FeatureMatrix, X_val: FeatureMatrix, grid: HyperparamGr
         # Keep only the scored stages; the full (T + 1) x rows array goes now.
         scored = staged_predictions(model, X_val.rows)[[p.n_trees for _, p in members]]
         for (pos, p), pred in zip(members, scored):
-            table[pos] = (p, metrics(X_val.target, pred))
-
-    best_pos = 0
-    best_key = None
-    for pos, (p, report) in enumerate(table):
-        key = (report.mae, p.n_trees, p.max_depth)
-        if best_key is None or key < best_key:
-            best_key, best_pos = key, pos
-    return table[best_pos][0], table
+            report = metrics(X_val.target, pred)
+            table[pos] = (p, report)
+            rank = (report.mae, p.n_trees, p.max_depth, pos)
+            if best is None or rank < best[0]:
+                best = (rank, p, replace(model, trees=model.trees[:p.n_trees]))
+    _, params, model = best
+    return params, model, table
 
 
 def feature_importance_gain(trees, feature_names) -> dict:

@@ -255,6 +255,56 @@ class TestColumnBlockGrower:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("depth", [1, 3, 6])
+    @pytest.mark.parametrize("odd", ["last", "middle", "isolated"])
+    def test_unit_hessian_check_reads_every_hessian(self, depth, odd):
+        """Hessians of ones but one ``1 + 2**-52`` take the float-sum path. In
+        the "isolated" case that row is alone in the first left child, with
+        no regularization, so its leaf weight shows the odd hessian."""
+        rows, grad, _ = tied_fixture(4)
+        hess = np.ones(len(rows))
+        if odd == "isolated":
+            rows = rows.copy()
+            rows[7, 0] = rows[:, 0].min() - 1.0
+            grad = grad.copy()
+            grad[7] = 100.0
+            k = 7
+        else:
+            k = len(rows) - 1 if odd == "last" else len(rows) // 2
+        hess[k] = 1.0 + 2.0 ** -52
+        got = gbm.grow_tree(rows, grad, hess, depth, 0.0, 0.0)
+        want = argsort_tree(rows, grad, hess, np.arange(len(rows)), 0, depth, 0.0, 0.0)
+        assert_trees_identical(got, want)
+        if odd == "isolated":
+            assert got.left.is_leaf and got.left.weight == -100.0 / (1.0 + 2.0 ** -52)
+
+    @pytest.mark.parametrize("seed", range(0, 12, 2))
+    def test_integer_unit_hessians(self, seed):
+        rows, grad, hess = tied_fixture(seed)
+        ints = np.ones(len(rows), dtype=np.int64)
+        got = gbm.grow_tree(rows, grad, ints, 1 + seed % 7, 1.0, 0.0)
+        want = argsort_tree(rows, grad, hess, np.arange(len(rows)), 0, 1 + seed % 7, 1.0, 0.0)
+        assert_trees_identical(got, want)
+
+    @pytest.mark.parametrize("unit", [True, False])
+    @pytest.mark.parametrize("lam, gamma", [(0.0, 0.0), (1.0, 0.5)])
+    def test_column_constant_after_first_split(self, unit, lam, gamma):
+        """Column 0 decides the first split and column 1 copies it, so both
+        are constant in every node below the root; the continuous column 2
+        and the coarse column 3 keep splitting."""
+        rng = np.random.default_rng(5)
+        n = 300
+        on = rng.integers(0, 2, n).astype(np.float64)
+        cont = rng.normal(size=n)
+        coarse = np.round(rng.normal(size=n), 1)
+        rows = np.column_stack([on, on * 3.0, cont, coarse])
+        grad = -(20.0 * on + np.sin(3.0 * cont) + coarse) + rng.normal(scale=0.1, size=n)
+        hess = np.ones(n) if unit else rng.uniform(0.5, 2.0, n)
+        got = gbm.grow_tree(rows, grad, hess, 5, lam, gamma)
+        want = argsort_tree(rows, grad, hess, np.arange(n), 0, 5, lam, gamma)
+        assert got.feature_index == 0
+        assert_trees_identical(got, want)
+
     def test_thirty_day_model_bytes_are_pinned(self):
         """``model.json`` of a default 30-day train, pinned to the digest the
         per-node argsort grower wrote. The pin holds for these exact inputs:
@@ -272,6 +322,26 @@ class TestColumnBlockGrower:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("depth", range(1, 8))
+    @pytest.mark.parametrize("lam, gamma", [(0.0, 0.0), (1.0, 0.0), (1.0, 0.5)])
+    def test_equals_rounds_grown_from_scratch(self, depth, lam, gamma):
+        """``train`` sorts the column block once and reuses it in every
+        round; growing each round from its own rows gives the same bytes."""
+        rows, y, _ = tied_fixture(depth + 10)
+        X = make_matrix(rows, [f"f{i}" for i in range(rows.shape[1])], target=y)
+        params = Hyperparams(max_depth=depth, n_trees=4, gamma=gamma, lambda_=lam)
+        pred = np.full(len(y), float(y.mean()))
+        trees = []
+        for _ in range(params.n_trees):
+            fitted = np.empty(len(y))
+            trees.append(gbm.grow_tree(rows, pred - y, np.ones(len(y)), depth, lam, gamma,
+                                       out=fitted))
+            pred += params.learning_rate * fitted
+        want = Ensemble(base_score=float(y.mean()), learning_rate=params.learning_rate,
+                        trees=tuple(trees), feature_names=X.feature_names,
+                        lambda_=lam, gamma=gamma)
+        assert gbm.dumps(gbm.train(X, params)) == gbm.dumps(want)
+
     def test_base_score_is_target_mean(self):
         X = make_matrix([[0.0], [1.0], [2.0]], ["A"], target=[1.0, 2.0, 6.0])
         model = gbm.train(X, Hyperparams(max_depth=1, n_trees=1))
@@ -358,7 +428,7 @@ class TestGridSearch:
         X, V = self._matrices()
         grid = HyperparamGrid(max_depth=(2, 3), n_trees=(5, 20),
                               gamma=(0.0,), lambda_=(1.0,), learning_rate=(0.3,))
-        best, table = gbm.grid_search(X, V, grid)
+        best, _, table = gbm.grid_search(X, V, grid)
         assert len(table) == 4
         scored = [
             (rep.mae, p.n_trees, p.max_depth, p) for p, rep in table
@@ -370,13 +440,23 @@ class TestGridSearch:
         X, V = self._matrices()
         grid = HyperparamGrid(max_depth=(3,), n_trees=(5, 20),
                               gamma=(0.0,), lambda_=(1.0,), learning_rate=(0.3,))
-        _, table = gbm.grid_search(X, V, grid)
+        _, _, table = gbm.grid_search(X, V, grid)
         small = next(rep for p, rep in table if p.n_trees == 5)
         solo = gbm.train(X, Hyperparams(max_depth=3, n_trees=5))
         rep = None
         from rtcast import stats
         rep = stats.metrics(V.target, solo.predict_batch(V.rows))
         assert small.mae == pytest.approx(rep.mae, abs=1e-12)
+
+    def test_model_is_the_winner_trained_alone(self):
+        """The returned model is a prefix of its group's longer run, and the
+        same bytes as training the winning parameters on their own."""
+        X, V = self._matrices()
+        grid = HyperparamGrid(max_depth=(3, 6), n_trees=(2, 5, 10, 60), gamma=(0.0,),
+                              lambda_=(0.0,), learning_rate=(1.0,))
+        best, model, _ = gbm.grid_search(X, V, grid)
+        assert best.n_trees < 60
+        assert gbm.dumps(model) == gbm.dumps(gbm.train(X, best))
 
     def test_combo_errors_name_the_combination(self):
         X, V = self._matrices()
