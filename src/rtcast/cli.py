@@ -513,10 +513,12 @@ def cmd_evaluate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
 def cmd_ablate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
     train_t, val_t, _ = _load_splits(cfg).values()
 
-    rows = []
+    def fit(groups):
+        return gbm.train(build_design_matrix(train_t, cfg.engineering, groups), cfg.params)
+
+    rows, models = [], {}
     for combo in cfg.ablate_combos:
-        x_train = build_design_matrix(train_t, cfg.engineering, combo)
-        model = gbm.train(x_train, cfg.params)
+        models[combo] = model = fit(combo)
         report = _rolling(cfg, model, val_t).report()
         rows.append(["+".join(sorted(combo)), report.mse, report.mae, report.mape, report.r2])
     out.write_csv("ablation.csv", ["group", "mse", "mae", "mape", "r2"], rows)
@@ -534,8 +536,9 @@ def cmd_ablate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
             [[r["width_seconds"], r["mse"], r["mae"], r["mape"], r["r2"]] for r in sweep],
         )
 
-        x_train = build_design_matrix(train_t, cfg.engineering, cfg.groups)
-        model = gbm.train(x_train, cfg.params)
+        # The horizon sweep re-scores the configured groups' model, which the
+        # combination table has already trained when it lists those groups.
+        model = models[cfg.groups] if cfg.groups in models else fit(cfg.groups)
         hsweep = forecast.horizon_sweep(model, val_t, cfg.engineering, cfg.intervals_seconds)
         out.write_csv(
             "horizon_sweep.csv",

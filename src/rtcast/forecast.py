@@ -2,10 +2,12 @@
 
 The deployed regime: true room temperature is read back periodically (every
 ``access_interval``, at local midnight by default). From each such anchor the
-model predicts step by step out to ``horizon``, feeding every prediction back
-into the MVART moving-average buffer, while exogenous columns (weather,
-system states) are read from the table as a given scenario. Instants past the
-horizon but before the next anchor are not scored.
+model predicts the next ``horizon`` instants, an (anchors x steps) grid masked
+past the table's end; instants past the horizon but before the next anchor are
+not scored. Exogenous columns (weather, system states) are read from the table
+through the grid as a given scenario. Only MVART is a recurrence, stepped for
+all anchors at once: each window starts as the true RT up to its anchor and
+absorbs each prediction.
 """
 from __future__ import annotations
 
@@ -73,6 +75,10 @@ def rolling_forecast(
 ) -> ForecastRun:
     """Predict over a table in the rolling re-anchored regime.
 
+    Step k = 1..H gives every anchor whose k-th instant is inside the table
+    its window mean as MVART and one ``predict_row``; the output is
+    anchor-major, each anchor's steps in order.
+
     Parameters
     ----------
     model : Ensemble
@@ -138,53 +144,45 @@ def rolling_forecast(
     if len(anchor_idx) == 0:
         raise DataError("no usable anchor instants in the table")
 
-    w = config.mva_window
-    target = table.target
-    h_steps = horizon_seconds // step
+    # Anchors ascend, so those whose k-th step is inside the table are a
+    # prefix, and seed windows read in anchor order name the earliest bad cell.
     n_rows = len(table)
-    if use_mvart and mvart_pos not in override_pos:
-        # Only anchors with a step inside the table read their window.
-        scored = anchor_idx[anchor_idx + 1 < n_rows]
-        seeded = np.unique(scored[:, None] + np.arange(1 - w, 1))
-        check_finite(target[seeded, None], ["RT"], table.timestamps[seeded])
-
-    ts_out, yt, yp, aid, rows_out = [], [], [], [], []
-    for a_num, a in enumerate(anchor_idx):
-        if use_mvart:
-            buffer = list(target[a - w + 1 : a + 1])
-        for k in range(1, h_steps + 1):
-            t = a + k
-            if t >= n_rows:
-                break
-            row = static[t].copy()
-            if use_mvart:
-                row[mvart_pos] = np.mean(buffer[-w:])
-            for pos, val in override_pos.items():
-                row[pos] = val
-            pred = model.predict_row(row)
-            if use_mvart:
-                buffer.append(pred)
-            ts_out.append(table.timestamps[t])
-            yt.append(target[t])
-            yp.append(pred)
-            aid.append(a_num)
-            rows_out.append(row)
-
-    if not ts_out:
+    t_idx = anchor_idx[:, None] + np.arange(1, horizon_seconds // step + 1)
+    scored = t_idx < n_rows
+    if not scored.any():
         raise DataError("no scored predictions: horizon never lands inside the table")
-    timestamps = np.array(ts_out, dtype=np.int64)
-    y_true = np.array(yt)
+    live = scored.sum(axis=0)
+    rows = static[np.minimum(t_idx, n_rows - 1)]
+    for pos, val in override_pos.items():
+        rows[:, :, pos] = val
+
+    target = table.target
+    recur = use_mvart and mvart_pos not in override_pos
+    if recur:
+        seeds = anchor_idx[:live[0], None] + np.arange(1 - config.mva_window, 1)
+        window = target[seeds]
+        check_finite(window.reshape(-1, 1), ["RT"], table.timestamps[seeds].ravel())
+    y_pred = np.empty(t_idx.shape)
+    for k, n in enumerate(live):
+        if recur:
+            rows[:n, k, mvart_pos] = window[:n].mean(axis=1)
+        y_pred[:n, k] = [model.predict_row(row) for row in rows[:n, k]]
+        if recur:
+            window = np.column_stack((window[:n, 1:], y_pred[:n, k]))
+
+    timestamps = table.timestamps[t_idx[scored]]
+    y_true = target[t_idx[scored]]
     check_finite(y_true[:, None], ["RT"], timestamps)
     return ForecastRun(
         access_interval_seconds=access_interval_seconds,
         horizon_seconds=horizon_seconds,
         timestamps=timestamps,
         y_true=y_true,
-        y_pred=np.array(yp),
-        anchor_ids=np.array(aid, dtype=np.int64),
+        y_pred=y_pred[scored],
+        anchor_ids=np.nonzero(scored)[0],
         anchors=table.timestamps[anchor_idx],
         feature_names=names,
-        feature_rows=np.array(rows_out),
+        feature_rows=rows[scored],
     )
 
 

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from rtcast import cli
+from rtcast import cli, forecast, gbm
 from rtcast.errors import NumericError
 
 CONFIG = """\
@@ -149,6 +149,20 @@ class TestExplainCommands:
         assert float(spec[1][0]) == 0.0  # DC row leads
         assert doc["dc"]["feature_only"] == pytest.approx(float(spec[1][1]))
 
+    def test_rolling_pffra_reads_the_evaluated_forecast(self, pipeline, tmp_path):
+        """The rolling protocol's original and truth series are the
+        validation forecast that ``evaluate`` scores."""
+        cfg, out = pipeline
+        dest = tmp_path / "pfr"
+        run_cli("--config", str(cfg), "--out", str(dest), "--quiet",
+                "explain", "pffra", "--model", str(out / "model.json"),
+                "--feature", "MVART", "--protocol", "rolling")
+        doc = json.loads((dest / "pffra_MVART_val.json").read_text())
+        assert doc["protocol"] == "rolling"
+        rows = read_csv(out / "forecast_val.csv")[1:]
+        assert doc["dc"]["original"] == pytest.approx(np.mean([float(r[2]) for r in rows]))
+        assert doc["dc"]["truth"] == pytest.approx(np.mean([float(r[1]) for r in rows]))
+
     def test_pdp_importance_surrogate(self, pipeline, tmp_path):
         cfg, out = pipeline
         dest = tmp_path / "glb"
@@ -166,6 +180,35 @@ class TestExplainCommands:
         assert len(pdp_rows) == 25  # 24 hourly levels + header
         ridge = json.loads((dest / "surrogate_ridge.json").read_text())
         assert "MVART" in ridge["coefficients"]
+
+
+class TestAblate:
+    @pytest.mark.parametrize("combos,trained", [
+        ("IOTS-MVA+MVART+Holiday;IOTS+Holiday", 4),
+        ("IOTS+Holiday", 4),
+    ], ids=["default-groups-listed", "default-groups-not-listed"])
+    def test_each_model_is_trained_once(self, tmp_path, monkeypatch, combos, trained):
+        """Two combinations and two window widths train four models; the
+        horizon sweep trains the configured groups only when no combination
+        already did."""
+        cfg = tmp_path / "ablate.ini"
+        cfg.write_text(CONFIG.replace("model.n_trees = 8", "model.n_trees = 5") + (
+            f"ablate.combos = {combos}\n"
+            "ablate.window_widths_minutes = 0,60\n"
+            "ablate.intervals_minutes = 60\n"
+        ))
+        calls = []
+        real_train = gbm.train
+
+        def counting_train(*args, **kwargs):
+            calls.append(args)
+            return real_train(*args, **kwargs)
+        monkeypatch.setattr(gbm, "train", counting_train)
+        monkeypatch.setattr(forecast, "train", counting_train)
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(cfg), "--out", str(out), "--quiet", "ablate"]) == 0
+        assert len(calls) == trained
+        assert len(read_csv(out / "horizon_sweep.csv")) == 2
 
 
 class TestDiagnoseCommands:

@@ -1,4 +1,6 @@
 """Rolling re-anchored forecasting and the window/horizon sweeps."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,196 @@ class TestRollingForecast:
                                             engineering, input_overrides=overrides)
             assert np.array_equal(got.y_pred, want.y_pred)
             assert np.array_equal(got.anchors, want.anchors)
+
+
+def reference_forecast(model, table, config, access_interval_seconds=86400,
+                       horizon_seconds=28800, input_overrides=None):
+    """The rolling forecast as one anchor after another, one step after
+    another, with a list buffer as the MVART window: the per-row form that
+    ``forecast.rolling_forecast`` must reproduce bit for bit."""
+    step = table.interval_seconds
+    if access_interval_seconds % step or horizon_seconds % step:
+        raise ConfigError("access interval and horizon must be multiples of the sampling interval")
+    if horizon_seconds < step:
+        raise ConfigError("horizon must cover at least one step")
+    if horizon_seconds > access_interval_seconds:
+        raise ConfigError(
+            f"horizon {horizon_seconds}s exceeds access interval {access_interval_seconds}s"
+        )
+    if (len(table) - 1) * step < access_interval_seconds:
+        raise ConfigError("table does not cover one access interval")
+    names = model.feature_names
+    et = features.engineered_table(table, config, forecast.groups_for_model(model))
+    static = np.column_stack([
+        et.columns[n] if n != "MVART" else np.full(len(et), np.nan) for n in names
+    ])
+    use_mvart = "MVART" in names
+    mvart_pos = names.index("MVART") if use_mvart else -1
+    exogenous = [j for j, n in enumerate(names) if n != "MVART"]
+    features.check_finite(static[:, exogenous], [names[j] for j in exogenous],
+                          table.timestamps)
+    override_pos = {}
+    for key, val in (input_overrides or {}).items():
+        if key not in names:
+            raise ConfigError(f"override for unknown feature {key!r}")
+        override_pos[names.index(key)] = float(val)
+
+    local = table.timestamps + timebase.offset_seconds(config.utc_offset_hours)
+    anchor_idx = np.flatnonzero(local % access_interval_seconds == 0)
+    if use_mvart:
+        anchor_idx = anchor_idx[anchor_idx >= config.mva_window - 1]
+    if len(anchor_idx) == 0:
+        raise DataError("no usable anchor instants in the table")
+    w = config.mva_window
+    target = table.target
+    n_rows = len(table)
+    if use_mvart and mvart_pos not in override_pos:
+        scored = anchor_idx[anchor_idx + 1 < n_rows]
+        seeded = np.unique(scored[:, None] + np.arange(1 - w, 1))
+        features.check_finite(target[seeded, None], ["RT"], table.timestamps[seeded])
+
+    ts_out, yt, yp, aid, rows_out = [], [], [], [], []
+    for a_num, a in enumerate(anchor_idx):
+        if use_mvart:
+            buffer = list(target[a - w + 1: a + 1])
+        for k in range(1, horizon_seconds // step + 1):
+            t = a + k
+            if t >= n_rows:
+                break
+            row = static[t].copy()
+            if use_mvart:
+                row[mvart_pos] = np.mean(buffer[-w:])
+            for pos, val in override_pos.items():
+                row[pos] = val
+            pred = model.predict_row(row)
+            if use_mvart:
+                buffer.append(pred)
+            ts_out.append(table.timestamps[t])
+            yt.append(target[t])
+            yp.append(pred)
+            aid.append(a_num)
+            rows_out.append(row)
+    if not ts_out:
+        raise DataError("no scored predictions: horizon never lands inside the table")
+    timestamps = np.array(ts_out, dtype=np.int64)
+    y_true = np.array(yt)
+    features.check_finite(y_true[:, None], ["RT"], timestamps)
+    return forecast.ForecastRun(
+        access_interval_seconds=access_interval_seconds,
+        horizon_seconds=horizon_seconds,
+        timestamps=timestamps,
+        y_true=y_true,
+        y_pred=np.array(yp),
+        anchor_ids=np.array(aid, dtype=np.int64),
+        anchors=table.timestamps[anchor_idx],
+        feature_names=names,
+        feature_rows=np.array(rows_out),
+    )
+
+
+def outcome(fn, *args, **kwargs):
+    """The run, or the type and message of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (ConfigError, DataError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_run(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert got.access_interval_seconds == want.access_interval_seconds
+    assert got.horizon_seconds == want.horizon_seconds
+    assert got.feature_names == want.feature_names
+    for field in ("timestamps", "y_true", "y_pred", "anchor_ids", "anchors", "feature_rows"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
+EQUIVALENCE_GROUPS = {
+    "mva-mvart-holiday": FULL_GROUPS,
+    "iots-holiday": frozenset({"IOTS", "Holiday"}),
+    "iots-mvart": frozenset({"IOTS", "MVART"}),
+}
+EQUIVALENCE_INTERVALS = [(86400, 28800), (600, 600), (3600, 3600), (86400, 86400), (7200, 3000)]
+
+
+@pytest.fixture(scope="module")
+def equivalence_cases(synth_table, synth_splits):
+    """Per (window, groups): a model, its config, and a validation table that
+    ends 17 rows past a midnight anchor, so the last day's horizon is cut."""
+    start = len(synth_splits[0])
+    cases = {}
+
+    def case(w, group_key):
+        if (w, group_key) not in cases:
+            cfg = EngineeringConfig(mva_window=w)
+            x = features.build_design_matrix(synth_splits[0], cfg, EQUIVALENCE_GROUPS[group_key])
+            model = gbm.train(x, gbm.Hyperparams(max_depth=3, n_trees=6))
+            local = synth_table.timestamps + timebase.offset_seconds(cfg.utc_offset_hours)
+            midnight = np.flatnonzero(local % 86400 == 0)
+            last = midnight[midnight >= start + 2 * 144][0]
+            cases[w, group_key] = (model, cfg, synth_table.row_slice(start, last + 18))
+        return cases[w, group_key]
+    return case
+
+
+class TestGridEqualsPerRowForecast:
+    """The anchors x steps recurrence gives the per-row forecast's every
+    array bit for bit, and raises the same error first."""
+
+    @pytest.mark.parametrize("overrides", ["none", "mvart", "all-but-mvart"])
+    @pytest.mark.parametrize("access,horizon", EQUIVALENCE_INTERVALS)
+    @pytest.mark.parametrize("group_key", list(EQUIVALENCE_GROUPS))
+    @pytest.mark.parametrize("w", [1, 6, 12])
+    def test_case_grid(self, equivalence_cases, w, group_key, access, horizon, overrides):
+        model, cfg, table = equivalence_cases(w, group_key)
+        names = model.feature_names
+        chosen = {
+            "none": None,
+            "mvart": {"MVART": 20.5},
+            "all-but-mvart": {n: 0.5 + j for j, n in enumerate(names) if n != "MVART"},
+        }[overrides]
+        want = outcome(reference_forecast, model, table, cfg, access, horizon, chosen)
+        got = outcome(forecast.rolling_forecast, model, table, cfg, access, horizon, chosen)
+        assert_same_run(got, want)
+        if overrides != "mvart" or "MVART" in names:
+            assert isinstance(want, forecast.ForecastRun)
+
+    def test_truncated_last_horizon(self, equivalence_cases):
+        model, cfg, table = equivalence_cases(6, "mva-mvart-holiday")
+        run = forecast.rolling_forecast(model, table, cfg)
+        assert (run.anchor_ids == len(run.anchors) - 1).sum() == 17
+
+    def test_seed_window_is_named_before_a_scored_row(self, small_model, engineering):
+        table = dataio.synthesize(dataio.SynthConfig(seed=42, n_days=20))
+        run = forecast.rolling_forecast(small_model, table, engineering)
+        a = int(np.searchsorted(table.timestamps, run.anchors[3]))
+        target = table.target.copy()
+        target[[a - 2, a + 5]] = [np.inf, np.nan]
+        holed = dataio.TimeTable(table.timestamps, table.columns, target,
+                                 table.interval_seconds)
+        instant = timebase.format_instant(table.timestamps[a - 2])
+        with pytest.raises(DataError, match=f"'RT' at {instant}"):
+            forecast.rolling_forecast(small_model, holed, engineering)
+        assert outcome(reference_forecast, small_model, holed, engineering) == \
+            outcome(forecast.rolling_forecast, small_model, holed, engineering)
+
+    @pytest.mark.parametrize("access", [600, 1200])
+    def test_overlapping_seed_windows_name_the_earliest_instant(
+            self, small_model, engineering, access):
+        """Windows overlap when anchors are closer than the window; the first
+        non-finite seed named must still be the earliest in time."""
+        table = dataio.synthesize(dataio.SynthConfig(seed=42, n_days=20))
+        target = table.target.copy()
+        target[[1000, 1003]] = [np.nan, np.inf]
+        holed = dataio.TimeTable(table.timestamps, table.columns, target,
+                                 table.interval_seconds)
+        want = outcome(reference_forecast, small_model, holed, engineering, access, access)
+        assert want[0] is DataError
+        assert outcome(forecast.rolling_forecast, small_model, holed, engineering,
+                       access, access) == want
 
 
 class TestSweeps:
