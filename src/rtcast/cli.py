@@ -373,6 +373,7 @@ def _adf_doc(result: stats.AdfResult) -> dict:
     return {
         "statistic": result.statistic,
         "used_lags": result.used_lags,
+        "max_lags": result.max_lags,
         "reject_at": {f"{int(level * 100)}%": bool(v) for level, v in result.reject_at.items()},
         "p_bracket": list(result.p_bracket),
     }

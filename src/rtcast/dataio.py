@@ -237,13 +237,20 @@ def _ingest_stream(fh, schema) -> TimeTable:
             stamps.append(timebase.parse_instant(row[ts_idx]))
         except ParseError as exc:
             raise ParseError(f"row {rownum}: {exc}") from None
+        # float() also reads PEP 515 underscores, non-ASCII digits and
+        # non-ASCII spaces ("1_5", "１５"); a CSV number is plain ASCII. Rows
+        # are checked whole, and the cells of a row that fails one by one.
+        text = "".join(row)
+        plain = text.isascii() and "_" not in text
         vals = []
         for i, name in numeric_idx:
-            cell = row[i].strip()
+            cell = row[i].strip() if plain or row[i].isascii() else row[i]
             if cell == "":
                 vals.append(math.nan)
                 continue
             try:
+                if not plain and ("_" in cell or not cell.isascii()):
+                    raise ValueError(cell)
                 vals.append(float(cell))
             except ValueError:
                 raise ParseError(

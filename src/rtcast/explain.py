@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
 from .features import FeatureMatrix, training_means
-from .gbm import grow_tree
+from .gbm import Ensemble, grow_tree, predict_sweep
 from .stats import metrics
 
 
@@ -122,32 +122,46 @@ def pdp(model, X: FeatureMatrix, feature: str, grid_size: int = 20) -> PdpCurve:
     to max; integer-valued features with few levels are treated as
     categorical and evaluated at each observed level. A constant feature
     yields a single-point curve flagged ``constant=True``.
+
+    An :class:`~rtcast.gbm.Ensemble` is read by ``gbm.predict_sweep``, which
+    walks each tree once per distinct branch of the feature, on blocks of at
+    most one grid value per column. Its curve is bit for bit the one of
+    setting the column to each grid value in turn and calling
+    ``predict_batch``, the path any other callable takes.
     """
     if grid_size < 2:
         raise ConfigError(f"grid_size must be >= 2, got {grid_size}")
-    predict = _predictor(model)
     j = X.index(feature)
     col = X.rows[:, j]
     levels = np.unique(col)
-    if len(levels) == 1:
-        rows = X.rows.copy()
-        rows[:, j] = levels[0]
-        return PdpCurve(
-            feature, levels, np.array([float(np.mean(predict(rows)))]), constant=True
-        )
+    constant = len(levels) == 1
     # Integer-valued columns up to hour-of-day cardinality are categorical;
     # a larger grid_size widens what still counts as "few levels".
-    if len(levels) <= max(grid_size, 24) and np.all(levels == np.round(levels)):
+    if constant or (len(levels) <= max(grid_size, 24) and np.all(levels == np.round(levels))):
         grid = levels
     else:
         grid = np.linspace(col.min(), col.max(), grid_size)
 
-    response = np.empty(len(grid))
-    rows = X.rows.copy()
-    for i, v in enumerate(grid):
+    if isinstance(model, Ensemble):
+        # At most one grid value per column at a time: no block of swept
+        # predictions outgrows X.rows, the copy the per-value loop makes.
+        width = X.rows.shape[1]
+        swept = (pred for lo in range(0, len(grid), width)
+                 for pred in predict_sweep(model, X.rows, j, grid[lo:lo + width]))
+    else:
+        swept = _swept(_predictor(model), X.rows, j, grid)
+    # Each mean reads one contiguous prediction vector, as np.mean of a
+    # predict_batch result does.
+    response = np.array([float(np.mean(pred)) for pred in swept])
+    return PdpCurve(feature, grid, response, constant=constant)
+
+
+def _swept(predict, rows, j, grid):
+    """The predictions with column ``j`` set to each grid value in turn."""
+    rows = rows.copy()
+    for v in grid:
         rows[:, j] = v
-        response[i] = float(np.mean(predict(rows)))
-    return PdpCurve(feature, grid, response)
+        yield predict(rows)
 
 
 def fit_surrogate_ridge(model, X: FeatureMatrix, lambda_: float = 1.0) -> LinearSurrogate:

@@ -41,12 +41,22 @@ the first slot of its left child at ``2i`` and of its right child at
 ``2i + 1``. A row at slot ``s`` steps to ``child[s + (x[feature[s]] >=
 threshold[s])]``: left when ``x < threshold``. A leaf is its own child, so
 after ``depth`` steps for all trees at once each tree is on its leaf.
-``_walk`` steps one row, or a chunk of ``ROW_CHUNK`` rows as its row-major
-values with each row's features offset by the row's start, so its arrays
-stay ``ROW_CHUNK x (T + 1)``. ``np.cumsum`` along the trees then adds the
-leaf values to the base score one tree at a time in tree order, the float
-additions of ``train``: a row gives the same float in any batch, and every
-stage of ``staged_predictions`` is exact.
+``_leaves`` is that one walk: it steps one row, or a chunk of rows as their
+row-major values, each root reading its row at an offset, and returns the
+leaf values. ``np.cumsum`` along the trees then adds them to the base score
+one tree at a time in tree order, the float additions of ``train``: a row
+gives the same float in any batch, and every stage of
+``staged_predictions`` is exact. ``predict_batch`` walks ``ROW_CHUNK`` rows
+at a time, so its arrays stay ``ROW_CHUNK x (T + 1)``.
+
+``predict_sweep`` reads the same walk with other roots. Swept over a grid, a
+feature ``j`` reaches a tree only at its branches on ``j``, so a tree's leaf
+for a row depends on the grid value ``v`` only through its bucket: the
+number of the tree's ``j`` thresholds ``<= v``. Each distinct (tree, bucket)
+pair becomes one root, walked on the row copy of its first grid value,
+which it reads through its offset; each grid value gathers its pairs'
+leaves in tree order, and the same ``cumsum`` gives the same floats as
+``predict_batch`` on the swept rows.
 """
 from __future__ import annotations
 
@@ -148,6 +158,7 @@ class Ensemble:
         compiles."""
         nodes = [None, *self.trees]
         level = [0] * len(nodes)
+        tree = [-1, *range(len(self.trees))]
         feature, threshold, child, value = [0], [math.inf], [0, 0], [self.base_score]
         i = 1
         while i < len(nodes):
@@ -164,6 +175,7 @@ class Ensemble:
                 value.append(0.0)
                 nodes += (node.left, node.right)
                 level += (level[i] + 1,) * 2
+                tree += (tree[i],) * 2
             i += 1
         return _FlatEnsemble(
             feature=np.repeat(np.array(feature, dtype=np.intp), 2),
@@ -173,6 +185,7 @@ class Ensemble:
             roots=np.arange(0, 2 * len(self.trees) + 2, 2),
             # At least one step: it spreads the roots to one row of slots per row.
             depth=max(1, max(level)),
+            tree=np.array(tree, dtype=np.intp),
         )
 
     def predict_row(self, row) -> float:
@@ -183,7 +196,7 @@ class Ensemble:
             )
         if not np.isfinite(x).all():
             check_finite(x[None], self.feature_names)
-        return float(_walk(self._flat, x)[-1])
+        return float(np.cumsum(_leaves(self._flat, x))[-1])
 
     def predict_batch(self, rows) -> np.ndarray:
         return _read(self, rows, stages=False)
@@ -203,27 +216,34 @@ class _FlatEnsemble(NamedTuple):
     value: np.ndarray  # what a leaf adds to the prediction; 0 on a branch
     roots: np.ndarray
     depth: int
+    tree: np.ndarray  # the tree of each node, by node; -1 for the base score
 
 
-def _walk(flat: _FlatEnsemble, x: np.ndarray, offset=None):
-    """Walk every tree for one row, or for a chunk of rows (``x`` its
-    row-major values, ``offset`` a column of row starts). Returns the running
-    sums along the trees, ``[..., k]`` after ``k`` trees."""
+def _leaves(flat: _FlatEnsemble, x: np.ndarray, offset=None) -> np.ndarray:
+    """Walk from every root for one row, or for a chunk of rows (``x`` its
+    row-major values, ``offset`` the start of the row each root reads).
+    Returns the values of the leaves reached, ``[..., k]`` for root ``k``."""
     slot = flat.roots
     for _ in range(flat.depth):
         at = flat.feature[slot]  # one row skips the add, a quarter of its walk time
         at = at if offset is None else at + offset
         slot = flat.child[slot + (x[at] >= flat.threshold[slot])]
-    return np.cumsum(flat.value[slot], axis=-1)
+    return flat.value[slot]
+
+
+def _matrix(model: Ensemble, rows) -> np.ndarray:
+    x = np.asarray(rows, dtype=np.float64)
+    width = len(model.feature_names)
+    if x.ndim != 2 or x.shape[1] != width:
+        raise ConfigError(f"rows have shape {x.shape}, model expects width {width}")
+    return x
 
 
 def _read(model: Ensemble, rows, stages: bool) -> np.ndarray:
     """Predictions for a row matrix, summed ``ROW_CHUNK`` rows at a time: the
     final ones, or with ``stages`` a ``(T + 1, rows)`` array, after 0..T trees."""
-    x = np.asarray(rows, dtype=np.float64)
-    width = len(model.feature_names)
-    if x.ndim != 2 or x.shape[1] != width:
-        raise ConfigError(f"rows have shape {x.shape}, model expects width {width}")
+    x = _matrix(model, rows)
+    width = x.shape[1]
     check_finite(x, model.feature_names)
     flat = model._flat
     out = np.empty((len(flat.roots), len(x)) if stages else len(x))
@@ -231,7 +251,69 @@ def _read(model: Ensemble, rows, stages: bool) -> np.ndarray:
     offset = np.arange(min(ROW_CHUNK, len(x)))[:, None] * width
     for lo in range(0, len(x), ROW_CHUNK):
         hi = min(lo + ROW_CHUNK, len(x))
-        out[..., lo:hi] = _walk(flat, x[lo:hi].ravel(), offset[:hi - lo]).T[keep]
+        leaves = _leaves(flat, x[lo:hi].ravel(), offset[:hi - lo])
+        out[..., lo:hi] = np.cumsum(leaves, axis=-1).T[keep]
+    return out
+
+
+def predict_sweep(model: Ensemble, rows, j: int, grid) -> np.ndarray:
+    """Predictions as feature ``j`` sweeps ``grid``: row ``g`` of the
+    ``(G, rows)`` result is, bit for bit, ``model.predict_batch(rows)`` with
+    column ``j`` set to ``grid[g]``, and a non-finite cell raises the error
+    that call raises on the first grid value it fails for.
+
+    A tree reads the swept value only at its branches on ``j``, and two grid
+    values with the same bucket, the count of those branch thresholds
+    ``<= v``, take the same side at each of them. So each distinct
+    (tree, bucket) pair, a root of the walk, is walked once, on the row copy
+    of its first grid value, and each grid value gathers its pairs' leaves
+    in tree order for the sums of ``predict_batch``.
+    """
+    x = _matrix(model, rows)
+    width = x.shape[1]
+    if not 0 <= j < width:
+        raise ConfigError(f"feature index {j} outside 0..{width - 1}")
+    grid = np.asarray(grid, dtype=np.float64)
+    n_grid = len(grid)
+    if n_grid == 0:
+        return np.empty((0, len(x)))
+    others = np.isfinite(x)
+    others[:, j] = True
+    bad = np.flatnonzero(~np.isfinite(grid))
+    if not others.all() or len(bad):
+        swept = x.copy()
+        swept[:, j] = grid[0 if not others.all() else bad[0]]
+        check_finite(swept, model.feature_names)
+    del others
+    flat = model._flat
+    n_trees = len(flat.roots) - 1
+    # By node. Leaves hold feature 0 and an infinite threshold; branches never do.
+    feature, threshold = flat.feature[::2], flat.threshold[::2]
+    on_j = (feature == j) & np.isfinite(threshold)
+    bucket = np.zeros((n_trees, n_grid), dtype=np.intp)
+    np.add.at(bucket, flat.tree[on_j], threshold[on_j][:, None] <= grid)
+    # A tree may branch on j several times at one threshold, so a bucket can
+    # reach the tree's count of j branches, not only the grid size.
+    keys = np.arange(n_trees)[:, None] * (np.count_nonzero(on_j) + 1) + bucket
+    _, first, pair = np.unique(keys.ravel(), return_index=True, return_inverse=True)
+    pair_tree, pair_grid = np.divmod(first, n_grid)
+    pairs = flat._replace(roots=np.concatenate(([0], flat.roots[1 + pair_tree])))
+    # Column 0 is the base score; then each grid value's pair for every tree.
+    gather = np.zeros((n_grid, n_trees + 1), dtype=np.intp)
+    gather[:, 1:] = 1 + pair.reshape(n_trees, n_grid).T
+    # No chunk temporary exceeds ROW_CHUNK x (T + 1) values: the (rows, G, T + 1)
+    # gather is the largest, as there are at most T x G pairs.
+    step = max(1, ROW_CHUNK // n_grid)
+    copies = np.empty((step, n_grid, width))
+    offset = (np.arange(step)[:, None] * n_grid + np.concatenate(([0], pair_grid))) * width
+    out = np.empty((n_grid, len(x)))
+    for lo in range(0, len(x), step):
+        hi = min(lo + step, len(x))
+        chunk = copies[:hi - lo]
+        chunk[...] = x[lo:hi, None]
+        chunk[..., j] = grid
+        sums = _leaves(pairs, chunk.ravel(), offset[:hi - lo])[:, gather]
+        out[:, lo:hi] = np.cumsum(sums, axis=-1, out=sums)[..., -1].T
     return out
 
 

@@ -37,6 +37,7 @@ class AdfResult:
     used_lags: int
     reject_at: dict
     p_bracket: tuple
+    max_lags: int  # the largest lag AIC could choose; used_lags == max_lags hit the cap
 
 
 @dataclass(frozen=True)
@@ -196,7 +197,7 @@ def adf_test(series, max_lags: int | None = None) -> AdfResult:
         bracket = (0.05, 0.10)
     else:
         bracket = (0.10, 1.0)
-    return AdfResult(stat, best_lag, reject, bracket)
+    return AdfResult(stat, best_lag, reject, bracket, max_lags)
 
 
 def histogram(series, bin_width: float) -> list:

@@ -228,7 +228,9 @@ class TestDiagnoseCommands:
                 "diagnose", "adf")
         rt = json.loads((dest / "adf_rt.json").read_text())
         diff = json.loads((dest / "adf_diff.json").read_text())
-        assert {"statistic", "used_lags", "reject_at", "p_bracket"} <= set(rt)
+        assert {"statistic", "used_lags", "max_lags", "reject_at", "p_bracket"} <= set(rt)
+        for doc in (rt, diff):
+            assert 0 <= doc["used_lags"] <= doc["max_lags"]
         assert diff["reject_at"]["1%"] is True
 
     def test_hist_per_split(self, pipeline, tmp_path):

@@ -3,6 +3,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rtcast import dataio, timebase
 from rtcast.dataio import SplitSpec, SynthConfig, TimeTable
@@ -89,6 +91,54 @@ class TestIngest:
         with pytest.raises(ParseError) as err:
             dataio.ingest_csv(io.StringIO(text))
         assert "row 2" in str(err.value)
+
+    @pytest.mark.parametrize("cell", ["1_5", "\uff11\uff15", "\u0661\u0665", "\u00a015",
+                                      "\u00a0"])
+    def test_number_outside_the_ascii_grammar_is_refused(self, cell):
+        """Python's float reads all of these (15.0, or blank for a lone
+        no-break space); a CSV cell must be a plain ASCII number."""
+        text = ("timestamp,RT,OutTemp\n"
+                "2020-01-01T00:00:00Z,21.0,4.0\n"
+                f"2020-01-01T00:10:00Z,21.5,{cell}\n")
+        with pytest.raises(ParseError) as err:
+            dataio.ingest_csv(io.StringIO(text))
+        assert str(err.value) == f"row 2: non-numeric value {cell!r} in column 'OutTemp'"
+
+    def test_ignored_column_may_hold_any_text(self):
+        text = ("timestamp,RT,note\n"
+                "2020-01-01T00:00:00Z,21.0,caf\u00e9_1\n"
+                "2020-01-01T00:10:00Z,21.5, 2_0\n")
+        t = dataio.ingest_csv(io.StringIO(text),
+                              {"timestamp": "timestamp", "RT": "target", "note": "ignore"})
+        assert t.target.tolist() == [21.0, 21.5]
+
+    @settings(max_examples=150, deadline=None)
+    @given(value=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+           pick=st.data())
+    def test_underscore_or_non_ascii_digit_is_refused(self, value, pick):
+        """Inserting an underscore, or a non-ASCII digit in place of an ASCII
+        one, into a valid number gives a ParseError naming the row and column."""
+        text = repr(value)
+        mutate = pick.draw(st.sampled_from(["underscore", "fullwidth", "arabic-indic",
+                                            "devanagari"]))
+        if mutate == "underscore":
+            # PEP 515 allows an underscore only between two digits.
+            between = [k for k in range(1, len(text)) if (text[k - 1] + text[k]).isdigit()]
+            assume(between)
+            k = pick.draw(st.sampled_from(between))
+            cell = text[:k] + "_" + text[k:]
+        else:
+            k = pick.draw(st.sampled_from([k for k, ch in enumerate(text) if ch.isdigit()]))
+            zero = {"fullwidth": 0xFF10, "arabic-indic": 0x0660, "devanagari": 0x0966}[mutate]
+            cell = text[:k] + chr(zero + int(text[k])) + text[k + 1:]
+        assert float(cell) is not None  # Python's float still reads it
+        row = pick.draw(st.integers(1, 3))
+        lines = ["timestamp,RT,OutTemp"] + [
+            f"2020-01-01T00:{10 * i:02d}:00Z,21.0,{cell if i + 1 == row else text}"
+            for i in range(3)]
+        with pytest.raises(ParseError) as err:
+            dataio.ingest_csv(io.StringIO("\n".join(lines) + "\n"))
+        assert str(err.value) == f"row {row}: non-numeric value {cell!r} in column 'OutTemp'"
 
     def test_empty_cell_becomes_nan(self):
         text = (

@@ -111,6 +111,43 @@ class TestPdp:
         assert curve.constant
         assert curve.grid.tolist() == [5.0]
 
+    @pytest.mark.parametrize("grid_size", [2, 20, 40])
+    def test_ensemble_sweep_equals_the_loop(self, small_model, train_matrix, grid_size):
+        """An Ensemble is swept; its predict_batch takes the per-value loop."""
+        for name in small_model.feature_names:
+            got = explain.pdp(small_model, train_matrix, name, grid_size)
+            want = explain.pdp(small_model.predict_batch, train_matrix, name, grid_size)
+            assert got.grid.tobytes() == want.grid.tobytes()
+            assert got.mean_response.tobytes() == want.mean_response.tobytes(), name
+            assert got.constant == want.constant
+
+    def test_constant_feature_of_an_ensemble(self, small_model, train_matrix):
+        X = make_matrix(train_matrix.rows[:50].copy(), train_matrix.feature_names)
+        X.rows[:, 2] = 7.0
+        got = explain.pdp(small_model, X, X.feature_names[2])
+        want = explain.pdp(small_model.predict_batch, X, X.feature_names[2])
+        assert got.constant and want.constant
+        assert got.mean_response.tobytes() == want.mean_response.tobytes()
+
+    @pytest.mark.parametrize("case", ["other-column", "grid-overflow"])
+    def test_ensemble_errors_equal_the_loop(self, small_model, train_matrix, case):
+        rows = train_matrix.rows[:60].copy()
+        j = 4
+        if case == "other-column":
+            rows[33, 6] = np.inf
+        else:
+            # The column's range overflows, so linspace yields nan and inf.
+            rows[:, j] = np.where(np.arange(60) % 2, 1.7e308, -1.7e308)
+            rows[0, j] = 0.5
+        X = make_matrix(rows, train_matrix.feature_names)
+        errors = []
+        for model in (small_model, small_model.predict_batch):
+            with pytest.raises(DataError) as exc, np.errstate(over="ignore", invalid="ignore"):
+                explain.pdp(model, X, X.feature_names[j])
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+        assert repr(X.feature_names[j if case == "grid-overflow" else 6]) in errors[0]
+
 
 class TestRidgeSurrogate:
     def test_closed_form_matches_gaussian_elimination(self, random_matrix):

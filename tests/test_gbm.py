@@ -759,3 +759,119 @@ class TestCompiledWalk:
         name = small_model.feature_names[4]
         with pytest.raises(DataError, match=f"non-finite value in column {name!r} at row 0"):
             small_model.predict_row(x)
+
+
+def random_tree(rng, depth, spine=True):
+    """A random tree that reaches ``depth`` along one path. Features and
+    thresholds come from WIDTH and the small GRID values, so a tree often
+    branches on one feature several times at one threshold."""
+    if depth == 0 or not (spine or rng.random() < 0.6):
+        return leaf(float(rng.normal()))
+    keep = rng.random() < 0.5
+    return branch(int(rng.integers(WIDTH)), float(rng.choice(SWEEP_VALUES)),
+                  random_tree(rng, depth - 1, spine and keep),
+                  random_tree(rng, depth - 1, spine and not keep))
+
+
+SWEEP_VALUES = [-2.0, -0.5, 0.0, 0.5, 1.0, 3.25]
+
+
+def assert_sweep_is_batch(model, rows, j, grid):
+    """Each row of the sweep equals predict_batch with column j set."""
+    got = gbm.predict_sweep(model, rows, j, grid)
+    assert got.shape == (len(grid), len(rows))
+    for g, v in enumerate(grid):
+        swept = np.array(rows, dtype=np.float64)
+        swept[:, j] = v
+        assert np.array_equal(got[g], model.predict_batch(swept)), (j, v)
+
+
+class TestPredictSweep:
+    @pytest.mark.parametrize("depth", [1, 2, 6, 11, 15])
+    @pytest.mark.parametrize("n_trees", [0, 1, 40])
+    def test_random_ensembles(self, depth, n_trees):
+        rng = np.random.default_rng(100 * depth + n_trees)
+        model = ensemble([random_tree(rng, depth) for _ in range(n_trees)])
+        rows = rng.choice(SWEEP_VALUES + [0.25, 2.0], size=(2 * gbm.ROW_CHUNK + 5, WIDTH))
+        for j in range(WIDTH):
+            for grid in ([0.5], [-3.0, 0.5, 0.75], SWEEP_VALUES, np.linspace(-2.5, 3.5, 40)):
+                assert_sweep_is_batch(model, rows, j, grid)
+        # More grid values than ROW_CHUNK: one row a chunk.
+        assert_sweep_is_batch(model, rows[:7], 0, np.linspace(-1.0, 1.0, gbm.ROW_CHUNK + 44))
+
+    @settings(max_examples=200, deadline=None)
+    @given(trees=st.lists(TREES, max_size=8),
+           j=st.integers(0, WIDTH - 1),
+           grid=st.lists(GRID | st.floats(-5.0, 5.0), min_size=1, max_size=6),
+           rows=st.lists(st.lists(GRID | st.floats(-5.0, 5.0), min_size=WIDTH, max_size=WIDTH),
+                         min_size=1, max_size=6))
+    def test_hypothesis_ensembles(self, trees, j, grid, rows):
+        assert_sweep_is_batch(ensemble(trees), np.array(rows), j, grid)
+
+    def test_repeated_threshold_deeper_than_the_grid(self):
+        """Tree 0 branches on feature 0 three times, twice at one threshold, so
+        its bucket for 3.25 is 3 while the grid has one value; tree 1 does not
+        branch on feature 0, so its bucket is 0. Keys spaced by the grid size
+        would give both trees one pair."""
+        tree = branch(0, 0.5, leaf(-1.0),
+                      branch(0, 0.5, leaf(2.0), branch(0, 1.0, leaf(4.0), leaf(8.0))))
+        model = ensemble([tree, branch(1, 0.0, leaf(16.0), leaf(32.0))])
+        for grid in ([3.25], [0.5], [0.0, 0.5, 1.0, 3.25], [1.0, 1.0]):
+            assert_sweep_is_batch(model, ROWS, 0, grid)
+
+    def test_grid_value_on_a_threshold_routes_right(self):
+        model = ensemble([branch(0, 0.5, leaf(-1.0), leaf(1.0))])
+        got = gbm.predict_sweep(model, ROWS[:1], 0, [0.0, 0.5])
+        assert got[:, 0].tolist() == [0.25 - 0.3, 0.25 + 0.3]
+
+    def test_unused_feature_is_flat(self):
+        rng = np.random.default_rng(7)
+        model = ensemble([random_tree(rng, 4) for _ in range(10)])
+        unused = WIDTH  # one column more than the trees read
+        wide = Ensemble(model.base_score, model.learning_rate, model.trees,
+                        tuple(f"f{i}" for i in range(WIDTH + 1)), 1.0, 0.0)
+        rows = np.column_stack([ROWS, np.zeros(len(ROWS))])
+        got = gbm.predict_sweep(wide, rows, unused, [-1.0, 0.0, 9.0])
+        assert (got == wide.predict_batch(rows)).all()
+
+    def test_empty_grid_and_no_rows(self, small_model, val_matrix):
+        assert gbm.predict_sweep(small_model, val_matrix.rows, 3, []).shape == (0, len(val_matrix))
+        assert gbm.predict_sweep(small_model, val_matrix.rows[:0], 3, [1.0, 2.0]).shape == (2, 0)
+
+    def test_feature_index_and_width_are_checked(self, small_model, val_matrix):
+        width = len(small_model.feature_names)
+        for j in (-1, width):
+            with pytest.raises(ConfigError, match="feature index"):
+                gbm.predict_sweep(small_model, val_matrix.rows, j, [0.0])
+        with pytest.raises(ConfigError, match="model expects width"):
+            gbm.predict_sweep(small_model, val_matrix.rows[:, 1:], 0, [0.0])
+
+    @pytest.mark.parametrize("where, grid", [
+        ("other-column", [1.0, 2.0]),
+        ("other-column", [np.nan, 2.0]),
+        ("swept-column", [1.0, 2.0]),
+        ("nowhere", [1.0, np.inf, np.nan]),
+        ("nowhere", [-np.inf]),
+    ])
+    def test_non_finite_cells_raise_as_the_batch_does(self, small_model, val_matrix, where, grid):
+        """The error of predict_batch on the first grid value that fails; a
+        non-finite cell in the swept column is overwritten, so it is none."""
+        rows = val_matrix.rows[:40].copy()
+        j = 3
+        if where != "nowhere":
+            rows[17, 5 if where == "other-column" else j] = np.nan
+        want = None
+        for v in grid:
+            swept = rows.copy()
+            swept[:, j] = v
+            try:
+                small_model.predict_batch(swept)
+            except DataError as exc:
+                want = str(exc)
+                break
+        if want is None:
+            assert_sweep_is_batch(small_model, rows, j, grid)
+            return
+        with pytest.raises(DataError) as got:
+            gbm.predict_sweep(small_model, rows, j, grid)
+        assert str(got.value) == want

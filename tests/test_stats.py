@@ -97,7 +97,9 @@ class TestAdf:
     def test_lag_selection_stays_within_bound(self):
         y = ar1(0.6, 400, seed=6)
         res = stats.adf_test(y, max_lags=5)
-        assert 0 <= res.used_lags <= 5
+        assert 0 <= res.used_lags <= res.max_lags == 5
+        # The default cap is Schwert's floor(12 * (n/100)**0.25): 16 at n = 400.
+        assert stats.adf_test(y).max_lags == 16
 
     def test_too_short(self):
         with pytest.raises(DataError):
