@@ -761,19 +761,20 @@ class TestCompiledWalk:
             small_model.predict_row(x)
 
 
+#: The values GRID draws from.
+SWEEP_VALUES = [-2.0, -0.5, 0.0, 0.5, 1.0, 3.25]
+
+
 def random_tree(rng, depth, spine=True):
     """A random tree that reaches ``depth`` along one path. Features and
-    thresholds come from WIDTH and the small GRID values, so a tree often
-    branches on one feature several times at one threshold."""
+    thresholds come from WIDTH and SWEEP_VALUES, so a tree often branches on
+    one feature several times at one threshold."""
     if depth == 0 or not (spine or rng.random() < 0.6):
         return leaf(float(rng.normal()))
     keep = rng.random() < 0.5
     return branch(int(rng.integers(WIDTH)), float(rng.choice(SWEEP_VALUES)),
                   random_tree(rng, depth - 1, spine and keep),
                   random_tree(rng, depth - 1, spine and not keep))
-
-
-SWEEP_VALUES = [-2.0, -0.5, 0.0, 0.5, 1.0, 3.25]
 
 
 def assert_sweep_is_batch(model, rows, j, grid):
