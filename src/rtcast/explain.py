@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError
 from .features import FeatureMatrix, training_means
-from .gbm import Ensemble, grow_tree, predict_sweep
+from .gbm import Ensemble, grow_tree, predict_coalitions, predict_sweep
 from .stats import metrics
 
 
@@ -140,7 +140,12 @@ def pdp(model, X: FeatureMatrix, feature: str, grid_size: int = 20) -> PdpCurve:
     if constant or (len(levels) <= max(grid_size, 24) and np.all(levels == np.round(levels))):
         grid = levels
     else:
-        grid = np.linspace(col.min(), col.max(), grid_size)
+        lo, hi = float(col.min()), float(col.max())
+        # Python floats: an overflowing width is inf, with no numpy warning.
+        if math.isfinite(lo) and math.isfinite(hi) and not math.isfinite(hi - lo):
+            raise DataError(f"feature {feature!r} spans {lo!r} to {hi!r}, a range wider "
+                            "than the float range: no grid can be built")
+        grid = np.linspace(lo, hi, grid_size)
 
     if isinstance(model, Ensemble):
         # At most one grid value per column at a time: no block of swept
@@ -329,6 +334,13 @@ def shap_exact(model, instance, background, feature_names=None) -> Attribution:
     use the exact Shapley weights |S|! (N-|S|-1)! / N!, so efficiency
     (base_value + sum of contributions = prediction) holds by construction.
 
+    An :class:`~rtcast.gbm.Ensemble` is read by ``gbm.predict_coalitions``,
+    which walks each tree once per coalition it can tell apart, the subsets
+    of the features whose branches the instance and the background take on
+    different sides. Its values, and so every field of the result, are bit
+    for bit those of calling ``predict_batch`` on the 2^N coalition rows,
+    the path any other callable takes.
+
     Parameters
     ----------
     model : Ensemble or callable
@@ -336,7 +348,6 @@ def shap_exact(model, instance, background, feature_names=None) -> Attribution:
     feature_names : sequence, optional
         Defaults to the model's feature names, else f0..fN-1.
     """
-    predict = _predictor(model)
     x0 = np.asarray(instance, dtype=np.float64)
     bg = np.asarray(background, dtype=np.float64)
     if x0.shape != bg.shape or x0.ndim != 1:
@@ -356,11 +367,17 @@ def shap_exact(model, instance, background, feature_names=None) -> Attribution:
 
     n_masks = 1 << n
     masks = np.arange(n_masks, dtype=np.uint32)
-    member = (masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1
-    rows = np.where(member.astype(bool), x0, bg)
-    v = np.asarray(predict(rows), dtype=np.float64)
+    if isinstance(model, Ensemble):
+        v = predict_coalitions(model, x0, bg)
+    else:
+        member = ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(bool)
+        v = np.asarray(_predictor(model)(np.where(member, x0, bg)), dtype=np.float64)
 
-    sizes = member.sum(axis=1)
+    # Coalition sizes, bit by bit: masks 2^i .. 2^(i+1) - 1 are 0 .. 2^i - 1
+    # with bit i set.
+    sizes = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        sizes = np.concatenate((sizes, sizes + 1))
     fact = [math.factorial(i) for i in range(n + 1)]
     weight_by_size = np.array(
         [fact[s] * fact[n - s - 1] / fact[n] for s in range(n)] + [0.0]

@@ -57,6 +57,14 @@ pair becomes one root, walked on the row copy of its first grid value,
 which it reads through its offset; each grid value gathers its pairs'
 leaves in tree order, and the same ``cumsum`` gives the same floats as
 ``predict_batch`` on the swept rows.
+
+``predict_coalitions`` is the third reader of the walk. The coalition rows of
+an instance against a background differ only in which of the two values each
+feature takes, and a tree tells them apart only at its branches where the two
+fall on different sides of the threshold. Each tree is walked once per key,
+a subset of the features of those branches, on the key's coalition row; each
+coalition then adds its keys' leaves to the base score one tree at a time, the
+additions of the ``cumsum``.
 """
 from __future__ import annotations
 
@@ -233,10 +241,14 @@ def _leaves(flat: _FlatEnsemble, x: np.ndarray, offset=None) -> np.ndarray:
 
 def _matrix(model: Ensemble, rows) -> np.ndarray:
     x = np.asarray(rows, dtype=np.float64)
-    width = len(model.feature_names)
-    if x.ndim != 2 or x.shape[1] != width:
-        raise ConfigError(f"rows have shape {x.shape}, model expects width {width}")
+    _check_width(model, x.shape)
     return x
+
+
+def _check_width(model: Ensemble, shape: tuple) -> None:
+    width = len(model.feature_names)
+    if len(shape) != 2 or shape[1] != width:
+        raise ConfigError(f"rows have shape {shape}, model expects width {width}")
 
 
 def _read(model: Ensemble, rows, stages: bool) -> np.ndarray:
@@ -315,6 +327,79 @@ def predict_sweep(model: Ensemble, rows, j: int, grid) -> np.ndarray:
         sums = _leaves(pairs, chunk.ravel(), offset[:hi - lo])[:, gather]
         out[:, lo:hi] = np.cumsum(sums, axis=-1, out=sums)[..., -1].T
     return out
+
+
+def predict_coalitions(model: Ensemble, instance, background) -> np.ndarray:
+    """The value of every coalition of ``instance`` against ``background``:
+    ``v[S]``, for ``S = 0 .. 2^N - 1``, is bit for bit
+    ``model.predict_batch(rows)[S]`` where row ``S`` takes feature ``f`` from
+    ``instance`` when bit ``f`` of ``S`` is set and from ``background``
+    otherwise, and bad input raises the error that call raises.
+
+    A branch tells coalitions apart only when the instance and the background
+    fall on different sides of its threshold, so tree ``t`` reads ``S`` only
+    through ``D_t``, the features of such branches: its leaf for ``S`` is its
+    leaf for the key ``S & D_t``. Each (tree, key) pair, a root of the walk,
+    is walked once on the coalition row of its key, in chunks whose arrays
+    stay within the ``ROW_CHUNK x (T + 1)`` values of a ``predict_batch``
+    chunk. Tree by tree, its leaves then fill one ``2^N`` lookup by key, and
+    every coalition adds its leaf to the base score in tree order, the sums
+    of ``predict_batch``.
+    """
+    x = np.asarray(instance, dtype=np.float64)
+    b = np.asarray(background, dtype=np.float64)
+    if x.ndim != 1 or x.shape != b.shape:
+        raise ConfigError("instance and background must be equal-length vectors")
+    n = len(x)
+    _check_width(model, (1 << n, n))
+    # Row 0 is the background; the instance's first non-finite feature f is
+    # first read in row 2^f, the coalition {f}.
+    check_finite(b[None], model.feature_names)
+    bad = np.flatnonzero(~np.isfinite(x))
+    if len(bad):
+        f = int(bad[0])
+        raise DataError(f"non-finite value in column {model.feature_names[f]!r} at row {1 << f}")
+    flat = model._flat
+    n_trees = len(flat.roots) - 1
+    # By node. A leaf's threshold is infinite, above both x and b.
+    feature, threshold = flat.feature[::2], flat.threshold[::2]
+    apart = (x[feature] >= threshold) != (b[feature] >= threshold)
+    in_key = np.zeros((n_trees, n), dtype=bool)
+    in_key[flat.tree[apart], feature[apart]] = True
+    bits = 1 << np.arange(n)
+    # Tree t owns pairs start[t] .. end[t] - 1, one per subset of D_t. Pair
+    # k of the tree holds feature f of D_t when bit rank[t, f] of k is set,
+    # rank[t, f] being the number of D_t's features below f.
+    rank = np.cumsum(in_key, axis=1) - in_key
+    count = 1 << in_key.sum(axis=1)
+    end = np.cumsum(count)
+    start = end - count
+    tree_key, start_at, end_at = (in_key @ bits).tolist(), start.tolist(), end.tolist()
+    n_pairs = end_at[-1] if n_trees else 0
+    # No chunk temporary exceeds ROW_CHUNK x (T + 1) values: the (pairs, N)
+    # member and row arrays are the largest.
+    step = max(1, ROW_CHUNK * (n_trees + 1) // max(1, n))
+    masks = np.arange(1 << n)
+    values = np.full(1 << n, model.base_score)
+    lookup, leaf = np.empty(1 << n), np.empty(1 << n)
+    key = np.empty_like(masks)
+    for lo in range(0, n_pairs, step):
+        hi = min(lo + step, n_pairs)
+        pair = np.arange(lo, hi)
+        tree = np.searchsorted(end, pair, side="right")
+        member = in_key[tree] & (((pair - start[tree])[:, None] >> rank[tree]) & 1).astype(bool)
+        walk = flat._replace(roots=flat.roots[1 + tree])
+        leaves = _leaves(walk, np.where(member, x, b).ravel(), np.arange(hi - lo) * n)
+        keys = member @ bits
+        # A tree is added once its last pair is walked.
+        for t in range(int(tree[0]), int(tree[-1]) + 1):
+            first, last = max(start_at[t], lo) - lo, min(end_at[t], hi) - lo
+            lookup[keys[first:last]] = leaves[first:last]
+            if end_at[t] <= hi:
+                # Keys are in range; "clip" reads them unbuffered into ``leaf``.
+                np.bitwise_and(masks, tree_key[t], out=key)
+                values += lookup.take(key, out=leaf, mode="clip")
+    return values
 
 
 def _hess_sum(h, idx) -> float:

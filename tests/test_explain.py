@@ -2,10 +2,10 @@
 import numpy as np
 import pytest
 
-from rtcast import explain, gbm
+from rtcast import dataio, explain, features, gbm
 from rtcast.errors import ConfigError, DataError
 
-from conftest import make_matrix
+from conftest import FULL_GROUPS, make_matrix
 
 
 def gaussian_solve(A, b):
@@ -136,17 +136,30 @@ class TestPdp:
         if case == "other-column":
             rows[33, 6] = np.inf
         else:
-            # The column's range overflows, so linspace yields nan and inf.
+            # The column's range overflows: refused by name before any grid.
             rows[:, j] = np.where(np.arange(60) % 2, 1.7e308, -1.7e308)
             rows[0, j] = 0.5
         X = make_matrix(rows, train_matrix.feature_names)
         errors = []
         for model in (small_model, small_model.predict_batch):
-            with pytest.raises(DataError) as exc, np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DataError) as exc:
                 explain.pdp(model, X, X.feature_names[j])
             errors.append(str(exc.value))
         assert errors[0] == errors[1]
         assert repr(X.feature_names[j if case == "grid-overflow" else 6]) in errors[0]
+
+    def test_overflowing_range_is_refused_before_any_prediction(self):
+        """A finite column whose max - min overflows is named with its min
+        and max; the model is never called."""
+        rows = np.column_stack([np.where(np.arange(30) % 2, 1.7e308, -1.7e308), np.ones(30)])
+        rows[0, 0] = 0.5
+        X = make_matrix(rows, ["wide", "x"])
+        calls = []
+        with pytest.raises(DataError) as exc:
+            explain.pdp(lambda r: calls.append(len(r)) or r[:, 1], X, "wide")
+        assert "'wide'" in str(exc.value)
+        assert repr(-1.7e308) in str(exc.value) and repr(1.7e308) in str(exc.value)
+        assert calls == []
 
 
 class TestRidgeSurrogate:
@@ -241,6 +254,20 @@ class TestLime:
             explain.lime_explain(linear_box([1.0, 1.0]), X.rows[0], X, n_samples=100)
 
 
+@pytest.fixture(scope="module")
+def model_120d():
+    """The acceptance suite's model: 120 seed-42 days, depth 6, 100 trees;
+    with its validation rows and training means."""
+    table = dataio.synthesize(dataio.SynthConfig(seed=42, n_days=120))
+    n = len(table)
+    cfg = features.EngineeringConfig()
+    x_train = features.build_design_matrix(table.row_slice(0, int(n * 0.6)), cfg, FULL_GROUPS)
+    x_val = features.build_design_matrix(table.row_slice(int(n * 0.6), int(n * 0.8)), cfg,
+                                         FULL_GROUPS)
+    model = gbm.train(x_train, gbm.Hyperparams(max_depth=6, n_trees=100))
+    return model, x_val.rows, x_train.rows.mean(axis=0)
+
+
 class TestShapExact:
     def test_linear_model_closed_form(self):
         rng = np.random.default_rng(2)
@@ -292,3 +319,13 @@ class TestShapExact:
         f = lambda rows: rows.sum(axis=1)
         with pytest.raises(ConfigError):
             explain.shap_exact(f, np.zeros(3), np.ones(4))
+
+    def test_ensemble_equals_the_callable_path(self, model_120d):
+        """Every field, exactly: the coalition walk of an Ensemble and the
+        coalition rows through its predict_batch."""
+        model, rows, bg = model_120d
+        for i in np.linspace(0, len(rows) - 1, 60).round().astype(int):
+            got = explain.shap_exact(model, rows[i], bg)
+            want = explain.shap_exact(model.predict_batch, rows[i], bg, model.feature_names)
+            assert got == want, i
+            assert list(got.contributions) == list(want.contributions)

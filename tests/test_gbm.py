@@ -3,6 +3,7 @@ import gc
 import hashlib
 import json
 import math
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
@@ -765,16 +766,16 @@ class TestCompiledWalk:
 SWEEP_VALUES = [-2.0, -0.5, 0.0, 0.5, 1.0, 3.25]
 
 
-def random_tree(rng, depth, spine=True):
+def random_tree(rng, depth, spine=True, width=WIDTH):
     """A random tree that reaches ``depth`` along one path. Features and
-    thresholds come from WIDTH and SWEEP_VALUES, so a tree often branches on
-    one feature several times at one threshold."""
+    thresholds come from ``width`` and SWEEP_VALUES, so a tree often branches
+    on one feature several times at one threshold."""
     if depth == 0 or not (spine or rng.random() < 0.6):
         return leaf(float(rng.normal()))
     keep = rng.random() < 0.5
-    return branch(int(rng.integers(WIDTH)), float(rng.choice(SWEEP_VALUES)),
-                  random_tree(rng, depth - 1, spine and keep),
-                  random_tree(rng, depth - 1, spine and not keep))
+    return branch(int(rng.integers(width)), float(rng.choice(SWEEP_VALUES)),
+                  random_tree(rng, depth - 1, spine and keep, width),
+                  random_tree(rng, depth - 1, spine and not keep, width))
 
 
 def assert_sweep_is_batch(model, rows, j, grid):
@@ -876,3 +877,144 @@ class TestPredictSweep:
         with pytest.raises(DataError) as got:
             gbm.predict_sweep(small_model, rows, j, grid)
         assert str(got.value) == want
+
+
+def coalition_rows(x, b):
+    """Row S takes feature f from x when bit f of S is set, else from b."""
+    n = len(x)
+    member = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    return np.where(member.astype(bool), x, b)
+
+
+def assert_coalitions_are_batch(model, x, b):
+    got = gbm.predict_coalitions(model, x, b)
+    assert np.array_equal(got, model.predict_batch(coalition_rows(x, b)))
+
+
+def wide_ensemble(trees, width):
+    return Ensemble(0.25, 0.3, tuple(trees), tuple(f"f{i}" for i in range(width)), 1.0, 0.0)
+
+
+class TestPredictCoalitions:
+    @pytest.mark.parametrize("seed", range(200))
+    def test_random_ensembles(self, seed):
+        """Depth 1-11 with 0-30 trees on 1-12 features, cycling with the
+        seed: every (features, depth) pairing occurs, and seeds 0, 31, ...
+        have no tree. Thresholds and values share one small
+        grid, so trees share thresholds, paths repeat a feature, and the
+        instance or the background often sits on a threshold. Every fourth
+        case has x == b, every fourth x equal to b in about half the
+        features."""
+        rng = np.random.default_rng(seed)
+        n, depth, n_trees = 1 + seed % 12, 1 + seed % 11, seed % 31
+        model = wide_ensemble([random_tree(rng, depth, width=n) for _ in range(n_trees)], n)
+        values = SWEEP_VALUES + [0.25, 2.0]
+        x, b = rng.choice(values, size=n), rng.choice(values, size=n)
+        if seed % 4 == 0:
+            b = x.copy()
+        elif seed % 4 == 1:
+            same = rng.random(n) < 0.5
+            b[same] = x[same]
+        assert_coalitions_are_batch(model, x, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(trees=st.lists(TREES, max_size=8),
+           x=st.lists(GRID | st.floats(-5.0, 5.0), min_size=WIDTH, max_size=WIDTH),
+           b=st.lists(GRID | st.floats(-5.0, 5.0), min_size=WIDTH, max_size=WIDTH))
+    def test_hypothesis_ensembles(self, trees, x, b):
+        assert_coalitions_are_batch(ensemble(trees), np.array(x), np.array(b))
+
+    def test_repeated_feature_and_thresholds_on_a_path(self):
+        """Tree 0 branches on feature 0 three times, twice at one threshold;
+        tree 1 shares its threshold 0.5 and reads feature 1."""
+        tree = branch(0, 0.5, leaf(-1.0),
+                      branch(0, 0.5, leaf(2.0), branch(0, 1.0, leaf(4.0), leaf(8.0))))
+        model = ensemble([tree, branch(1, 0.5, leaf(16.0), leaf(32.0)), leaf(0.125)])
+        for x, b in (([1.0, 0.5, 0.0], [0.0, 0.0, 0.0]), ([0.5, 0.0, 7.0], [3.25, 0.5, 7.0]),
+                     ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0]), ([0.75, -2.0, 0.0], [0.5, 0.5, 3.25])):
+            assert_coalitions_are_batch(model, np.array(x), np.array(b))
+
+    def test_value_on_a_threshold_routes_right(self):
+        model = ensemble([branch(0, 0.5, leaf(-1.0), leaf(1.0))])
+        got = gbm.predict_coalitions(model, [0.5, 0.0, 0.0], [0.0, 0.0, 0.0])
+        assert got.tolist() == [0.25 - 0.3, 0.25 + 0.3] * 4
+
+    def test_tree_less_model_is_the_base_score(self):
+        got = gbm.predict_coalitions(ensemble([]), [1.0, 2.0, 3.0], [0.0, 0.0, 0.0])
+        assert got.tolist() == [0.25] * 8
+
+    def test_trained_model(self, small_model, val_matrix):
+        bg = val_matrix.rows.mean(axis=0)
+        for i in (0, 17, 40):
+            assert_coalitions_are_batch(small_model, val_matrix.rows[i], bg)
+
+    @pytest.mark.parametrize("case", ["instance-nan", "instance-two", "background-inf",
+                                      "both", "instance-last"])
+    def test_non_finite_raises_as_the_batch_does(self, small_model, val_matrix, case):
+        x, b = val_matrix.rows[3].copy(), val_matrix.rows.mean(axis=0)
+        if case in ("instance-nan", "instance-two", "both"):
+            x[4] = np.nan
+        if case == "instance-two":
+            x[9] = np.inf
+        if case in ("background-inf", "both"):
+            b[7] = -np.inf
+        if case == "instance-last":
+            x[-1] = np.inf
+        with pytest.raises(DataError) as want:
+            small_model.predict_batch(coalition_rows(x, b))
+        with pytest.raises(DataError) as got:
+            gbm.predict_coalitions(small_model, x, b)
+        assert str(got.value) == str(want.value)
+
+    def test_width_mismatch_raises_as_the_batch_does(self, small_model, val_matrix):
+        x, b = val_matrix.rows[3][1:], val_matrix.rows[4][1:]
+        with pytest.raises(ConfigError) as want:
+            small_model.predict_batch(coalition_rows(x, b))
+        with pytest.raises(ConfigError) as got:
+            gbm.predict_coalitions(small_model, x, b)
+        assert str(got.value) == str(want.value)
+        with pytest.raises(ConfigError, match="equal-length"):
+            gbm.predict_coalitions(small_model, val_matrix.rows[3], val_matrix.rows[4][1:])
+
+    def test_twenty_features_keep_a_few_coalition_vectors(self):
+        """N = 20 with 20 trees: the peak stays within six 2^N float vectors,
+        far from one T x 2^N array. Random coalitions equal the batch."""
+        n, n_trees = 20, 20
+        rng = np.random.default_rng(20)
+        model = wide_ensemble([random_tree(rng, 6, width=n) for _ in range(n_trees)], n)
+        values = SWEEP_VALUES + [0.25, 2.0]
+        x, b = rng.choice(values, size=n), rng.choice(values, size=n)
+        model._flat  # compile outside the measurement
+        tracemalloc.start()
+        try:
+            got = gbm.predict_coalitions(model, x, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * (1 << n) * 8 < n_trees * (1 << n) * 8
+        masks = rng.integers(0, 1 << n, size=2000)
+        rows = np.where((masks[:, None] >> np.arange(n)) & 1 == 1, x, b)
+        assert np.array_equal(got[masks], model.predict_batch(rows))
+
+    def test_peak_within_the_batch_path_plus_five_vectors(self):
+        """N = 18 with 20 trained trees: the walk's peak is at most that of
+        building the coalition rows and calling predict_batch, plus five 2^N
+        float vectors."""
+        n = 18
+        rng = np.random.default_rng(18)
+        X = make_matrix(rng.normal(size=(400, n)), [f"f{i}" for i in range(n)],
+                        target=rng.normal(size=400))
+        model = gbm.train(X, Hyperparams(max_depth=6, n_trees=20))
+        x, bg = X.rows[0], X.rows.mean(axis=0)
+        model._flat  # compile outside the measurement
+        peaks, values = [], []
+        for read in (lambda: model.predict_batch(coalition_rows(x, bg)),
+                     lambda: gbm.predict_coalitions(model, x, bg)):
+            tracemalloc.start()
+            try:
+                values.append(read())
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(values[0], values[1])
+        assert peaks[1] <= peaks[0] + 5 * (1 << n) * 8
