@@ -655,9 +655,9 @@ TREES = st.recursive(
 )
 
 
-def ensemble(trees, base_score=0.25, learning_rate=0.3):
+def ensemble(trees, base_score=0.25, learning_rate=0.3, width=WIDTH):
     return Ensemble(base_score=base_score, learning_rate=learning_rate, trees=tuple(trees),
-                    feature_names=tuple(f"f{i}" for i in range(WIDTH)), lambda_=1.0, gamma=0.0)
+                    feature_names=tuple(f"f{i}" for i in range(width)), lambda_=1.0, gamma=0.0)
 
 
 def leaf_weight(tree, x):
@@ -891,10 +891,6 @@ def assert_coalitions_are_batch(model, x, b):
     assert np.array_equal(got, model.predict_batch(coalition_rows(x, b)))
 
 
-def wide_ensemble(trees, width):
-    return Ensemble(0.25, 0.3, tuple(trees), tuple(f"f{i}" for i in range(width)), 1.0, 0.0)
-
-
 class TestPredictCoalitions:
     @pytest.mark.parametrize("seed", range(200))
     def test_random_ensembles(self, seed):
@@ -907,7 +903,7 @@ class TestPredictCoalitions:
         features."""
         rng = np.random.default_rng(seed)
         n, depth, n_trees = 1 + seed % 12, 1 + seed % 11, seed % 31
-        model = wide_ensemble([random_tree(rng, depth, width=n) for _ in range(n_trees)], n)
+        model = ensemble([random_tree(rng, depth, width=n) for _ in range(n_trees)], width=n)
         values = SWEEP_VALUES + [0.25, 2.0]
         x, b = rng.choice(values, size=n), rng.choice(values, size=n)
         if seed % 4 == 0:
@@ -981,7 +977,7 @@ class TestPredictCoalitions:
         far from one T x 2^N array. Random coalitions equal the batch."""
         n, n_trees = 20, 20
         rng = np.random.default_rng(20)
-        model = wide_ensemble([random_tree(rng, 6, width=n) for _ in range(n_trees)], n)
+        model = ensemble([random_tree(rng, 6, width=n) for _ in range(n_trees)], width=n)
         values = SWEEP_VALUES + [0.25, 2.0]
         x, b = rng.choice(values, size=n), rng.choice(values, size=n)
         model._flat  # compile outside the measurement
