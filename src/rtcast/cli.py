@@ -27,7 +27,8 @@ import numpy as np
 from . import dataio, explain, forecast, gbm, pffra, stats, timebase
 from .dataio import SplitSpec, SynthConfig, TimeTable
 from .errors import ConfigError, DataError, NumericError, SelectionError, ToolkitError
-from .features import EngineeringConfig, build_design_matrix, feature_order, training_means
+from .features import (EngineeringConfig, build_design_matrix, check_finite, feature_order,
+                       training_means)
 from .gbm import Ensemble, HyperparamGrid, Hyperparams
 from .timebase import HolidayCalendar
 
@@ -300,6 +301,10 @@ class ArtifactWriter:
         self.write_bytes(name, buf.getvalue().encode())
 
     def write_table(self, name: str, table: TimeTable) -> None:
+        """A table as CSV. A blank or non-finite cell raises DataError naming
+        its column and instant, so no artifact holds ``nan`` or ``inf``."""
+        check_finite(np.column_stack([*table.columns.values(), table.target]),
+                     [*table.columns, dataio.TARGET_COLUMN], table.timestamps)
         buf = io.StringIO()
         dataio.write_csv(table, buf)
         self.write_bytes(name, buf.getvalue().encode())
@@ -487,7 +492,7 @@ def cmd_evaluate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
         out.write_csv(
             f"forecast_{name}.csv",
             ["timestamp", "y_true", "y_pred", "anchor_id"],
-            zip(map(timebase.format_instant, run.timestamps),
+            zip(timebase.format_instants(run.timestamps),
                 run.y_true, run.y_pred, run.anchor_ids),
         )
         out.write_json(f"metrics_{name}.json", run.report().as_dict())
@@ -497,7 +502,7 @@ def cmd_evaluate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
     out.write_csv(
         "residuals_test.csv",
         ["timestamp", "residual"],
-        zip(map(timebase.format_instant, test_run.timestamps), residuals),
+        zip(timebase.format_instants(test_run.timestamps), residuals),
     )
     out.write_csv(
         "residual_hist_test.csv",

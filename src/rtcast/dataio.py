@@ -212,7 +212,8 @@ def ingest_csv(source, schema: dict | None = None) -> TimeTable:
 
 
 def _ingest_stream(fh, schema) -> TimeTable:
-    reader = csv.reader(fh)
+    lines = fh.readlines()
+    reader = csv.reader(lines)
     try:
         header = next(reader)
     except StopIteration:
@@ -225,6 +226,106 @@ def _ingest_stream(fh, schema) -> TimeTable:
         (i, n) for i, n in enumerate(header) if roles[n] in ("target", "feature")
     ]
 
+    parsed = _parse_fixed_form(
+        lines[reader.line_num:], len(header), ts_idx, [i for i, _ in numeric_idx]
+    )
+    ts, data = parsed or _parse_rows(reader, header, ts_idx, numeric_idx)
+    if len(ts) == 0:
+        raise DataError("no data rows")
+    if len(ts) < 2:
+        raise DataError("need at least two rows to establish the sampling interval")
+
+    order = np.argsort(ts, kind="stable")
+    ts, data = ts[order], data[order]
+
+    dup = np.flatnonzero(np.diff(ts) == 0)
+    if dup.size:
+        raise IntegrityError(
+            f"duplicate timestamp {timebase.format_instant(ts[dup[0]])}"
+        )
+    interval = int(ts[1] - ts[0])
+
+    columns, target = {}, None
+    for j, (_, name) in enumerate(numeric_idx):
+        if roles[name] == "target":
+            target = data[:, j]
+        else:
+            columns[name] = data[:, j]
+    return TimeTable(ts, columns, target, interval)
+
+
+#: The writer's timestamp form: ``d`` is an ASCII digit, every other
+#: character stands for itself.
+_STAMP_FORM = np.frombuffer(b"dddd-dd-ddTdd:dd:ddZ", dtype=np.uint8)
+_STAMP_DIGITS = _STAMP_FORM == ord("d")
+
+
+def _parse_fixed_form(lines, n_cells, ts_idx, numeric_cols):
+    """Epoch seconds and numeric cells of CSV data lines in the writer's
+    fixed form, each parsed in one pass by numpy; None for any other form.
+
+    On the fixed form numpy's C parser accepts, and converts to the same
+    bits, exactly what ``_parse_rows`` does:
+
+    - the text is ASCII with no quote character, NUL or ``_``;
+    - every line is one record ending in its only ``\n`` (or ``\r\n``),
+      with exactly ``n_cells`` cells, so no blank line is skipped;
+    - every timestamp is ``YYYY-MM-DDTHH:MM:SSZ``, a real instant of a year
+      other than 0000 (numpy reads year 0, ``datetime`` does not);
+    - no numeric cell is empty or blank (numpy refuses those, and every
+      cell that ``float`` refuses).
+
+    A refusal of any kind leaves every decision, and its message, to
+    ``_parse_rows``.
+    """
+    text = "".join(lines)
+    if (
+        not lines
+        or not text.isascii()
+        or any(c in text for c in '"\0_')
+        or text.count("\r") != text.count("\r\n")
+        or text.count("\n") != len(lines) - (not text.endswith("\n"))
+    ):
+        return None
+    chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    del text
+    # Line i spans (ends[i - 1], ends[i]); with n_cells - 1 commas in all,
+    # each line has its share when its first and last comma fall inside it.
+    ends = np.flatnonzero(chars == ord("\n"))
+    if len(ends) < len(lines):
+        ends = np.append(ends, len(chars))
+    commas = np.flatnonzero(chars == ord(","))
+    if len(commas) != len(lines) * (n_cells - 1):
+        return None
+    commas = commas.reshape(len(lines), n_cells - 1)
+    starts = np.append(0, ends[:-1] + 1)
+    if np.any(commas[:, 0] < starts) or np.any(commas[:, -1] > ends):
+        return None
+    start = commas[:, ts_idx - 1] + 1 if ts_idx else starts
+    stop = commas[:, ts_idx] if ts_idx < n_cells - 1 else ends
+    if np.any(stop - start != _STAMP_FORM.size):
+        return None
+    stamps = chars[start[:, None] + np.arange(_STAMP_FORM.size)]
+    if (
+        np.any(stamps[:, _STAMP_DIGITS] - ord("0") > 9)  # unsigned: below "0" wraps
+        or np.any(stamps[:, ~_STAMP_DIGITS] != _STAMP_FORM[~_STAMP_DIGITS])
+        or np.any(np.all(stamps[:, :4] == ord("0"), axis=1))
+    ):
+        return None
+    try:
+        # The stamps without their "Z", which numpy would warn that it drops.
+        ts = (stamps[:, :-1].astype(np.uint32).view(f"U{_STAMP_FORM.size - 1}")
+              .ravel().astype("datetime64[s]").astype(np.int64))
+        data = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None,
+                          usecols=numeric_cols, ndmin=2)
+    except ValueError:  # numpy refuses a cell: the per-row loop names it
+        return None
+    return ts, data
+
+
+def _parse_rows(reader, header, ts_idx, numeric_idx):
+    """Epoch seconds and numeric cells of the remaining CSV rows, one row at
+    a time; raises ParseError naming the first bad row."""
     stamps, rows = [], []
     for rownum, row in enumerate(reader, start=1):
         if not row:
@@ -257,31 +358,7 @@ def _ingest_stream(fh, schema) -> TimeTable:
                     f"row {rownum}: non-numeric value {cell!r} in column {name!r}"
                 ) from None
         rows.append(vals)
-
-    if not rows:
-        raise DataError("no data rows")
-    if len(rows) < 2:
-        raise DataError("need at least two rows to establish the sampling interval")
-
-    ts = np.array(stamps, dtype=np.int64)
-    data = np.array(rows, dtype=np.float64)
-    order = np.argsort(ts, kind="stable")
-    ts, data = ts[order], data[order]
-
-    dup = np.flatnonzero(np.diff(ts) == 0)
-    if dup.size:
-        raise IntegrityError(
-            f"duplicate timestamp {timebase.format_instant(ts[dup[0]])}"
-        )
-    interval = int(ts[1] - ts[0])
-
-    columns, target = {}, None
-    for j, (_, name) in enumerate(numeric_idx):
-        if roles[name] == "target":
-            target = data[:, j]
-        else:
-            columns[name] = data[:, j]
-    return TimeTable(ts, columns, target, interval)
+    return np.array(stamps, dtype=np.int64), np.array(rows, dtype=np.float64)
 
 
 def write_csv(table: TimeTable, dest) -> None:
@@ -294,12 +371,9 @@ def write_csv(table: TimeTable, dest) -> None:
         writer = csv.writer(dest)
         names = list(table.columns)
         writer.writerow([TIMESTAMP_COLUMN, *names, TARGET_COLUMN])
-        cols = [table.columns[n] for n in names]
-        for i in range(len(table)):
-            row = [timebase.format_instant(table.timestamps[i])]
-            row.extend(repr(float(c[i])) for c in cols)
-            row.append(repr(float(table.target[i])))
-            writer.writerow(row)
+        cols = [table.columns[n] for n in names] + [table.target]
+        writer.writerows(zip(timebase.format_instants(table.timestamps),
+                             *(map(repr, c.tolist()) for c in cols)))
     finally:
         if close:
             dest.close()

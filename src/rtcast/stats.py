@@ -105,23 +105,35 @@ def pacf(series, max_lag: int) -> np.ndarray:
     return out
 
 
-def _ols(X: np.ndarray, y: np.ndarray):
-    """Least squares with coefficient standard errors; raises on singularity."""
-    n, k = X.shape
+def _ols(X: np.ndarray, y: np.ndarray, lag: int):
+    """Least squares with coefficient standard errors, for the ADF fit with
+    ``lag`` lags; ``X`` has more rows than columns. A singular design raises
+    NumericError naming the lag."""
     xtx = X.T @ X
     try:
         beta = np.linalg.solve(xtx, X.T @ y)
-        cov_scale = np.linalg.inv(xtx)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("singular regression matrix in ADF fit") from exc
+        cov_scale = np.diag(np.linalg.inv(xtx))
+    except np.linalg.LinAlgError:
+        raise NumericError(_degenerate(lag, _COLLINEAR)) from None
+    if not np.all(np.isfinite(cov_scale) & (cov_scale > 0.0)):
+        raise NumericError(_degenerate(lag, _COLLINEAR))
     resid = y - X @ beta
     sse = float(resid @ resid)
-    dof = n - k
-    if dof <= 0:
-        raise NumericError("not enough observations for the requested lag order")
-    sigma2 = sse / dof
-    se = np.sqrt(np.diag(cov_scale) * sigma2)
-    return beta, se, sse
+    sigma2 = sse / (X.shape[0] - X.shape[1])
+    return beta, np.sqrt(cov_scale * sigma2), sse
+
+
+#: A column of the ADF regression ``[X | dy]`` whose part outside the span
+#: of the columns before it is at most this fraction of its norm is taken
+#: to lie in that span: a regressor makes the design singular, ``dy`` is
+#: fitted exactly. Either leaves the statistic without meaning.
+_DEGENERATE_RTOL = 1e-8
+_COLLINEAR = "its regressors are collinear"
+_EXACT_FIT = "it fits the differenced series exactly"
+
+
+def _degenerate(lag: int, why: str) -> str:
+    return f"ADF fit at lag {lag} is degenerate: {why}"
 
 
 def _adf_design(y: np.ndarray, lags: int, trim: int):
@@ -134,6 +146,23 @@ def _adf_design(y: np.ndarray, lags: int, trim: int):
         cols.append(dy[trim - i : trim - i + rows])
     X = np.column_stack(cols)
     return X, dy[trim:]
+
+
+def _adf_r_factor(y: np.ndarray, lags: int, block: int = 4096) -> np.ndarray:
+    """R of the QR factorisation of ``[X | dy]``, the ADF regression with
+    ``lags`` lags on the sample trimmed by ``lags``.
+
+    The rows go in blocks: the R so far is stacked on the next block and
+    factorised again, which gives the same R up to row signs, so only one
+    block of the design is ever in memory.
+    """
+    rows = len(y) - 1 - lags
+    r = np.empty((0, lags + 3))
+    for start in range(0, rows, block):
+        stop = min(start + block, rows)
+        X, dy = _adf_design(y[start : stop + lags + 1], lags, trim=lags)
+        r = np.linalg.qr(np.vstack([r, np.column_stack([X, dy])]), mode="r")
+    return r
 
 
 def _df_critical(n_obs: int) -> tuple:
@@ -153,15 +182,27 @@ def adf_test(series, max_lags: int | None = None) -> AdfResult:
     Fits ``dy_t = alpha + beta*y_{t-1} + sum_i gamma_i*dy_{t-i} + e`` by least
     squares; the statistic is ``beta_hat / se(beta_hat)``. The lag order is
     chosen by minimizing AIC over 0..max_lags (all candidates compared on the
-    same trimmed sample), then the chosen order is refit on its maximal
-    sample. Rejection is decided against the embedded critical-value table,
-    and ``p_bracket`` gives the interval the p-value falls in.
+    same trimmed sample, their residual sums of squares all read from one QR
+    factorisation of the longest design), then the chosen order is refit on
+    its maximal sample. Rejection is decided against the embedded
+    critical-value table, and ``p_bracket`` gives the interval the p-value
+    falls in.
 
     Parameters
     ----------
     series : array-like of float
     max_lags : int, optional
         Defaults to the Schwert rule ``floor(12 * (n/100)**0.25)``.
+
+    Raises
+    ------
+    DataError
+        The series is not finite, or shorter than
+        ``max(25 + max_lags, 2 * max_lags + 4)``.
+    NumericError
+        Some lag's regression is degenerate: its regressors are collinear,
+        or it fits the differenced series exactly. The message names the
+        smallest such lag.
     """
     y = np.asarray(series, dtype=np.float64)
     if not np.isfinite(y).all():
@@ -171,20 +212,30 @@ def adf_test(series, max_lags: int | None = None) -> AdfResult:
         max_lags = int(math.floor(12.0 * (n / 100.0) ** 0.25))
     if max_lags < 0:
         raise ConfigError(f"max_lags must be >= 0, got {max_lags}")
-    if n < 25 + max_lags:
-        raise DataError(f"series too short for ADF: {n} < {25 + max_lags}")
+    # The longest regression needs more observations than coefficients.
+    need = max(25 + max_lags, 2 * max_lags + 4)
+    if n < need:
+        raise DataError(f"series too short for ADF: {n} < {need}")
 
-    best_lag, best_aic = 0, math.inf
-    for p in range(max_lags + 1):
-        X, dy = _adf_design(y, p, trim=max_lags)
-        _, _, sse = _ols(X, dy)
-        n_eff = len(dy)
-        aic = n_eff * math.log(sse / n_eff) + 2 * (p + 2)
-        if aic < best_aic:
-            best_lag, best_aic = p, aic
+    # Every lag's residual sum of squares on the shared trimmed sample, from
+    # one R: the fit with p lags uses the first p + 2 columns, so its SSE is
+    # the sum of squares of R's last column from row p + 2 down.
+    r = _adf_r_factor(y, max_lags)
+    sse = np.cumsum(r[::-1, -1] ** 2)[::-1][2:]
+    norms = np.sqrt(np.einsum("ij,ij->j", r, r))
+    loose = np.abs(np.diag(r)) <= _DEGENERATE_RTOL * norms
+    collinear = np.logical_or.accumulate(loose[1:-1])  # lag p: columns 1..p+1
+    exact = sse <= (_DEGENERATE_RTOL * norms[-1]) ** 2
+    bad = np.flatnonzero(collinear | exact)
+    if bad.size:
+        lag = int(bad[0])
+        raise NumericError(_degenerate(lag, _COLLINEAR if collinear[lag] else _EXACT_FIT))
+    n_eff = n - 1 - max_lags
+    aic = n_eff * np.log(sse / n_eff) + 2 * (np.arange(max_lags + 1) + 2)
+    best_lag = int(np.argmin(aic))  # the first of equal minima
 
     X, dy = _adf_design(y, best_lag, trim=best_lag)
-    beta, se, _ = _ols(X, dy)
+    beta, se, _ = _ols(X, dy, best_lag)
     stat = float(beta[1] / se[1])
 
     crit = _df_critical(len(dy))

@@ -41,10 +41,16 @@ def parse_instant(text: str) -> int:
     return int(dt.timestamp())
 
 
+def format_instants(epoch_seconds) -> list:
+    """Render an array of epoch seconds as compact UTC ISO-8601 strings
+    (``YYYY-MM-DDTHH:MM:SSZ``), in one conversion."""
+    stamps = np.asarray(epoch_seconds, dtype=np.int64).ravel().astype("datetime64[s]")
+    return [s + "Z" for s in np.datetime_as_string(stamps, unit="s").tolist()]
+
+
 def format_instant(epoch_seconds: int) -> str:
     """Render epoch seconds as a compact UTC ISO-8601 string."""
-    dt = datetime.fromtimestamp(int(epoch_seconds), tz=timezone.utc)
-    return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+    return format_instants(epoch_seconds)[0]
 
 
 def parse_day(text: str) -> date:

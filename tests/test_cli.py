@@ -513,6 +513,39 @@ class TestExitCodes:
         assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1, proc.stderr
         assert not dest.exists()
 
+    def test_adf_on_an_exact_fit_is_exit_four(self, pipeline, tmp_path):
+        """RT repeating 20, 21, 22 is fitted exactly at lag 1: one error line
+        naming the lag, no traceback, and nothing written."""
+        cfg, out = pipeline
+        rows = read_csv(out / "synthetic.csv")
+        col = rows[0].index("RT")
+        for i, r in enumerate(rows[1:]):
+            r[col] = repr(20.0 + i % 3)
+        edited = csv_config(tmp_path, rows)
+        dest = tmp_path / "x"
+        proc = run_cli("--config", str(edited), "--out", str(dest), "--quiet",
+                       "diagnose", "adf", check=False)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == ("error: ADF fit at lag 1 is degenerate: "
+                               "it fits the differenced series exactly\n")
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("cell", ["", "nan", "inf", "-1e309"])
+    def test_ingest_refuses_a_blank_or_non_finite_cell(self, pipeline, tmp_path, cell):
+        """normalized.csv would hold it as nan or inf."""
+        _, out = pipeline
+        rows = read_csv(out / "synthetic.csv")
+        rows[5][rows[0].index("OutTemp")] = cell
+        src = tmp_path / "in.csv"
+        with open(src, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        dest = tmp_path / "x"
+        proc = run_cli("--out", str(dest), "--quiet", "ingest", "--csv", str(src),
+                       check=False)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == f"error: non-finite value in column 'OutTemp' at {rows[5][0]}\n"
+        assert not dest.exists()
+
     def test_overflowing_rt_cell_is_exit_four_in_hist(self, pipeline, tmp_path):
         """A finite ``1e300`` RT cell has no int64 histogram bin: one error
         line, no numpy warning, and no histogram written."""

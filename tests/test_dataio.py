@@ -1,12 +1,18 @@
 """Ingestion, validation, splitting, and the synthetic generator."""
+import contextlib
+import csv
 import io
+import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rtcast import dataio, timebase
+from rtcast import cli, dataio, timebase
 from rtcast.dataio import SplitSpec, SynthConfig, TimeTable
 from rtcast.errors import (
     ConfigError,
@@ -15,6 +21,7 @@ from rtcast.errors import (
     ParseError,
     SchemaError,
     SplitError,
+    ToolkitError,
 )
 
 
@@ -172,6 +179,215 @@ class TestIngest:
         schema = {"a": "timestamp", "b": "timestamp", "c": "target"}
         with pytest.raises(SchemaError):
             dataio.ingest_csv(io.StringIO("a,b,c\n1,2,3\n"), schema)
+
+
+#: Roles for the writer's columns plus an ignored free-text ``note``.
+NOTE_SCHEMA = {"timestamp": "timestamp", "RT": "target", "OnOffState": "feature",
+               "OpMode": "feature", "OutTemp": "feature", "OutHumid": "feature",
+               "note": "ignore"}
+
+
+def writer_rows(n=5, note=False):
+    """The cells of a small CSV in the writer's fixed form, header first;
+    with ``note`` an ignored free-text column follows the timestamp."""
+    table = dataio.synthesize(SynthConfig(seed=4, n_days=1)).row_slice(0, n)
+    buf = io.StringIO()
+    dataio.write_csv(table, buf)
+    rows = list(csv.reader(io.StringIO(buf.getvalue())))
+    if note:
+        for i, r in enumerate(rows):
+            r.insert(1, "note" if i == 0 else f"n {i}")
+    return rows
+
+
+def table_key(table):
+    """Everything a table holds, bit for bit (NaN payloads and -0.0 too)."""
+    return (table.interval_seconds, table.timestamps.tobytes(), table.target.tobytes(),
+            {name: col.tobytes() for name, col in table.columns.items()})
+
+
+def ingest_outcome(text, schema=None):
+    """(outcome, whether the per-row loop ran): the table's key, or the
+    error's type and message."""
+    with mock.patch.object(dataio, "_parse_rows", wraps=dataio._parse_rows) as per_row:
+        try:
+            outcome = table_key(dataio.ingest_csv(io.StringIO(text, newline=""), schema))
+        except ToolkitError as exc:
+            outcome = (type(exc), str(exc))
+    return outcome, per_row.called
+
+
+def per_row_outcome(text, schema=None):
+    """The outcome of ingest_csv with the one-pass parser switched off."""
+    with mock.patch.object(dataio, "_parse_fixed_form", return_value=None):
+        return ingest_outcome(text, schema)[0]
+
+
+def join(rows, term="\r\n"):
+    return "".join(",".join(r) + term for r in rows)
+
+
+class TestOnePassParser:
+    """A CSV in the writer's fixed form is parsed by numpy in one pass; every
+    other form goes through the per-row loop, with its rules and messages."""
+
+    def test_writer_output_is_parsed_in_one_pass(self):
+        for rows, schema in ((writer_rows(), None), (writer_rows(note=True), NOTE_SCHEMA)):
+            for term in ("\r\n", "\n"):
+                text = join(rows, term)
+                outcome, per_row = ingest_outcome(text, schema)
+                assert not per_row
+                assert outcome == per_row_outcome(text, schema)
+                outcome, per_row = ingest_outcome(text.rstrip("\r\n"), schema)
+                assert not per_row
+
+    @pytest.mark.parametrize("note", ["a#b", "#", "x # y"])
+    def test_a_hash_is_no_comment(self, note):
+        """numpy's default comment character would cut the line at ``#``."""
+        rows = writer_rows(note=True)
+        rows[2][1] = note
+        outcome, per_row = ingest_outcome(join(rows), NOTE_SCHEMA)
+        assert not per_row
+        assert outcome == ingest_outcome(join(writer_rows()))[0]
+
+    # Each edit breaks one condition of the fixed form: (row, column, text),
+    # where a column of None replaces the whole line and a row of None
+    # inserts the text as a new line after row 2.
+    @pytest.mark.parametrize("edit", [
+        (2, 1, '"a,b"'),  # a quote character
+        (2, 1, 'say "hi"'),
+        (None, None, "   "),  # a whitespace-only line, which csv refuses
+        (None, None, ""),  # a blank line, which csv skips
+        (2, None, "2017-12-08T00:10:00Z,n,0.0,1.0,6.1,78.6"),  # a short row
+        (2, None, "2017-12-08T00:10:00Z,n,0.0,1.0,6.1,78.6,17.0,extra"),
+        (1, 0, "2017-12-08T00:00:00+00:00"),  # an offset
+        (1, 0, "2017-12-08T00:00:00"),  # a naive stamp
+        (1, 0, "2017-12-08"),  # a bare date
+        (1, 0, "2017-12-08 00:00:00Z"),
+        (1, 0, " 2017-12-08T00:00:00Z"),
+        (1, 0, "2017-12-08t00:00:00z"),
+        (1, 0, "0000-01-01T00:00:00Z"),  # numpy reads year 0, datetime does not
+        (1, 0, "2017-02-30T00:00:00Z"),
+        (1, 0, "2017-12-08T24:00:00Z"),
+        (3, 4, "1_5"),  # float reads these; a CSV number is plain ASCII
+        (3, 4, "１５"),
+        (3, 4, "\u00a015"),
+        (3, 1, "café"),  # non-ASCII text, even in an ignored column
+        (3, 1, "a_b"),
+        (3, 4, ""),  # an empty cell, NaN to the per-row loop
+        (3, 4, "  "),
+        (3, 4, "0x10"),
+        (3, 4, "1.5e"),
+    ], ids=lambda e: repr(e))
+    def test_any_other_form_goes_through_the_per_row_loop(self, edit):
+        row, col, text = edit
+        rows = writer_rows(note=True)
+        if row is None:
+            rows.insert(3, [text])
+        elif col is None:
+            rows[row] = [text]
+        else:
+            rows[row][col] = text
+        csv_text = join(rows)
+        outcome, per_row = ingest_outcome(csv_text, NOTE_SCHEMA)
+        assert per_row
+        assert outcome == per_row_outcome(csv_text, NOTE_SCHEMA)
+
+    def test_a_short_row_and_a_long_row_go_through_the_per_row_loop(self):
+        """The comma count of the whole text is right; each line's is not."""
+        rows = writer_rows()
+        rows[2].pop()
+        rows[4].append("7.0")
+        outcome, per_row = ingest_outcome(join(rows))
+        assert per_row
+        assert outcome == (ParseError, "row 2: expected 6 cells, got 5")
+
+    @pytest.mark.parametrize("text", ["a\rb\n", "2017\r", "x\n\r"])
+    def test_a_lone_carriage_return_goes_through_the_per_row_loop(self, text):
+        rows = writer_rows()
+        csv_text = join(rows[:3]) + text + join(rows[3:])
+        outcome, per_row = ingest_outcome(csv_text)
+        assert per_row
+        assert outcome == per_row_outcome(csv_text)
+
+    def test_writer_output_round_trips_without_the_per_row_loop(self, synth_table,
+                                                                tmp_path):
+        """Were the writer to leave the fixed form, every read of its output
+        would silently fall back to the slow loop; here that loop fails."""
+        path = tmp_path / "table.csv"
+        dataio.write_csv(synth_table, path)
+        with mock.patch.object(dataio, "_parse_rows",
+                               side_effect=AssertionError("per-row loop ran")):
+            back = dataio.ingest_csv(path)
+            assert cli.main(["--out", str(tmp_path / "ing"), "--quiet", "ingest",
+                             "--csv", str(path)]) == 0
+            normalized = dataio.ingest_csv(tmp_path / "ing" / "normalized.csv")
+        assert table_key(back) == table_key(synth_table) == table_key(normalized)
+
+
+_ODD_CELLS = ["1e308", "1e309", "-1e309", "-0", "nan", "-nan", "inf", "", " ", "1_5",
+              "１５", "0x10", "1.5e", " 7 ", "\t7", "#", "#7", '"', '"7"', "'7'",
+              "7,8", "\x00", "0000-01-01T00:00:00Z", "2017-02-30T00:00:00Z",
+              "2017-12-08T24:00:00Z", "2017-12-08T00:00:00", "2017-12-08",
+              "2017-12-08T02:00:00+02:00"]
+_ODD_LINES = ["", " ", "\t", "#", '"', "2017-12-08T00:00:00Z", "a,b,c,d,e,f",
+              "2017-12-08T09:00:00Z,0.0,1.0,6.1,78.6,17.0"]
+
+
+def edited_csv(data):
+    """A small fixed-form CSV with one cell or one line edited, and its
+    schema: any text, odd numbers and stamps, a duplicated or swapped stamp,
+    an odd or short line."""
+    note = data.draw(st.booleans(), label="note")
+    rows = writer_rows(note=note)
+    r = data.draw(st.integers(1, len(rows) - 1), label="row")
+    other = data.draw(st.integers(1, len(rows) - 1), label="other row")
+    kind = data.draw(st.sampled_from(["cell", "duplicate", "swap", "line", "short"]))
+    if kind == "cell":
+        col = data.draw(st.integers(0, len(rows[r]) - 1), label="column")
+        rows[r][col] = data.draw(st.one_of(st.sampled_from(_ODD_CELLS), st.text(max_size=12)))
+    elif kind == "duplicate":
+        rows[r][0] = rows[other][0]
+    elif kind == "swap":
+        rows[r][0], rows[other][0] = rows[other][0], rows[r][0]
+    elif kind == "line":
+        rows[r] = [data.draw(st.one_of(st.sampled_from(_ODD_LINES), st.text(max_size=30)))]
+    else:
+        rows[r] = rows[r][:-1]
+    term = data.draw(st.sampled_from(["\r\n", "\n"]), label="line end")
+    return join(rows, term), NOTE_SCHEMA if note else None
+
+
+class TestCsvFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_one_pass_parser_equals_the_per_row_loop(self, data):
+        """The same table, bit for bit, or the same error type and message."""
+        text, schema = edited_csv(data)
+        assert ingest_outcome(text, schema)[0] == per_row_outcome(text, schema)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_ingest_command_ends_in_a_documented_way(self, data):
+        """Exit 0, 2, 3 or 4, at most one stderr line, and no non-finite
+        number in any artifact."""
+        text, schema = edited_csv(data)
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "in.csv").write_text(text, encoding="utf-8", newline="")
+            argv = ["--out", str(tmp / "out"), "--quiet", "ingest", "--csv", str(tmp / "in.csv")]
+            if schema:
+                (tmp / "schema.ini").write_text(
+                    "".join(f"{k} = {v}\n" for k, v in schema.items()))
+                argv += ["--schema", str(tmp / "schema.ini")]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 2, 3, 4)
+            assert err.getvalue().count("\n") <= 1 and (code == 0) == (err.getvalue() == "")
+            for path in (tmp / "out").glob("*") if code == 0 else ():
+                body = path.read_text(encoding="utf-8")
+                assert not re.search(r"(?i)\b(nan|inf|infinity)\b", body), path.name
 
 
 class TestSplit:

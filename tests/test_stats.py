@@ -1,10 +1,11 @@
 """Autocorrelation, unit-root testing, histograms, Q-Q data, and metrics."""
+import math
 import statistics
 
 import numpy as np
 import pytest
 
-from rtcast import stats
+from rtcast import dataio, stats
 from rtcast.errors import ConfigError, DataError, NumericError
 
 
@@ -115,6 +116,104 @@ class TestAdf:
                     assert rejected
                 if lo >= level:
                     assert not rejected
+
+
+def reference_adf(y, max_lags=None):
+    """(used_lags, statistic) by the per-lag loop adf_test ran before its lags
+    shared one QR: a normal-equation fit for every lag on the shared trimmed
+    sample, AIC's first minimum refit on its own sample. A degenerate lag
+    raises adf_test's message: a rank-deficient design first, then a fit
+    whose residual norm is at most 1e-8 of the differences'."""
+    y = np.asarray(y, dtype=np.float64)
+    if max_lags is None:
+        max_lags = int(math.floor(12.0 * (len(y) / 100.0) ** 0.25))
+    best_lag, best_aic = 0, math.inf
+    for p in range(max_lags + 1):
+        X, dy = stats._adf_design(y, p, trim=max_lags)
+        if np.linalg.matrix_rank(X) < X.shape[1]:
+            raise NumericError(f"ADF fit at lag {p} is degenerate: "
+                               "its regressors are collinear")
+        _, _, sse = stats._ols(X, dy, p)
+        if sse <= 1e-16 * float(dy @ dy):
+            raise NumericError(f"ADF fit at lag {p} is degenerate: "
+                               "it fits the differenced series exactly")
+        n_eff = len(dy)
+        aic = n_eff * math.log(sse / n_eff) + 2 * (p + 2)
+        if aic < best_aic:
+            best_lag, best_aic = p, aic
+    X, dy = stats._adf_design(y, best_lag, trim=best_lag)
+    beta, se, _ = stats._ols(X, dy, best_lag)
+    return best_lag, float(beta[1] / se[1])
+
+
+def _synthetic_rt(seed, days):
+    table = dataio.synthesize(dataio.SynthConfig(seed=seed, n_days=days))
+    return table.target[: int(len(table) * 0.6)]  # the CLI's train split
+
+
+def _adf_edge_length():
+    """The shortest series the default lag cap accepts: n == 25 + max_lags."""
+    return next(n for n in range(25, 100) if n == 25 + int(12.0 * (n / 100.0) ** 0.25))
+
+
+class TestAdfAgainstPerLagLoop:
+    """The lag AIC picks from one QR, and so the statistic's bits, are those
+    of one least-squares fit per lag."""
+
+    @staticmethod
+    def assert_same(y, max_lags=None):
+        res = stats.adf_test(y, max_lags)
+        lag, statistic = reference_adf(y, max_lags)
+        assert res.used_lags == lag
+        assert res.statistic.hex() == statistic.hex()
+        return res
+
+    @pytest.mark.parametrize("days", [30, 120, 365])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_synthetic_room_temperature(self, seed, days):
+        y = _synthetic_rt(seed, days)
+        self.assert_same(y)
+        self.assert_same(np.diff(y))
+
+    @pytest.mark.parametrize("phi", [0.9, 0.99, 0.999, 1.0])
+    @pytest.mark.parametrize("n", [200, 2000])
+    def test_ar1_near_the_unit_root(self, phi, n):
+        for seed in range(3):
+            self.assert_same(ar1(phi, n, seed=seed))
+
+    def test_short_series_at_the_length_edge(self):
+        n = _adf_edge_length()
+        for seed in range(5):
+            y = ar1(0.8, n, seed=seed)
+            assert self.assert_same(y).max_lags == n - 25
+        with pytest.raises(DataError, match="series too short"):
+            stats.adf_test(ar1(0.8, n - 1, seed=0))
+
+    @pytest.mark.parametrize("max_lags", [0, 1, 3, 12])
+    def test_explicit_small_max_lags(self, max_lags):
+        for seed in range(3):
+            res = self.assert_same(ar1(0.7, 300, seed=seed) + 0.1 * np.arange(300), max_lags)
+            assert res.max_lags == max_lags
+
+    @pytest.mark.parametrize("series, lag, why", [
+        (np.full(200, 21.5), 0, "its regressors are collinear"),
+        (np.arange(200.0), 0, "it fits the differenced series exactly"),
+        (20.0 + 0.1 * np.arange(200), 0, "it fits the differenced series exactly"),
+        (np.tile([20.0, 21.0, 22.0], 70), 1, "it fits the differenced series exactly"),
+        (np.tile([0.0, 0.0, 1.0, 1.0], 50), 1, "it fits the differenced series exactly"),
+        (np.sin(0.3 * np.arange(300)), 1, "it fits the differenced series exactly"),
+    ], ids=["constant", "linear", "linear-inexact-step", "repeating-20-21-22",
+            "tiled-0011", "sinusoid"])
+    def test_degenerate_series_name_the_lag(self, series, lag, why):
+        """Some lag fits these exactly (or cannot be fitted): a NumericError
+        naming the lag, never a math domain error or a sqrt warning."""
+        message = f"ADF fit at lag {lag} is degenerate: {why}"
+        with pytest.raises(NumericError) as want:
+            reference_adf(series)
+        assert str(want.value) == message
+        with pytest.raises(NumericError) as got:
+            stats.adf_test(series)
+        assert str(got.value) == message
 
 
 class TestHistogram:
