@@ -148,7 +148,11 @@ def _adf_design(y: np.ndarray, lags: int, trim: int):
     return X, dy[trim:]
 
 
-def _adf_r_factor(y: np.ndarray, lags: int, block: int = 4096) -> np.ndarray:
+#: Rows of the ADF design factorised at a time.
+_QR_BLOCK_ROWS = 4096
+
+
+def _adf_r_factor(y: np.ndarray, lags: int) -> np.ndarray:
     """R of the QR factorisation of ``[X | dy]``, the ADF regression with
     ``lags`` lags on the sample trimmed by ``lags``.
 
@@ -158,8 +162,8 @@ def _adf_r_factor(y: np.ndarray, lags: int, block: int = 4096) -> np.ndarray:
     """
     rows = len(y) - 1 - lags
     r = np.empty((0, lags + 3))
-    for start in range(0, rows, block):
-        stop = min(start + block, rows)
+    for start in range(0, rows, _QR_BLOCK_ROWS):
+        stop = min(start + _QR_BLOCK_ROWS, rows)
         X, dy = _adf_design(y[start : stop + lags + 1], lags, trim=lags)
         r = np.linalg.qr(np.vstack([r, np.column_stack([X, dy])]), mode="r")
     return r
