@@ -28,7 +28,7 @@ from . import dataio, explain, forecast, gbm, pffra, stats, timebase
 from .dataio import SplitSpec, SynthConfig, TimeTable
 from .errors import ConfigError, DataError, NumericError, SelectionError, ToolkitError
 from .features import (EngineeringConfig, build_design_matrix, check_finite, feature_order,
-                       training_means)
+                       groups_for_features, training_means)
 from .gbm import Ensemble, HyperparamGrid, Hyperparams
 from .timebase import HolidayCalendar
 
@@ -598,7 +598,7 @@ def cmd_explain(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
     model = _require_model(cfg, args)
     parts = _load_splits(cfg)
     train_t, test_t = parts["train"], parts["test"]
-    groups = forecast.groups_for_model(model)
+    groups = groups_for_features(model.feature_names)
     x_train = build_design_matrix(train_t, cfg.engineering, groups)
     means = training_means(x_train)
     method = args.method
@@ -699,9 +699,7 @@ def cmd_explain(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
             }
             series = {variant: run.y_pred for variant, run in runs.items()}
             series["truth"] = runs["original"].y_true
-            report = pffra.report_from_series(
-                args.feature, series, part.interval_seconds, pffra.DEFAULT_BANDS
-            )
+            report = pffra.report_from_series(args.feature, series, part.interval_seconds)
 
         tag = f"{args.feature}_{args.split}"
         spectra = {

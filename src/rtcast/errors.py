@@ -3,6 +3,9 @@
 Three top-level families map onto the CLI exit codes: configuration/usage
 problems (exit 2), data problems (exit 3), numerical failures (exit 4).
 """
+from contextlib import contextmanager
+
+import numpy as np
 
 
 class ToolkitError(Exception):
@@ -43,3 +46,14 @@ class PipelineError(DataError):
 
 class NumericError(ToolkitError):
     """Numerical failure: singular system, overflow, or non-finite values."""
+
+
+@contextmanager
+def float_range(what: str):
+    """Raise numpy overflow and invalid values in a block (or a decorated
+    function) as NumericError: finite inputs can still overflow to inf/NaN."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericError(f"{what} left the float range: {exc}") from exc

@@ -219,7 +219,7 @@ def fit_surrogate_tree(model, X: FeatureMatrix, max_depth: int = 6):
 
     Returns ``(root, fidelity_r2)`` where fidelity is the surrogate's
     R-squared against the black box's own predictions on X. Reuses the
-    boosting tree grower with unit hessians, no shrinkage and no
+    boosting tree grower (its hessians are all 1), no shrinkage and no
     regularization, which makes the split criterion plain variance reduction.
     """
     if max_depth < 1:
@@ -227,7 +227,7 @@ def fit_surrogate_tree(model, X: FeatureMatrix, max_depth: int = 6):
     predict = _predictor(model)
     z = np.asarray(predict(X.rows), dtype=np.float64)
     fitted = np.empty(len(z))
-    root = grow_tree(X.rows, -z, np.ones(len(z)), max_depth, 0.0, 0.0, out=fitted)
+    root = grow_tree(X.rows, -z, max_depth=max_depth, lambda_=0.0, gamma=0.0, out=fitted)
     rep = metrics(z, fitted)
     return root, (rep.r2 if rep.r2 is not None else 1.0)
 

@@ -21,6 +21,7 @@ Setpoint temperature and Year are excluded from matrices unconditionally.
 """
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,6 +202,21 @@ def feature_order(feature_selection) -> tuple:
     if "MVART" in groups:
         names.append("MVART")
     return tuple(names)
+
+
+def groups_for_features(feature_names) -> frozenset:
+    """The feature-group selection whose ``feature_order`` is a model's
+    ``feature_names``; DataError if no selection's is."""
+    names = set(feature_names)
+    groups = {"IOTS-MVA" if "OutTempMVA" in names else "IOTS"}
+    if "MVART" in names:
+        groups.add("MVART")
+    if "Holiday" in names:
+        groups.add("Holiday")
+    if feature_order(groups) != tuple(feature_names):
+        raise DataError(f"model feature_names {reprlib.repr(list(feature_names))} "
+                        "are not the design-matrix columns of any feature-group selection")
+    return frozenset(groups)
 
 
 def _check_groups(feature_selection) -> frozenset:

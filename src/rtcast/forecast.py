@@ -11,7 +11,6 @@ absorbs each prediction.
 """
 from __future__ import annotations
 
-import reprlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,7 +19,7 @@ from . import timebase
 from .dataio import TimeTable
 from .errors import ConfigError, DataError
 from .features import (
-    EngineeringConfig, build_design_matrix, check_finite, engineered_table, feature_order,
+    EngineeringConfig, build_design_matrix, check_finite, engineered_table, groups_for_features,
 )
 from .gbm import Ensemble, HyperparamGrid, Hyperparams, grid_search, train
 from .stats import MetricReport, metrics
@@ -45,24 +44,6 @@ class ForecastRun:
 
     def report(self) -> MetricReport:
         return metrics(self.y_true, self.y_pred)
-
-
-def groups_for_model(model: Ensemble) -> frozenset:
-    """Reconstruct the feature-group selection a model was trained with.
-
-    Raises DataError unless the model's feature names are exactly the design
-    matrix columns of that selection, in ``feature_order``.
-    """
-    names = set(model.feature_names)
-    groups = {"IOTS-MVA" if "OutTempMVA" in names else "IOTS"}
-    if "MVART" in names:
-        groups.add("MVART")
-    if "Holiday" in names:
-        groups.add("Holiday")
-    if feature_order(groups) != tuple(model.feature_names):
-        raise DataError(f"model feature_names {reprlib.repr(list(model.feature_names))} "
-                        "are not the design-matrix columns of any feature-group selection")
-    return frozenset(groups)
 
 
 def rolling_forecast(
@@ -119,7 +100,7 @@ def rolling_forecast(
         raise ConfigError("table does not cover one access interval")
 
     names = model.feature_names
-    groups = groups_for_model(model)
+    groups = groups_for_features(names)
     et = engineered_table(table, config, groups)
     static = np.column_stack([
         et.columns[n] if n != "MVART" else np.full(len(et), np.nan) for n in names

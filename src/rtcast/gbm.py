@@ -22,13 +22,12 @@ again. A stable partition of a stable sort orders each node exactly as a
 stable sort of the node's own ascending rows would, so the gradient sums,
 gains and trees are the same bit for bit as sorting per node.
 
-Two shortcuts skip work without changing a bit. When every hessian is
-exactly 1 (checked once per tree), a node's hessian sum is its row count and
-the left sums at the cuts are ``cut + 1``, the values the float sums of ones
-give. A feature whose values are all equal in a node has no cut there, nor
-in any descendant, so a node passes its children only the features that
-still have a cut: only their block rows (and the ascending row; only that
-row when the children are leaves) are searched and partitioned below it.
+Hessians are counted: a node's hessian sum is its row count and the left
+sums at the cuts are ``cut + 1``. One shortcut skips work without changing a
+bit: a feature whose values are all equal in a node has no cut there, nor in
+any descendant, so a node passes its children only the features that still
+have a cut: only their block rows (and the ascending row; only that row when
+the children are leaves) are searched and partitioned below it.
 Each leaf writes its weight into the rows of its slice, which is the tree's
 output on its training rows.
 
@@ -78,7 +77,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, ToolkitError
+from .errors import ConfigError, DataError, NumericError, ToolkitError, float_range
 from .features import FeatureMatrix, check_finite
 from .stats import metrics
 
@@ -402,19 +401,14 @@ def predict_coalitions(model: Ensemble, instance, background) -> np.ndarray:
     return values
 
 
-def _hess_sum(h, idx) -> float:
-    """The hessian sum of rows ``idx``: their count when ``h`` is None (all 1)."""
-    return float(len(idx)) if h is None else float(h[idx].sum())
-
-
-def _best_split(cols, g, h, node, live, lambda_, gamma):
+def _best_split(cols, g, node, live, lambda_, gamma):
     """Exact greedy search over all (feature, midpoint-threshold) candidates.
 
     ``node`` is the node's slice of the column block: row ``f`` holds the
     node's row indices sorted by feature ``f``, the last row holds them in
     ascending order. Only the features in ``live`` (ascending) are searched,
-    and ``h`` is None when every hessian is 1. Gains are evaluated only where
-    consecutive sorted values differ. Returns ``(split, cuttable)``: the
+    and every hessian is 1. Gains are evaluated only where consecutive
+    sorted values differ. Returns ``(split, cuttable)``: the
     (gain, feature, threshold) of the best strictly-positive-gain split, or
     None, and the features of ``live`` that have a cut here. Ties keep the
     lowest feature index, then (via argmax over ascending thresholds) the
@@ -422,7 +416,7 @@ def _best_split(cols, g, h, node, live, lambda_, gamma):
     """
     idx = node[-1]
     g_sum = float(g[idx].sum())
-    h_sum = _hess_sum(h, idx)
+    h_sum = float(len(idx))
     parent = g_sum * g_sum / (h_sum + lambda_)
     best = None
     cuttable = []
@@ -434,7 +428,7 @@ def _best_split(cols, g, h, node, live, lambda_, gamma):
             continue
         cuttable.append(f)
         gl = np.cumsum(g[order])[cut]
-        hl = cut + 1.0 if h is None else np.cumsum(h[order])[cut]
+        hl = cut + 1.0
         gr = g_sum - gl
         hr = h_sum - hl
         gains = 0.5 * (gl * gl / (hl + lambda_) + gr * gr / (hr + lambda_) - parent) - gamma
@@ -455,7 +449,7 @@ def _partition(order, left, n_left):
     order[:n_left] = lefts
 
 
-def _grow(cols, grad, hess, block, lo, hi, live, depth, max_depth, lambda_, gamma,
+def _grow(cols, grad, block, lo, hi, live, depth, max_depth, lambda_, gamma,
           goes_left, out):
     """Grow the subtree of the block slice ``[lo, hi)``, partitioning it in
     place; ``live`` lists the features that may still have a cut there."""
@@ -463,9 +457,9 @@ def _grow(cols, grad, hess, block, lo, hi, live, depth, max_depth, lambda_, gamm
     idx = node[-1]
     split = None
     if depth < max_depth:
-        split, live = _best_split(cols, grad, hess, node, live, lambda_, gamma)
+        split, live = _best_split(cols, grad, node, live, lambda_, gamma)
     if split is None:
-        w = -float(grad[idx].sum()) / (_hess_sum(hess, idx) + lambda_)
+        w = -float(grad[idx].sum()) / (float(len(idx)) + lambda_)
         out[idx] = w
         return TreeNode(weight=w)
     gain, f, thr = split
@@ -482,10 +476,10 @@ def _grow(cols, grad, hess, block, lo, hi, live, depth, max_depth, lambda_, gamm
     return TreeNode(
         feature_index=f,
         threshold=thr,
-        left=_grow(cols, grad, hess, block, lo, lo + n_left, live, depth + 1,
-                   max_depth, lambda_, gamma, goes_left, out),
-        right=_grow(cols, grad, hess, block, lo + n_left, hi, live, depth + 1,
-                    max_depth, lambda_, gamma, goes_left, out),
+        left=_grow(cols, grad, block, lo, lo + n_left, live, depth + 1, max_depth,
+                   lambda_, gamma, goes_left, out),
+        right=_grow(cols, grad, block, lo + n_left, hi, live, depth + 1, max_depth,
+                    lambda_, gamma, goes_left, out),
         gain=gain,
     )
 
@@ -501,18 +495,17 @@ def _sort_block(rows) -> tuple:
     return cols, block
 
 
-def grow_tree(rows, grad, hess, max_depth: int, lambda_: float, gamma: float,
+def grow_tree(rows, grad, max_depth: int, lambda_: float, gamma: float,
               out=None, presorted=None) -> TreeNode:
-    """Grow one regression tree on explicit gradient/hessian vectors.
+    """Grow one squared-loss regression tree (every hessian 1) on a gradient.
 
     Shared by boosting rounds and by the tree surrogate (which passes
-    ``grad = -targets, hess = 1, lambda_ = 0`` to get a CART-style
-    variance-reduction tree). A given ``out`` receives the tree's output on
-    ``rows``, each row's leaf weight, with no walk of the tree. Hessians that
-    are all exactly 1 take the counting path of the module docstring, any
-    others their float sums. ``train`` passes ``presorted``, the triple
-    ``(cols, start, work)`` of ``_sort_block(rows)`` and a working block of
-    the same shape, which this tree copies ``start`` into and partitions.
+    ``grad = -targets, lambda_ = 0`` to get a CART-style variance-reduction
+    tree). A given ``out`` receives the tree's output on ``rows``, each row's
+    leaf weight, with no walk of the tree. ``train`` passes ``presorted``, the
+    triple ``(cols, start, work)`` of ``_sort_block(rows)`` and a working
+    block of the same shape, which this tree copies ``start`` into and
+    partitions.
     """
     if presorted is None:
         cols, block = _sort_block(rows)
@@ -520,12 +513,9 @@ def grow_tree(rows, grad, hess, max_depth: int, lambda_: float, gamma: float,
         cols, start, block = presorted
         block[...] = start
     grad = np.asarray(grad, dtype=np.float64)
-    hess = np.asarray(hess, dtype=np.float64)
-    unit = bool((hess == 1.0).all())
     n = block.shape[1]
-    return _grow(cols, grad, None if unit else hess, block, 0, n, range(len(cols)), 0,
-                 max_depth, lambda_, gamma, np.zeros(n, dtype=bool),
-                 np.empty(n) if out is None else out)
+    return _grow(cols, grad, block, 0, n, range(len(cols)), 0, max_depth, lambda_, gamma,
+                 np.zeros(n, dtype=bool), np.empty(n) if out is None else out)
 
 
 def train(X: FeatureMatrix, params: Hyperparams) -> Ensemble:
@@ -552,22 +542,19 @@ def train(X: FeatureMatrix, params: Hyperparams) -> Ensemble:
     trees = []
     # Finite inputs can still overflow (squared gradients of huge targets);
     # that must stop training, not leave NaN gains and leaf weights.
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            base = float(y.mean())
-            pred = np.full(len(y), base)
-            hess = np.ones(len(y))
-            fitted = np.empty(len(y))
-            cols, start = _sort_block(X.rows)
-            presorted = (cols, start, np.empty_like(start))
-            for _ in range(params.n_trees):
-                tree = grow_tree(X.rows, pred - y, hess, params.max_depth,
-                                 params.lambda_, params.gamma, out=fitted,
-                                 presorted=presorted)
-                pred += params.learning_rate * fitted
-                trees.append(tree)
-    except FloatingPointError as exc:
-        raise NumericError(f"training arithmetic left the float range: {exc}") from exc
+    with float_range("training arithmetic"):
+        base = float(y.mean())
+        pred = np.full(len(y), base)
+        fitted = np.empty(len(y))
+        cols, start = _sort_block(X.rows)
+        presorted = (cols, start, np.empty_like(start))
+        for _ in range(params.n_trees):
+            # Keywords: perfbench's tracer reads max_depth by name or 4th position.
+            tree = grow_tree(X.rows, pred - y, max_depth=params.max_depth,
+                             lambda_=params.lambda_, gamma=params.gamma,
+                             out=fitted, presorted=presorted)
+            pred += params.learning_rate * fitted
+            trees.append(tree)
     return Ensemble(
         base_score=base,
         learning_rate=params.learning_rate,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, float_range
 
 # Dickey-Fuller critical values, regression with constant and no trend.
 # Rows: sample size -> (1%, 5%, 10%). Interpolation between rows is linear
@@ -62,12 +62,17 @@ def _demeaned(series) -> np.ndarray:
     return x - x.mean()
 
 
+@float_range("ACF arithmetic")
 def acf(series, max_lag: int) -> np.ndarray:
     """Sample autocorrelation for lags 0..max_lag.
 
     Uses the standard biased estimator: lag-k autocovariance divided by the
     lag-0 autocovariance, so ``acf[0] == 1``.
     """
+    return _acf(series, max_lag)
+
+
+def _acf(series, max_lag: int) -> np.ndarray:
     if max_lag < 0:
         raise ConfigError(f"max_lag must be >= 0, got {max_lag}")
     d = _demeaned(series)
@@ -83,9 +88,10 @@ def acf(series, max_lag: int) -> np.ndarray:
     return out
 
 
+@float_range("PACF arithmetic")
 def pacf(series, max_lag: int) -> np.ndarray:
     """Partial autocorrelation for lags 0..max_lag via Durbin-Levinson."""
-    r = acf(series, max_lag)
+    r = _acf(series, max_lag)
     out = np.empty(max_lag + 1)
     out[0] = 1.0
     if max_lag == 0:
@@ -180,6 +186,7 @@ def _df_critical(n_obs: int) -> tuple:
     return _DF_TABLE[-1][1:]
 
 
+@float_range("ADF arithmetic")
 def adf_test(series, max_lags: int | None = None) -> AdfResult:
     """Augmented Dickey-Fuller unit-root test (constant, no trend).
 
@@ -206,7 +213,8 @@ def adf_test(series, max_lags: int | None = None) -> AdfResult:
     NumericError
         Some lag's regression is degenerate: its regressors are collinear,
         or it fits the differenced series exactly. The message names the
-        smallest such lag.
+        smallest such lag. Or the arithmetic overflows (values of ~1e154 or
+        more).
     """
     y = np.asarray(series, dtype=np.float64)
     if not np.isfinite(y).all():
@@ -348,18 +356,15 @@ def metrics(y_true, y_pred) -> MetricReport:
     yp = np.asarray(y_pred, dtype=np.float64)
     if yt.shape != yp.shape or yt.ndim != 1 or len(yt) == 0:
         raise DataError("y_true and y_pred must be equal-length non-empty vectors")
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            err = yp - yt
-            mse = float(np.mean(err**2))
-            mae = float(np.mean(np.abs(err)))
-            mape = None
-            if np.all(yt != 0.0):
-                mape = float(np.mean(np.abs(err / yt))) * 100.0
-            sst = float(np.sum((yt - yt.mean()) ** 2))
-            sse = float(np.sum(err**2))
-    except FloatingPointError as exc:  # finite values too large to square
-        raise NumericError(f"error metrics left the float range: {exc}") from exc
+    with float_range("error metrics"):  # finite values too large to square
+        err = yp - yt
+        mse = float(np.mean(err**2))
+        mae = float(np.mean(np.abs(err)))
+        mape = None
+        if np.all(yt != 0.0):
+            mape = float(np.mean(np.abs(err / yt))) * 100.0
+        sst = float(np.sum((yt - yt.mean()) ** 2))
+        sse = float(np.sum(err**2))
     if sst > 0.0:
         r2 = 1.0 - sse / sst
     else:

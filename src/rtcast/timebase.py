@@ -108,11 +108,6 @@ class HolidayCalendar:
     dates: frozenset
     include_weekends: bool = True
 
-    def is_holiday(self, d: date) -> bool:
-        if self.include_weekends and d.isoweekday() >= 6:
-            return True
-        return d in self.dates
-
     def mask(self, day_numbers: np.ndarray) -> np.ndarray:
         """Boolean holiday mask for an int array of days since 1970-01-01."""
         days = np.asarray(day_numbers, dtype=np.int64)

@@ -530,6 +530,24 @@ class TestExitCodes:
                                "it fits the differenced series exactly\n")
         assert not dest.exists()
 
+    @pytest.mark.parametrize("which", ["adf", "acf", "pacf"])
+    def test_huge_finite_rt_is_exit_four(self, pipeline, tmp_path, which):
+        """RT times 1e160 is finite, but its squares overflow: one error line
+        naming the check, no numpy warning, and nothing written."""
+        cfg, out = pipeline
+        rows = read_csv(out / "synthetic.csv")
+        col = rows[0].index("RT")
+        for r in rows[1:]:
+            r[col] = repr(float(r[col]) * 1e160)
+        edited = csv_config(tmp_path, rows)
+        dest = tmp_path / "x"
+        proc = run_cli("--config", str(edited), "--out", str(dest), "--quiet",
+                       "diagnose", which, check=False)
+        assert proc.returncode == 4, proc.stderr
+        message = f"error: {which.upper()} arithmetic left the float range: "
+        assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1, proc.stderr
+        assert not dest.exists()
+
     @pytest.mark.parametrize("cell", ["", "nan", "inf", "-1e309"])
     def test_ingest_refuses_a_blank_or_non_finite_cell(self, pipeline, tmp_path, cell):
         """normalized.csv would hold it as nan or inf."""

@@ -206,7 +206,7 @@ def reference_forecast(model, table, config, access_interval_seconds=86400,
     if (len(table) - 1) * step < access_interval_seconds:
         raise ConfigError("table does not cover one access interval")
     names = model.feature_names
-    et = features.engineered_table(table, config, forecast.groups_for_model(model))
+    et = features.engineered_table(table, config, features.groups_for_features(names))
     static = np.column_stack([
         et.columns[n] if n != "MVART" else np.full(len(et), np.nan) for n in names
     ])
@@ -424,4 +424,13 @@ class TestGroupsForModel:
     def test_round_trip(self, groups, synth_splits, engineering):
         X = features.build_design_matrix(synth_splits[0], engineering, groups)
         model = gbm.train(X, gbm.Hyperparams(max_depth=2, n_trees=2))
-        assert forecast.groups_for_model(model) == groups
+        assert features.groups_for_features(model.feature_names) == groups
+
+    @pytest.mark.parametrize("names", [
+        features.feature_order({"IOTS", "Holiday"})[::-1],
+        features.feature_order({"IOTS-MVA"}) + ("Holiday",),
+        ("OnOffState", "Hour"),
+    ], ids=["reordered", "holiday-last", "too-few"])
+    def test_other_names_are_a_data_error(self, names):
+        with pytest.raises(DataError, match="are not the design-matrix columns of any"):
+            features.groups_for_features(names)

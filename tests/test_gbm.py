@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtcast import dataio, features, gbm
+from rtcast import dataio, explain, features, gbm
 from rtcast.errors import ConfigError, DataError, NumericError
 from rtcast.gbm import Ensemble, Hyperparams, HyperparamGrid, TreeNode
 
@@ -92,15 +92,14 @@ class TestGrowTreeOracle:
         gamma = float(rng.choice([0.0, 0.25]))
         depth = int(rng.integers(1, 4))
         grad = -y  # squared loss from a zero prediction
-        hess = np.ones_like(y)
-        got = gbm.grow_tree(rows, grad, hess, depth, lam, gamma)
-        want = oracle_tree(rows, grad, hess, depth, lam, gamma)
+        got = gbm.grow_tree(rows, grad, depth, lam, gamma)
+        want = oracle_tree(rows, grad, np.ones_like(y), depth, lam, gamma)
         assert_trees_equal(got, want)
 
     def test_hand_computed_stump(self):
         rows = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([0.0, 0.0, 1.0, 1.0])
-        node = gbm.grow_tree(rows, -y, np.ones(4), 1, 0.0, 0.0)
+        node = gbm.grow_tree(rows, -y, 1, 0.0, 0.0)
         assert node.threshold == 2.5
         assert node.gain == pytest.approx(0.5 * (0.0 + 4.0 / 2.0 - 4.0 / 4.0))
         assert node.left.weight == pytest.approx(0.0)
@@ -110,42 +109,43 @@ class TestGrowTreeOracle:
         col = np.array([1.0, 2.0, 3.0, 4.0])
         rows = np.column_stack([col, col])
         y = np.array([0.0, 0.0, 1.0, 1.0])
-        node = gbm.grow_tree(rows, -y, np.ones(4), 1, 1.0, 0.0)
+        node = gbm.grow_tree(rows, -y, 1, 1.0, 0.0)
         assert node.feature_index == 0
 
     def test_threshold_tie_prefers_lower_value(self):
         rows = np.array([[1.0], [2.0], [3.0]])
         y = np.array([1.0, 0.0, 1.0])
-        node = gbm.grow_tree(rows, -y, np.ones(3), 1, 0.0, 0.0)
+        node = gbm.grow_tree(rows, -y, 1, 0.0, 0.0)
         assert node.threshold == 1.5
 
     def test_pure_node_stays_leaf(self):
         rows = np.array([[0.0], [1.0], [2.0]])
         grad = np.zeros(3)
-        node = gbm.grow_tree(rows, grad, np.ones(3), 3, 1.0, 0.0)
+        node = gbm.grow_tree(rows, grad, 3, 1.0, 0.0)
         assert node.is_leaf and node.weight == 0.0
 
     def test_gamma_suppresses_marginal_split(self):
         rows = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([0.0, 0.0, 1.0, 1.0])
-        node = gbm.grow_tree(rows, -y, np.ones(4), 1, 0.0, 10.0)
+        node = gbm.grow_tree(rows, -y, 1, 0.0, 10.0)
         assert node.is_leaf
 
     def test_lambda_shrinks_leaf_weight(self):
         rows = np.array([[0.0], [0.0]])
         y = np.array([4.0, 4.0])
-        node = gbm.grow_tree(rows, -y, np.ones(2), 1, 2.0, 0.0)
+        node = gbm.grow_tree(rows, -y, 1, 2.0, 0.0)
         assert node.weight == pytest.approx(8.0 / (2.0 + 2.0))
 
     def test_depth_zero_is_a_leaf(self):
         rows, y = dyadic_fixture(3)
-        node = gbm.grow_tree(rows, -y, np.ones_like(y), 0, 1.0, 0.0)
+        node = gbm.grow_tree(rows, -y, 0, 1.0, 0.0)
         assert node.is_leaf
 
 
 # ---------------------------------------------------------------------------
 # reference implementation: the per-node stable argsort grower that the
-# column-block grower replaced; both must give the same trees bit for bit
+# column-block grower replaced; both must give the same trees bit for bit.
+# It sums float hessians, and is fed ones: the grower counts them instead.
 # ---------------------------------------------------------------------------
 
 def argsort_split(rows, g, h, idx, lambda_, gamma):
@@ -201,8 +201,8 @@ def assert_trees_identical(got, want, path="root"):
 
 
 def tied_fixture(seed):
-    """Float columns with heavy ties: low-cardinality codes, coarsely rounded
-    and continuous values, in random order and with random hessians."""
+    """Float columns with heavy ties (low-cardinality codes, coarsely rounded
+    and continuous values, in random order) and gradients for them."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 400))
     cols = []
@@ -215,8 +215,7 @@ def tied_fixture(seed):
         else:
             cols.append(rng.normal(scale=10.0, size=n))
     grad = rng.normal(size=n)
-    hess = rng.uniform(0.1, 3.0, size=n) if seed % 2 else np.ones(n)
-    return np.column_stack(cols), grad, hess
+    return np.column_stack(cols), grad
 
 
 #: SHA-256 of the 30-day design matrix (rows then target bytes) and of the
@@ -229,67 +228,36 @@ class TestColumnBlockGrower:
     @pytest.mark.parametrize("seed", range(40))
     @pytest.mark.parametrize("lam, gamma", [(0.0, 0.0), (1.0, 0.0), (1.0, 0.5)])
     def test_equals_per_node_argsort_grower(self, seed, lam, gamma):
-        rows, grad, hess = tied_fixture(seed)
+        rows, grad = tied_fixture(seed)
         depth = 1 + seed % 7
-        got = gbm.grow_tree(rows, grad, hess, depth, lam, gamma)
-        want = argsort_tree(rows, grad, hess, np.arange(len(rows)), 0, depth, lam, gamma)
+        got = gbm.grow_tree(rows, grad, depth, lam, gamma)
+        want = argsort_tree(rows, grad, np.ones(len(rows)), np.arange(len(rows)), 0, depth,
+                            lam, gamma)
         assert_trees_identical(got, want)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_fitted_output_is_the_walk_of_the_grown_tree(self, seed):
         """The grower's own leaf assignment, on rows with ties and with
         duplicate rows, is what walking the returned tree gives."""
-        rows, grad, hess = tied_fixture(seed)
+        rows, grad = tied_fixture(seed)
         dup = np.arange(len(rows)) % 3 == 0
-        rows, grad, hess = (np.concatenate([a, a[dup]]) for a in (rows, grad, hess))
+        rows, grad = (np.concatenate([a, a[dup]]) for a in (rows, grad))
         out = np.full(len(rows), np.nan)
-        tree = gbm.grow_tree(rows, grad, hess, 1 + seed % 7, 1.0, 0.0, out=out)
+        tree = gbm.grow_tree(rows, grad, 1 + seed % 7, 1.0, 0.0, out=out)
         assert np.array_equal(out, [leaf_weight(tree, x) for x in rows])
 
     def test_leaves_no_reference_cycle(self):
-        rows, grad, hess = tied_fixture(3)
+        rows, grad = tied_fixture(3)
         gc.collect()
         gc.disable()
         try:
-            gbm.grow_tree(rows, grad, hess, 6, 1.0, 0.0)
+            gbm.grow_tree(rows, grad, 6, 1.0, 0.0)
             assert gc.collect() == 0
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("depth", [1, 3, 6])
-    @pytest.mark.parametrize("odd", ["last", "middle", "isolated"])
-    def test_unit_hessian_check_reads_every_hessian(self, depth, odd):
-        """Hessians of ones but one ``1 + 2**-52`` take the float-sum path. In
-        the "isolated" case that row is alone in the first left child, with
-        no regularization, so its leaf weight shows the odd hessian."""
-        rows, grad, _ = tied_fixture(4)
-        hess = np.ones(len(rows))
-        if odd == "isolated":
-            rows = rows.copy()
-            rows[7, 0] = rows[:, 0].min() - 1.0
-            grad = grad.copy()
-            grad[7] = 100.0
-            k = 7
-        else:
-            k = len(rows) - 1 if odd == "last" else len(rows) // 2
-        hess[k] = 1.0 + 2.0 ** -52
-        got = gbm.grow_tree(rows, grad, hess, depth, 0.0, 0.0)
-        want = argsort_tree(rows, grad, hess, np.arange(len(rows)), 0, depth, 0.0, 0.0)
-        assert_trees_identical(got, want)
-        if odd == "isolated":
-            assert got.left.is_leaf and got.left.weight == -100.0 / (1.0 + 2.0 ** -52)
-
-    @pytest.mark.parametrize("seed", range(0, 12, 2))
-    def test_integer_unit_hessians(self, seed):
-        rows, grad, hess = tied_fixture(seed)
-        ints = np.ones(len(rows), dtype=np.int64)
-        got = gbm.grow_tree(rows, grad, ints, 1 + seed % 7, 1.0, 0.0)
-        want = argsort_tree(rows, grad, hess, np.arange(len(rows)), 0, 1 + seed % 7, 1.0, 0.0)
-        assert_trees_identical(got, want)
-
-    @pytest.mark.parametrize("unit", [True, False])
     @pytest.mark.parametrize("lam, gamma", [(0.0, 0.0), (1.0, 0.5)])
-    def test_column_constant_after_first_split(self, unit, lam, gamma):
+    def test_column_constant_after_first_split(self, lam, gamma):
         """Column 0 decides the first split and column 1 copies it, so both
         are constant in every node below the root; the continuous column 2
         and the coarse column 3 keep splitting."""
@@ -300,9 +268,8 @@ class TestColumnBlockGrower:
         coarse = np.round(rng.normal(size=n), 1)
         rows = np.column_stack([on, on * 3.0, cont, coarse])
         grad = -(20.0 * on + np.sin(3.0 * cont) + coarse) + rng.normal(scale=0.1, size=n)
-        hess = np.ones(n) if unit else rng.uniform(0.5, 2.0, n)
-        got = gbm.grow_tree(rows, grad, hess, 5, lam, gamma)
-        want = argsort_tree(rows, grad, hess, np.arange(n), 0, 5, lam, gamma)
+        got = gbm.grow_tree(rows, grad, 5, lam, gamma)
+        want = argsort_tree(rows, grad, np.ones(n), np.arange(n), 0, 5, lam, gamma)
         assert got.feature_index == 0
         assert_trees_identical(got, want)
 
@@ -328,20 +295,35 @@ class TestTrain:
     def test_equals_rounds_grown_from_scratch(self, depth, lam, gamma):
         """``train`` sorts the column block once and reuses it in every
         round; growing each round from its own rows gives the same bytes."""
-        rows, y, _ = tied_fixture(depth + 10)
+        rows, y = tied_fixture(depth + 10)
         X = make_matrix(rows, [f"f{i}" for i in range(rows.shape[1])], target=y)
         params = Hyperparams(max_depth=depth, n_trees=4, gamma=gamma, lambda_=lam)
         pred = np.full(len(y), float(y.mean()))
         trees = []
         for _ in range(params.n_trees):
             fitted = np.empty(len(y))
-            trees.append(gbm.grow_tree(rows, pred - y, np.ones(len(y)), depth, lam, gamma,
-                                       out=fitted))
+            trees.append(gbm.grow_tree(rows, pred - y, depth, lam, gamma, out=fitted))
             pred += params.learning_rate * fitted
         want = Ensemble(base_score=float(y.mean()), learning_rate=params.learning_rate,
                         trees=tuple(trees), feature_names=X.feature_names,
                         lambda_=lam, gamma=gamma)
         assert gbm.dumps(gbm.train(X, params)) == gbm.dumps(want)
+
+    def test_callers_pass_the_depth_by_keyword(self, monkeypatch, train_matrix):
+        """perfbench's tracer reads a grown tree's depth as ``max_depth`` or
+        as the fourth positional argument, which is ``lambda_``: ``train`` and
+        the tree surrogate pass it by keyword."""
+        seen, grow = [], gbm.grow_tree
+
+        def spy(*args, **kwargs):
+            seen.append((len(args), kwargs.get("max_depth")))
+            return grow(*args, **kwargs)
+
+        monkeypatch.setattr(gbm, "grow_tree", spy)
+        monkeypatch.setattr(explain, "grow_tree", spy)
+        gbm.train(train_matrix, Hyperparams(max_depth=3, n_trees=2))
+        explain.fit_surrogate_tree(lambda rows: rows[:, 0], train_matrix, max_depth=4)
+        assert seen == [(2, 3), (2, 3), (2, 4)]
 
     def test_base_score_is_target_mean(self):
         X = make_matrix([[0.0], [1.0], [2.0]], ["A"], target=[1.0, 2.0, 6.0])

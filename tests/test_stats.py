@@ -118,6 +118,21 @@ class TestAdf:
                     assert not rejected
 
 
+class TestHugeFiniteSeries:
+    """A finite random walk scaled by 1e160 overflows when squared: each
+    check raises one NumericError naming it, with no numpy warning."""
+
+    @pytest.mark.parametrize("check, label", [
+        (stats.adf_test, "ADF"),
+        (lambda x: stats.acf(x, 12), "ACF"),
+        (lambda x: stats.pacf(x, 12), "PACF"),
+    ], ids=["adf", "acf", "pacf"])
+    def test_is_a_numeric_error_naming_the_check(self, check, label):
+        walk = np.cumsum(np.random.default_rng(0).normal(size=400)) * 1e160
+        with pytest.raises(NumericError, match=f"^{label} arithmetic left the float range: "):
+            check(walk)
+
+
 def reference_adf(y, max_lags=None):
     """(used_lags, statistic) by the per-lag loop adf_test ran before its lags
     shared one QR: a normal-equation fit for every lag on the shared trimmed
