@@ -26,7 +26,7 @@ import numpy as np
 
 from . import dataio, explain, forecast, gbm, pffra, stats, timebase
 from .dataio import SplitSpec, SynthConfig, TimeTable
-from .errors import ConfigError, DataError, NumericError, SelectionError, ToolkitError
+from .errors import ConfigError, DataError, NumericError, ParseError, SelectionError, ToolkitError
 from .features import (EngineeringConfig, build_design_matrix, check_finite, feature_order,
                        groups_for_features, training_means)
 from .gbm import Ensemble, HyperparamGrid, Hyperparams
@@ -174,7 +174,7 @@ def _source(key, text):
 def _holidays(key, text):
     try:
         return HolidayCalendar.from_file(text).dates
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, ParseError) as exc:
         raise ConfigError(f"config {key}: cannot read {text!r}: {exc}") from None
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, float_range
 from .features import FeatureMatrix, training_means
 from .gbm import Ensemble, grow_tree, predict_coalitions, predict_sweep
 from .stats import metrics
@@ -169,13 +169,15 @@ def _swept(predict, rows, j, grid):
         yield predict(rows)
 
 
+@float_range("ridge surrogate arithmetic")
 def fit_surrogate_ridge(model, X: FeatureMatrix, lambda_: float = 1.0) -> LinearSurrogate:
     """Global linear surrogate: ridge regression onto the model's predictions.
 
     Features are standardized to zero mean and unit variance; the intercept
     is not penalized (it equals the mean prediction in standardized space).
     Coefficients are reported both in standardized units and de-standardized
-    to raw feature units.
+    to raw feature units. Finite features too large to square raise
+    NumericError.
     """
     if lambda_ < 0:
         raise ConfigError(f"lambda must be >= 0, got {lambda_}")

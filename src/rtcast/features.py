@@ -1,12 +1,14 @@
-"""Feature engineering: smoothing, calendar/occupancy indicators, MVART.
+"""Feature engineering: calendar/occupancy indicators, smoothing, MVART.
 
 The pipeline turns a raw :class:`~rtcast.dataio.TimeTable` into a
-:class:`FeatureMatrix` whose rows feed the regressor. Feature *groups* mirror
-the ablation vocabulary:
+:class:`FeatureMatrix` whose rows feed the regressor, in two steps:
+:func:`engineered_table` adds every static column in one pass over the local
+calendar, and :func:`build_design_matrix` adds MVART and stacks the columns
+of the selection. Feature *groups* mirror the ablation vocabulary:
 
 ``IOTS``
-    Raw indoor/outdoor/time/state features: OnOffState, OpMode, Quarter,
-    Month, WeekDay, Hour, Occupancy, OutHumid, OutTemp.
+    Raw state/time/outdoor features: OnOffState, OpMode, Quarter, Month,
+    WeekDay, Hour, Occupancy, OutHumid, OutTemp.
 ``IOTS-MVA``
     Same, but with the outdoor sensor channels smoothed by a trailing moving
     average (columns OutHumidMVA / OutTempMVA).
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import timebase
 from .dataio import TimeTable
-from .errors import ConfigError, DataError, PipelineError, SelectionError
+from .errors import ConfigError, DataError, PipelineError, SelectionError, float_range
 from .timebase import HolidayCalendar
 
 GROUPS = ("IOTS", "IOTS-MVA", "MVART", "Holiday")
@@ -130,66 +132,6 @@ def moving_average(series, window: int) -> np.ndarray:
     return out
 
 
-def add_time_features(
-    table: TimeTable, utc_offset_hours: float = timebase.DEFAULT_UTC_OFFSET_HOURS
-) -> TimeTable:
-    """Add local calendar columns Quarter, Month, WeekDay (Monday=1), Hour.
-
-    Year is deliberately not added: it cannot generalize past the training
-    period.
-    """
-    f = timebase.local_fields(table.timestamps, utc_offset_hours)
-    out = table
-    for name in ("Quarter", "Month", "WeekDay", "Hour"):
-        out = out.with_column(name, f[name.lower()])
-    return out
-
-
-def add_holiday(
-    table: TimeTable,
-    calendar: HolidayCalendar,
-    utc_offset_hours: float = timebase.DEFAULT_UTC_OFFSET_HOURS,
-) -> TimeTable:
-    """Add binary ``Holiday``: 1 on weekends and configured national holidays."""
-    days = timebase.local_fields(table.timestamps, utc_offset_hours)["day"]
-    return table.with_column("Holiday", calendar.mask(days).astype(np.float64))
-
-
-def add_occupancy(
-    table: TimeTable, work_start_hour: int = 8, work_end_hour: int = 18
-) -> TimeTable:
-    """Add binary ``Occupancy``: system on, non-holiday, within working hours."""
-    for dep in ("OnOffState", "Hour", "Holiday"):
-        if dep not in table.columns:
-            raise PipelineError(f"occupancy needs column {dep!r}; add it first")
-    hour = table.columns["Hour"]
-    occ = (
-        (table.columns["OnOffState"] == 1.0)
-        & (table.columns["Holiday"] == 0.0)
-        & (hour >= work_start_hour)
-        & (hour < work_end_hour)
-    )
-    return table.with_column("Occupancy", occ.astype(np.float64))
-
-
-def add_mvart(table: TimeTable, config: EngineeringConfig) -> TimeTable:
-    """Add ``MVART``: mean of the previous ``mva_window`` true RT values.
-
-    Strictly past values only — the sample at the row's own instant is never
-    included. The first ``mva_window`` rows have no full history and are
-    flagged NaN (the design-matrix builder drops them). The rolling forecast
-    computes the same mean over its own predictions after each anchor.
-    """
-    src = np.asarray(table.target, dtype=np.float64)
-    w = config.mva_window
-    n = len(src)
-    mvart = np.full(n, np.nan)
-    if n > w:
-        windows = np.lib.stride_tricks.sliding_window_view(src, w)
-        mvart[w:] = windows[: n - w].mean(axis=1)
-    return table.with_column("MVART", mvart)
-
-
 def feature_order(feature_selection) -> tuple:
     """Canonical column order of the design matrix for a group selection."""
     groups = _check_groups(feature_selection)
@@ -238,27 +180,36 @@ def engineered_table(
 ) -> TimeTable:
     """Table with every static engineered column the selection needs.
 
-    Everything except MVART: calendar fields, Holiday, Occupancy, and (for
-    IOTS-MVA) the smoothed outdoor channels. The holiday column is always
-    computed — occupancy depends on it — but only kept as a model feature
-    when the ``Holiday`` group is selected.
+    Everything except MVART, from one read of the local calendar: Quarter,
+    Month, WeekDay (Monday=1) and Hour; Holiday (weekends and listed dates);
+    Occupancy (system on, not a holiday, within working hours); and, for
+    IOTS-MVA, the smoothed outdoor channels OutHumidMVA and OutTempMVA.
+    Holiday is always computed, since occupancy depends on it, but it is a
+    model feature only when the ``Holiday`` group is selected. A moving
+    average that overflows raises NumericError naming its raw column.
     """
     groups = _check_groups(feature_selection)
+    cols = table.columns
     for dep in ("OnOffState", "OpMode", "OutTemp", "OutHumid"):
-        if dep not in table.columns:
+        if dep not in cols:
             raise PipelineError(f"input table is missing column {dep!r}")
 
-    out = add_time_features(table, config.utc_offset_hours)
-    out = add_holiday(out, config.holiday_calendar, config.utc_offset_hours)
-    out = add_occupancy(out, config.work_start_hour, config.work_end_hour)
+    f = timebase.local_fields(table.timestamps, config.utc_offset_hours)
+    holiday = config.holiday_calendar.mask(f["day"])
+    hour = f["hour"]
+    new = {name: f[name.lower()] for name in ("Quarter", "Month", "WeekDay", "Hour")}
+    new["Holiday"] = holiday
+    new["Occupancy"] = (
+        (cols["OnOffState"] == 1.0)
+        & ~holiday
+        & (hour >= config.work_start_hour)
+        & (hour < config.work_end_hour)
+    )
     if "IOTS-MVA" in groups:
-        out = out.with_column(
-            "OutHumidMVA", moving_average(out.columns["OutHumid"], config.mva_window)
-        )
-        out = out.with_column(
-            "OutTempMVA", moving_average(out.columns["OutTemp"], config.mva_window)
-        )
-    return out
+        for name in ("OutHumid", "OutTemp"):
+            with float_range(f"moving average of {name!r}"):
+                new[name + "MVA"] = moving_average(cols[name], config.mva_window)
+    return TimeTable(table.timestamps, {**cols, **new}, table.target, table.interval_seconds)
 
 
 def check_finite(rows, names, timestamps=None) -> None:
@@ -294,23 +245,25 @@ def build_design_matrix(
 ) -> FeatureMatrix:
     """Assemble the model's design matrix for a feature-group selection.
 
-    Each row's target is the RT at the row's own timestamp; multi-step
-    forecasts come from applying the model recursively (see the forecast
-    module). Warm-up rows (NaN MVART) are dropped; any other NaN in the
-    selected columns is a data gap and raises.
+    The columns are those of :func:`engineered_table` plus, for the MVART
+    group, MVART: the mean of the previous ``mva_window`` true RT values,
+    never the row's own. The rolling forecast computes the same mean over its
+    own predictions. The first ``mva_window`` rows have no full window and
+    are dropped. Each row's target is the RT at the row's own timestamp;
+    multi-step forecasts come from applying the model recursively (see the
+    forecast module). A NaN in a kept row is a data gap and raises.
     """
     names = feature_order(feature_selection)
     work = engineered_table(table, config, feature_selection)
-    if "MVART" in names:
-        work = add_mvart(work, config)
-
-    rows = np.column_stack([work.columns[n] for n in names])
+    n = len(work)
     start = config.mva_window if "MVART" in names else 0
-    if start >= len(rows):
-        raise DataError(
-            f"table too short: {len(rows)} rows, {start} needed for MVART warm-up"
-        )
-    rows = rows[start:]
+    if start >= n:
+        raise DataError(f"table too short: {n} rows, {start} needed for MVART warm-up")
+    cols = [work.columns[name][start:] for name in names if name != "MVART"]
+    if "MVART" in names:
+        windows = np.lib.stride_tricks.sliding_window_view(work.target, start)
+        cols.append(windows[: n - start].mean(axis=1))
+    rows = np.column_stack(cols)
     target = work.target[start:]
     ts = work.timestamps[start:]
 

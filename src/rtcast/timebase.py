@@ -70,6 +70,11 @@ def offset_seconds(utc_offset_hours: float) -> int:
     return int(round(utc_offset_hours * 3600))
 
 
+def weekday(day_numbers):
+    """Weekday (Monday=1 .. Sunday=7) of days since 1970-01-01, which was a Thursday."""
+    return (day_numbers + 3) % 7 + 1
+
+
 def local_fields(
     timestamps: np.ndarray, utc_offset_hours: float = DEFAULT_UTC_OFFSET_HOURS
 ) -> dict[str, np.ndarray]:
@@ -94,7 +99,7 @@ def local_fields(
         "year": years.astype(np.int64) + 1970,
         "quarter": (month - 1) // 3 + 1,
         "month": month,
-        "weekday": (day_idx + 3) % 7 + 1,  # 1970-01-01 was a Thursday
+        "weekday": weekday(day_idx),
         "hour": second_of_day // 3600,
         "day": day_idx,
         "second_of_day": second_of_day,
@@ -113,7 +118,7 @@ class HolidayCalendar:
         days = np.asarray(day_numbers, dtype=np.int64)
         out = np.zeros(days.shape, dtype=bool)
         if self.include_weekends:
-            out |= (days + 3) % 7 + 1 >= 6
+            out |= weekday(days) >= 6
         if self.dates:
             listed = np.array(sorted(day_number(d) for d in self.dates))
             out |= np.isin(days, listed)

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -22,9 +23,12 @@ model.n_trees = 8
 
 
 def run_cli(*args, check=True):
+    """Run the CLI in a subprocess where, as in this process (pyproject's
+    filterwarnings), a numpy RuntimeWarning is an error."""
     proc = subprocess.run(
         [sys.executable, "-m", "rtcast.cli", *args],
         capture_output=True, text=True,
+        env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"},
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"cli failed ({proc.returncode}): {proc.stderr}")
@@ -340,6 +344,20 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "no.such.key" in proc.stderr
 
+    def test_malformed_holiday_file_is_exit_two(self, tmp_path):
+        holidays = tmp_path / "bad_hol.txt"
+        holidays.write_text("2017-12-25\nnot-a-date\n")
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(CONFIG + f"features.holiday_file = {holidays}\n")
+        dest = tmp_path / "x"
+        proc = run_cli("--config", str(cfg), "--out", str(dest), "--quiet", "train",
+                       check=False)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (
+            f"error: config features.holiday_file: cannot read {str(holidays)!r}: "
+            f"{holidays}: line 2: unparseable date 'not-a-date'\n")
+        assert not dest.exists()
+
     def test_bad_data_is_exit_three(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text(
@@ -545,6 +563,30 @@ class TestExitCodes:
                        "diagnose", which, check=False)
         assert proc.returncode == 4, proc.stderr
         message = f"error: {which.upper()} arithmetic left the float range: "
+        assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1, proc.stderr
+        assert not dest.exists()
+
+    @pytest.mark.parametrize("factor, command, message", [
+        (1e305, ["train"], "moving average of 'OutTemp'"),
+        (1e160, ["explain", "surrogate"], "ridge surrogate arithmetic"),
+    ], ids=["moving-average", "ridge-surrogate"])
+    def test_huge_finite_outdoor_temperature_is_exit_four(self, pipeline, tmp_path, factor,
+                                                          command, message):
+        """OutTemp times ``factor`` is finite, but its running sum or its
+        variance overflows: one error line naming the step and, for the
+        smoothing, the raw column rather than OutTempMVA; nothing written."""
+        cfg, out = pipeline
+        rows = read_csv(out / "synthetic.csv")
+        col = rows[0].index("OutTemp")
+        for r in rows[1:]:
+            r[col] = repr(float(r[col]) * factor)
+        edited = csv_config(tmp_path, rows)
+        dest = tmp_path / "x"
+        model = ["--model", str(out / "model.json")] if command[0] == "explain" else []
+        proc = run_cli("--config", str(edited), "--out", str(dest), "--quiet", *command,
+                       *model, check=False)
+        assert proc.returncode == 4, proc.stderr
+        message = f"error: {message} left the float range: "
         assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1, proc.stderr
         assert not dest.exists()
 

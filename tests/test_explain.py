@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from rtcast import dataio, explain, features, gbm
-from rtcast.errors import ConfigError, DataError
+from rtcast.errors import ConfigError, DataError, NumericError
 
 from conftest import FULL_GROUPS, make_matrix
 
@@ -201,6 +201,14 @@ class TestRidgeSurrogate:
         X = make_matrix([[1.0, 7.0], [2.0, 7.0], [3.0, 7.0]], ["x", "k"])
         s = explain.fit_surrogate_ridge(linear_box([2.0, 0.0]), X, lambda_=0.1)
         assert s.coefficients["k"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_column_too_large_to_square_is_a_numeric_error(self, random_matrix):
+        """Finite cells whose squares overflow in the standard deviation."""
+        rows = random_matrix.rows * np.array([1.0, 1e160, 1.0, 1.0])
+        X = make_matrix(rows, random_matrix.feature_names)
+        with pytest.raises(NumericError,
+                           match="^ridge surrogate arithmetic left the float range: "):
+            explain.fit_surrogate_ridge(lambda r: np.zeros(len(r)), X)
 
 
 class TestTreeSurrogate:

@@ -1,11 +1,12 @@
 """Feature engineering: smoothing, lag features, and matrix assembly."""
 import warnings
+from datetime import date
 
 import numpy as np
 import pytest
 
 from rtcast import dataio, features, timebase
-from rtcast.errors import ConfigError, DataError, PipelineError, SelectionError
+from rtcast.errors import ConfigError, DataError, NumericError, PipelineError, SelectionError
 from rtcast.features import EngineeringConfig, FeatureMatrix
 
 FULL = frozenset({"IOTS-MVA", "MVART", "Holiday"})
@@ -41,42 +42,185 @@ class TestMvart:
     def test_oracle_mode_uses_strictly_past_values(self, synth_table):
         w = 6
         cfg = EngineeringConfig(mva_window=w)
-        t = features.add_mvart(synth_table, cfg)
-        col = t.columns["MVART"]
-        assert np.isnan(col[:w]).all()
-        for i in (w, w + 1, 50, len(t) - 1):
-            assert col[i] == pytest.approx(synth_table.target[i - w: i].mean())
+        X = features.build_design_matrix(synth_table, cfg, FULL)
+        col = X.column("MVART")
+        assert len(X) == len(synth_table) - w
+        for i in (w, w + 1, 50, len(synth_table) - 1):
+            assert col[i - w] == pytest.approx(synth_table.target[i - w: i].mean())
 
 
 class TestCalendarColumns:
     def test_time_fields_against_known_instant(self):
         # 2018-06-15T13:10Z is 15:10 local (UTC+2), a Friday in Q2
         ts = np.array([timebase.parse_instant("2018-06-15T13:10:00Z")])
+        inputs = {name: np.zeros(2) for name in ("OnOffState", "OpMode", "OutTemp", "OutHumid")}
         t = dataio.TimeTable(
-            timestamps=np.r_[ts, ts + 600], columns={},
+            timestamps=np.r_[ts, ts + 600], columns=inputs,
             target=np.zeros(2), interval_seconds=600,
         )
-        out = features.add_time_features(t)
+        out = features.engineered_table(t, EngineeringConfig(), frozenset({"IOTS"}))
         assert out.columns["Hour"][0] == 15
         assert out.columns["WeekDay"][0] == 5
         assert out.columns["Month"][0] == 6
         assert out.columns["Quarter"][0] == 2
 
-    def test_occupancy_needs_state_and_calendar(self, synth_table):
-        with pytest.raises(PipelineError):
-            features.add_occupancy(synth_table)
-
     def test_occupancy_logic(self, synth_table):
-        cal = timebase.HolidayCalendar.default()
-        t = features.add_time_features(synth_table)
-        t = features.add_holiday(t, cal)
-        t = features.add_occupancy(t)
+        t = features.engineered_table(synth_table, EngineeringConfig(), frozenset({"IOTS"}))
         occ = t.columns["Occupancy"]
         on = t.columns["OnOffState"]
         hour = t.columns["Hour"]
         hol = t.columns["Holiday"]
         manual = (on == 1) & (hol == 0) & (hour >= 8) & (hour < 18)
         assert np.array_equal(occ.astype(bool), manual)
+
+
+# The chain of table copies that engineered_table and build_design_matrix
+# replaced, kept as the reference their columns must equal bit for bit.
+
+def ref_add_time_features(table, utc_offset_hours):
+    f = timebase.local_fields(table.timestamps, utc_offset_hours)
+    out = table
+    for name in ("Quarter", "Month", "WeekDay", "Hour"):
+        out = out.with_column(name, f[name.lower()])
+    return out
+
+
+def ref_add_holiday(table, calendar, utc_offset_hours):
+    days = timebase.local_fields(table.timestamps, utc_offset_hours)["day"]
+    return table.with_column("Holiday", calendar.mask(days).astype(np.float64))
+
+
+def ref_add_occupancy(table, work_start_hour, work_end_hour):
+    for dep in ("OnOffState", "Hour", "Holiday"):
+        if dep not in table.columns:
+            raise PipelineError(f"occupancy needs column {dep!r}; add it first")
+    hour = table.columns["Hour"]
+    occ = (
+        (table.columns["OnOffState"] == 1.0)
+        & (table.columns["Holiday"] == 0.0)
+        & (hour >= work_start_hour)
+        & (hour < work_end_hour)
+    )
+    return table.with_column("Occupancy", occ.astype(np.float64))
+
+
+def ref_add_mvart(table, config):
+    src = np.asarray(table.target, dtype=np.float64)
+    w = config.mva_window
+    n = len(src)
+    mvart = np.full(n, np.nan)
+    if n > w:
+        windows = np.lib.stride_tricks.sliding_window_view(src, w)
+        mvart[w:] = windows[: n - w].mean(axis=1)
+    return table.with_column("MVART", mvart)
+
+
+def ref_engineered_table(table, config, feature_selection):
+    groups = features._check_groups(feature_selection)
+    for dep in ("OnOffState", "OpMode", "OutTemp", "OutHumid"):
+        if dep not in table.columns:
+            raise PipelineError(f"input table is missing column {dep!r}")
+    out = ref_add_time_features(table, config.utc_offset_hours)
+    out = ref_add_holiday(out, config.holiday_calendar, config.utc_offset_hours)
+    out = ref_add_occupancy(out, config.work_start_hour, config.work_end_hour)
+    if "IOTS-MVA" in groups:
+        out = out.with_column(
+            "OutHumidMVA", features.moving_average(out.columns["OutHumid"], config.mva_window)
+        )
+        out = out.with_column(
+            "OutTempMVA", features.moving_average(out.columns["OutTemp"], config.mva_window)
+        )
+    return out
+
+
+def ref_design_matrix(table, config, feature_selection):
+    names = features.feature_order(feature_selection)
+    work = ref_engineered_table(table, config, feature_selection)
+    if "MVART" in names:
+        work = ref_add_mvart(work, config)
+    rows = np.column_stack([work.columns[n] for n in names])
+    start = config.mva_window if "MVART" in names else 0
+    if start >= len(rows):
+        raise DataError(
+            f"table too short: {len(rows)} rows, {start} needed for MVART warm-up"
+        )
+    rows, target, ts = rows[start:], work.target[start:], work.timestamps[start:]
+    features.check_finite(rows, names, ts)
+    return FeatureMatrix(names, rows, target, ts)
+
+
+SELECTIONS = [frozenset(base | extra) for base in ({"IOTS"}, {"IOTS-MVA"})
+              for extra in (set(), {"MVART"}, {"Holiday"}, {"MVART", "Holiday"})]
+CALENDARS = {
+    "default": timebase.HolidayCalendar.default(),
+    "weekends-off": timebase.HolidayCalendar(frozenset(), include_weekends=False),
+    "listed-dates": timebase.HolidayCalendar(
+        frozenset({date(2017, 12, 12), date(2017, 12, 25), date(2018, 1, 2)}),
+        include_weekends=True),
+}
+
+
+def assert_same_as_reference(table, config, selection):
+    got = features.engineered_table(table, config, selection)
+    want = ref_engineered_table(table, config, selection)
+    assert list(got.columns) == list(want.columns)
+    for name, col in want.columns.items():
+        assert got.columns[name].dtype == np.float64
+        assert np.array_equal(got.columns[name], col), name
+    X = features.build_design_matrix(table, config, selection)
+    R = ref_design_matrix(table, config, selection)
+    assert X.feature_names == R.feature_names
+    assert X.rows.dtype == np.float64
+    assert np.array_equal(X.rows, R.rows)
+    assert np.array_equal(X.target, R.target)
+    assert np.array_equal(X.row_timestamps, R.row_timestamps)
+
+
+class TestOnePassMatchesTheChain:
+    @pytest.mark.parametrize("w", [1, 6, 12])
+    @pytest.mark.parametrize("selection", SELECTIONS, ids=lambda s: "+".join(sorted(s)))
+    def test_every_selection_and_window(self, synth_table, selection, w):
+        assert_same_as_reference(synth_table, EngineeringConfig(mva_window=w), selection)
+
+    @pytest.mark.parametrize("calendar", list(CALENDARS), ids=list(CALENDARS))
+    @pytest.mark.parametrize("hours", [(0, 24), (8, 18), (23, 24)], ids=str)
+    @pytest.mark.parametrize("offset", [-24.0, -5.5, 0.0, 2.0, 5.75, 24.0])
+    def test_every_offset_working_day_and_calendar(self, synth_table, offset, hours,
+                                                   calendar):
+        cfg = EngineeringConfig(utc_offset_hours=offset, work_start_hour=hours[0],
+                                work_end_hour=hours[1], holiday_calendar=CALENDARS[calendar])
+        assert_same_as_reference(synth_table, cfg, FULL)
+
+    @pytest.mark.parametrize("case", ["missing-column", "too-short", "nan-cell"])
+    def test_same_error(self, synth_table, case):
+        t = synth_table
+        if case == "missing-column":
+            t = dataio.TimeTable(t.timestamps, {"OnOffState": t.columns["OnOffState"]},
+                                 t.target, t.interval_seconds)
+        elif case == "too-short":
+            t = t.row_slice(0, 6)
+        else:
+            t = t.with_column("OutTemp", np.where(np.arange(len(t)) == 100, np.nan,
+                                                  t.columns["OutTemp"]))
+        cfg = EngineeringConfig()
+        with pytest.raises(DataError) as want:
+            ref_design_matrix(t, cfg, FULL)
+        with pytest.raises(DataError) as got:
+            features.build_design_matrix(t, cfg, FULL)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+
+def test_overflowing_moving_average_names_the_raw_column(synth_table):
+    """Finite outdoor readings whose running sum overflows: NumericError
+    naming the smoothed input, not a non-finite derived column, and no
+    numpy warning."""
+    t = synth_table.with_column("OutTemp", synth_table.columns["OutTemp"] * 1e305)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError,
+                           match="^moving average of 'OutTemp' left the float range: "):
+            features.engineered_table(t, EngineeringConfig(), FULL)
 
 
 class TestFeatureOrder:
