@@ -822,11 +822,11 @@ def main(argv=None) -> int:
                 raise ConfigError('--select currently supports exactly "accurate,deviated"')
         out = ArtifactWriter(cfg.out_dir, _label(args), cfg)
         out.finish(_COMMANDS[args.command](cfg, args, out))
-    except (ToolkitError, FloatingPointError, OSError) as exc:
+    except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (ConfigError, OSError)):
             return 2
-        return 4 if isinstance(exc, (NumericError, FloatingPointError)) else 3
+        return 4 if isinstance(exc, NumericError) else 3
     return 0
 
 

@@ -21,6 +21,7 @@ from .errors import (
     ParseError,
     SchemaError,
     SplitError,
+    float_range,
 )
 from .timebase import HolidayCalendar
 
@@ -419,6 +420,7 @@ def _ar1(innovations: np.ndarray, coeff: float) -> np.ndarray:
     return out
 
 
+@float_range("synthetic generator arithmetic")
 def synthesize(config: SynthConfig) -> TimeTable:
     """Generate a deterministic synthetic building-sensor table.
 

@@ -1,14 +1,15 @@
 """Diagnostic statistics: ACF/PACF, ADF unit-root test, histograms, Q-Q, metrics.
 
-Everything here is self-contained numpy: the ADF test embeds a Dickey-Fuller
-critical-value table (constant, no trend) and reports a p-value *bracket*
-rather than an exact p-value, and the normal inverse CDF uses a rational
-approximation good to well under 4.5e-4 absolute.
+Everything here is numpy and the standard library: the ADF test embeds a
+Dickey-Fuller critical-value table (constant, no trend) and reports a p-value
+*bracket* rather than an exact p-value, and the Q-Q quantiles come from
+``statistics.NormalDist``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -16,7 +17,7 @@ from .errors import ConfigError, DataError, NumericError, float_range
 
 # Dickey-Fuller critical values, regression with constant and no trend.
 # Rows: sample size -> (1%, 5%, 10%). Interpolation between rows is linear
-# in 1/n; the last row is the asymptotic limit.
+# in 1/n, clamped outside them; the last row is the asymptotic limit.
 _DF_TABLE = (
     (25, -3.75, -3.00, -2.63),
     (50, -3.58, -2.93, -2.60),
@@ -27,6 +28,8 @@ _DF_TABLE = (
 )
 
 _DF_LEVELS = (0.01, 0.05, 0.10)
+# The p-value brackets the levels cut (0, 1) into.
+_P_EDGES = (0.0, *_DF_LEVELS, 1.0)
 
 
 @dataclass(frozen=True)
@@ -177,13 +180,8 @@ def _adf_r_factor(y: np.ndarray, lags: int) -> np.ndarray:
 
 def _df_critical(n_obs: int) -> tuple:
     """Interpolated (1%, 5%, 10%) critical values for an effective sample."""
-    if n_obs <= _DF_TABLE[0][0]:
-        return _DF_TABLE[0][1:]
-    for (n0, *c0), (n1, *c1) in zip(_DF_TABLE, _DF_TABLE[1:]):
-        if n_obs <= n1:
-            w = (1.0 / n0 - 1.0 / n_obs) / (1.0 / n0 - (0.0 if n1 == math.inf else 1.0 / n1))
-            return tuple(a + w * (b - a) for a, b in zip(c0, c1))
-    return _DF_TABLE[-1][1:]
+    rows = np.array(_DF_TABLE[::-1])  # by increasing 1/n, as np.interp needs
+    return tuple(float(np.interp(1.0 / n_obs, 1.0 / rows[:, 0], col)) for col in rows[:, 1:].T)
 
 
 @float_range("ADF arithmetic")
@@ -252,15 +250,8 @@ def adf_test(series, max_lags: int | None = None) -> AdfResult:
 
     crit = _df_critical(len(dy))
     reject = {level: stat < c for level, c in zip(_DF_LEVELS, crit)}
-    if stat < crit[0]:
-        bracket = (0.0, 0.01)
-    elif stat < crit[1]:
-        bracket = (0.01, 0.05)
-    elif stat < crit[2]:
-        bracket = (0.05, 0.10)
-    else:
-        bracket = (0.10, 1.0)
-    return AdfResult(stat, best_lag, reject, bracket, max_lags)
+    k = int(np.searchsorted(crit, stat, side="right"))  # critical values at or below stat
+    return AdfResult(stat, best_lag, reject, _P_EDGES[k : k + 2], max_lags)
 
 
 def histogram(series, bin_width: float) -> list:
@@ -288,48 +279,14 @@ def histogram(series, bin_width: float) -> list:
     return [(float(m * bin_width), int(c)) for m, c in zip(bins, counts)]
 
 
-# Rational approximation of the standard normal inverse CDF (Acklam).
-# Absolute error below 1.2e-9 over (0, 1) -- far inside the 4.5e-4 budget
-# this module needs for Q-Q diagnostics.
-_ICDF_A = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-           1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-_ICDF_B = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-           6.680131188771972e01, -1.328068155288572e01)
-_ICDF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-           -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-_ICDF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-           3.754408661907416e00)
-_ICDF_PLOW = 0.02425
-
-
-def norm_inv_cdf(p: float) -> float:
-    """Standard normal quantile function, rational approximation."""
-    if not 0.0 < p < 1.0:
-        raise ConfigError(f"probability must be in (0, 1), got {p}")
-    a, b, c, d = _ICDF_A, _ICDF_B, _ICDF_C, _ICDF_D
-    if p < _ICDF_PLOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    if p > 1.0 - _ICDF_PLOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    )
-
-
 def qq_normal(residuals) -> list:
     """Normal Q-Q pairs: (theoretical quantile, sorted sample value).
 
     The theoretical quantile for rank i (1-based) is
     ``mean + sd * Phi^-1((i - 0.5) / n)`` using the sample mean and standard
     deviation, so a perfectly normal sample lies on the 45-degree line.
+    ``Phi^-1`` is ``statistics.NormalDist.inv_cdf`` (Wichura's AS241, exact to
+    double precision).
     """
     x = np.sort(np.asarray(residuals, dtype=np.float64))
     n = len(x)
@@ -339,10 +296,8 @@ def qq_normal(residuals) -> list:
     sd = float(x.std(ddof=1))
     if sd == 0.0:
         raise DataError("zero-variance residuals have no Q-Q representation")
-    return [
-        (mean + sd * norm_inv_cdf((i - 0.5) / n), float(x[i - 1]))
-        for i in range(1, n + 1)
-    ]
+    dist = NormalDist(mean, sd)
+    return [(dist.inv_cdf((i - 0.5) / n), float(x[i - 1])) for i in range(1, n + 1)]
 
 
 def metrics(y_true, y_pred) -> MetricReport:

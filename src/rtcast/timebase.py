@@ -125,7 +125,7 @@ class HolidayCalendar:
         return out
 
     @classmethod
-    def from_file(cls, path, include_weekends: bool = True) -> "HolidayCalendar":
+    def from_file(cls, path) -> "HolidayCalendar":
         """Load one ISO date per line; ``#`` starts a comment."""
         dates = set()
         with open(path, encoding="utf-8") as fh:
@@ -139,7 +139,7 @@ class HolidayCalendar:
                     raise ParseError(
                         f"{path}: line {lineno}: unparseable date {line!r}"
                     ) from exc
-        return cls(dates=frozenset(dates), include_weekends=include_weekends)
+        return cls(dates=frozenset(dates))
 
     @classmethod
     def default(cls) -> "HolidayCalendar":

@@ -566,6 +566,20 @@ class TestExitCodes:
         assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1, proc.stderr
         assert not dest.exists()
 
+    @pytest.mark.parametrize("key", ["rt_base", "noise_sd", "seasonal_amp"])
+    def test_overflowing_synth_knob_is_exit_four(self, tmp_path, key):
+        """A finite generator knob whose arithmetic overflows: one error line
+        naming the generator, no numpy warning, and nothing written."""
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(CONFIG + f"synth.{key} = 1e308\n")
+        dest = tmp_path / "x"
+        proc = run_cli("--config", str(cfg), "--out", str(dest), "--quiet", "synth",
+                       check=False)
+        assert proc.returncode == 4, proc.stderr
+        message = "error: synthetic generator arithmetic left the float range: "
+        assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1, proc.stderr
+        assert not dest.exists()
+
     @pytest.mark.parametrize("factor, command, message", [
         (1e305, ["train"], "moving average of 'OutTemp'"),
         (1e160, ["explain", "surrogate"], "ridge surrogate arithmetic"),

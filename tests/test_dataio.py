@@ -18,6 +18,7 @@ from rtcast.errors import (
     ConfigError,
     DataError,
     IntegrityError,
+    NumericError,
     ParseError,
     SchemaError,
     SplitError,
@@ -463,3 +464,9 @@ class TestSynthesize:
             SynthConfig(n_days=0)
         with pytest.raises(ConfigError):
             SynthConfig(noise_sd=-1.0)
+
+    def test_overflowing_knob_is_a_numeric_error(self):
+        config = SynthConfig(n_days=2, rt_base=1e308)
+        message = "^synthetic generator arithmetic left the float range: "
+        with pytest.raises(NumericError, match=message):
+            dataio.synthesize(config)

@@ -118,6 +118,39 @@ class TestAdf:
                     assert not rejected
 
 
+class TestAdfTableLookup:
+    def test_critical_values_are_the_table_rows(self):
+        for n, *row in stats._DF_TABLE:
+            assert stats._df_critical(n) == tuple(row)
+        for n in (1, 2, 24, 25):
+            assert stats._df_critical(n) == stats._DF_TABLE[0][1:]
+
+    def test_interpolation_is_linear_in_one_over_n(self):
+        for (n0, *c0), (n1, *c1) in zip(stats._DF_TABLE, stats._DF_TABLE[1:]):
+            mid = 2.0 / (1.0 / n0 + 1.0 / n1)
+            want = [(a + b) / 2.0 for a, b in zip(c0, c1)]
+            assert stats._df_critical(mid) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("step", [-1, 0, 1], ids=["below", "on", "above"])
+    @pytest.mark.parametrize("j", range(3), ids=["1%", "5%", "10%"])
+    def test_statistic_at_a_critical_value(self, monkeypatch, j, step):
+        """A statistic exactly on a critical value, or one float step either
+        side of it: reject_at and p_bracket say the same."""
+        def ols_with_statistic(X, y, lag):
+            c = stats._df_critical(len(y))[j]
+            stat = np.nextafter(c, step * math.inf) if step else c
+            return np.array([0.0, stat]), np.ones(2), 0.0
+
+        monkeypatch.setattr(stats, "_ols", ols_with_statistic)
+        res = stats.adf_test(ar1(0.4, 200, seed=0))
+        edges = (0.0, *stats._DF_LEVELS, 1.0)
+        assert res.p_bracket == (edges[j : j + 2] if step < 0 else edges[j + 1 : j + 3])
+        assert res.reject_at[stats._DF_LEVELS[j]] is (step < 0)
+        lo, hi = res.p_bracket
+        for level, rejected in res.reject_at.items():
+            assert rejected is (hi <= level) and (not rejected) is (lo >= level)
+
+
 class TestHugeFiniteSeries:
     """A finite random walk scaled by 1e160 overflows when squared: each
     check raises one NumericError naming it, with no numpy warning."""
@@ -271,17 +304,12 @@ class TestHistogram:
 
 
 class TestNormalQuantiles:
-    def test_inverse_cdf_against_stdlib(self):
-        dist = statistics.NormalDist()
-        for p in np.linspace(0.0005, 0.9995, 61):
-            assert stats.norm_inv_cdf(float(p)) == pytest.approx(
-                dist.inv_cdf(float(p)), abs=2e-8
-            )
-
-    def test_out_of_domain(self):
-        for p in (0.0, 1.0, -0.2, 1.4):
-            with pytest.raises(ConfigError):
-                stats.norm_inv_cdf(p)
+    @pytest.mark.parametrize("n", [3, 40, 3467])
+    def test_theoretical_column_is_the_stdlib_quantile(self, n):
+        x = np.sort(np.random.default_rng(n).normal(loc=3.0, scale=2.0, size=n))
+        dist = statistics.NormalDist(float(x.mean()), float(x.std(ddof=1)))
+        want = [dist.inv_cdf((i - 0.5) / n) for i in range(1, n + 1)]
+        assert [t for t, _ in stats.qq_normal(x)] == want
 
     def test_qq_pairs(self):
         rng = np.random.default_rng(9)
