@@ -112,6 +112,16 @@ class TestGrowTreeOracle:
         node = gbm.grow_tree(rows, -y, 1, 1.0, 0.0)
         assert node.feature_index == 0
 
+    def test_feature_tie_at_different_cuts_prefers_lower_index(self):
+        """Both features reach the best gain, feature 0 at its third sorted
+        row and feature 1 at its second: the lower feature wins, though its
+        cut comes later."""
+        i = np.arange(5.0)
+        rows = np.column_stack([i, 4.0 - i])
+        y = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
+        node = gbm.grow_tree(rows, -y, 1, 1.0, 0.0)
+        assert (node.feature_index, node.threshold) == (0, 2.5)
+
     def test_threshold_tie_prefers_lower_value(self):
         rows = np.array([[1.0], [2.0], [3.0]])
         y = np.array([1.0, 0.0, 1.0])
@@ -219,9 +229,12 @@ def tied_fixture(seed):
 
 
 #: SHA-256 of the 30-day design matrix (rows then target bytes) and of the
-#: ``model.json`` text the per-node argsort grower trained on it.
+#: ``model.json`` text the per-node argsort grower trained on it: with the
+#: default hyperparameters, and with 20 trees of depth 15, whose nodes are
+#: mostly small.
 INPUTS_SHA256 = "543ccbc9cf38f5956bdee08a4660457b8463080e6742fef44a83256ca8e105ac"
 MODEL_SHA256 = "d9ac72e51e251e7c05aa3c27b5ae8033fd4564b2f508105b74ffcda4a67b4203"
+DEEP_MODEL_SHA256 = "5d855c5fdabd25b71a5e5da2b9e18cf650c60de69501b027f6c7e28890dd4ce0"
 
 
 class TestColumnBlockGrower:
@@ -273,9 +286,13 @@ class TestColumnBlockGrower:
         assert got.feature_index == 0
         assert_trees_identical(got, want)
 
-    def test_thirty_day_model_bytes_are_pinned(self):
-        """``model.json`` of a default 30-day train, pinned to the digest the
-        per-node argsort grower wrote. The pin holds for these exact inputs:
+    @pytest.mark.parametrize("params, digest", [
+        (Hyperparams(), MODEL_SHA256),
+        (Hyperparams(max_depth=15, n_trees=20, gamma=0.05), DEEP_MODEL_SHA256),
+    ], ids=["default", "depth15"])
+    def test_thirty_day_model_bytes_are_pinned(self, params, digest):
+        """``model.json`` of a 30-day train, pinned to the digest the per-node
+        argsort grower wrote. The pin holds for these exact inputs:
         the synthesizer uses ``np.cos``, whose last bit may differ between
         numpy builds, so other inputs skip rather than compare."""
         table = dataio.synthesize(dataio.SynthConfig(seed=42, n_days=30))
@@ -285,8 +302,8 @@ class TestColumnBlockGrower:
         inputs = hashlib.sha256(X.rows.tobytes() + X.target.tobytes()).hexdigest()
         if inputs != INPUTS_SHA256:
             pytest.skip("synthetic inputs differ from the pinned ones on this numpy build")
-        model = gbm.train(X, Hyperparams())
-        assert hashlib.sha256(gbm.dumps(model).encode()).hexdigest() == MODEL_SHA256
+        model = gbm.train(X, params)
+        assert hashlib.sha256(gbm.dumps(model).encode()).hexdigest() == digest
 
 
 class TestTrain:
