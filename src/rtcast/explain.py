@@ -216,6 +216,7 @@ def fit_surrogate_ridge(model, X: FeatureMatrix, lambda_: float = 1.0) -> Linear
     )
 
 
+@float_range("tree surrogate arithmetic")
 def fit_surrogate_tree(model, X: FeatureMatrix, max_depth: int = 6):
     """Global tree surrogate: one CART-style regression tree on predictions.
 

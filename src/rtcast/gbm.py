@@ -23,11 +23,16 @@ stable sort of the node's own ascending rows would, so the gradient sums,
 gains and trees are the same bit for bit as sorting per node.
 
 Hessians are counted: a node's hessian sum is its row count and the left
-sums at the cuts are ``cut + 1``. One shortcut skips work without changing a
-bit: a feature whose values are all equal in a node has no cut there, nor in
-any descendant, so a node passes its children only the features that still
-have a cut: only their block rows (and the ascending row; only that row when
-the children are leaves) are searched and partitioned below it.
+sums at the cuts are ``cut + 1``. Each live feature scans its block row for
+its cuts and its gradient prefix sums up to its last cut; the node then
+scores every feature's cuts in one gain evaluation over their feature-major
+concatenation, the formula's operations in the same order, and the first
+maximum of one ``argmax`` is the tie rule above. One shortcut skips work
+without changing a bit: a feature whose values are all equal in a node has
+no cut there, nor in any descendant, so a node passes its children only the
+features that still have a cut: only their block rows (and the ascending
+row; only that row when the children are leaves) are searched and
+partitioned below it.
 Each leaf writes its weight into the rows of its slice, which is the tree's
 output on its training rows.
 
@@ -407,38 +412,60 @@ def _best_split(cols, g, node, live, lambda_, gamma):
     ``node`` is the node's slice of the column block: row ``f`` holds the
     node's row indices sorted by feature ``f``, the last row holds them in
     ascending order. Only the features in ``live`` (ascending) are searched,
-    and every hessian is 1. Gains are evaluated only where consecutive
-    sorted values differ. Returns ``(split, cuttable)``: the
-    (gain, feature, threshold) of the best strictly-positive-gain split, or
-    None, and the features of ``live`` that have a cut here. Ties keep the
-    lowest feature index, then (via argmax over ascending thresholds) the
-    lowest threshold.
+    and every hessian is 1. The node's gains are evaluated together, only at
+    the cuts, where consecutive sorted values differ (with ``lambda_ = 0``,
+    ``hr + lambda_`` is 0 at the last row). Returns ``(split, cuttable)``:
+    the (gain, feature, threshold) of the best strictly-positive-gain split,
+    or None, and the features of ``live`` that have a cut here. Ties keep
+    the lowest feature index, then the lowest threshold: the first maximum
+    of the gains in feature-major order. The winner's two values are read
+    back from the block.
     """
     idx = node[-1]
     g_sum = float(g[idx].sum())
     h_sum = float(len(idx))
     parent = g_sum * g_sum / (h_sum + lambda_)
-    best = None
-    cuttable = []
+    cuttable, cuts, lefts = [], [], []
     for f in live:
         order = node[f]
         xs = cols[f][order]
-        cut = np.flatnonzero(xs[:-1] != xs[1:])
-        if len(cut) == 0:
-            continue
-        cuttable.append(f)
-        gl = np.cumsum(g[order])[cut]
-        hl = cut + 1.0
-        gr = g_sum - gl
-        hr = h_sum - hl
-        gains = 0.5 * (gl * gl / (hl + lambda_) + gr * gr / (hr + lambda_) - parent) - gamma
-        k = int(np.argmax(gains))
-        if best is None or gains[k] > best[0]:
-            j = cut[k]
-            best = (float(gains[k]), f, float((xs[j] + xs[j + 1]) / 2.0))
-    if best is None or best[0] <= 0.0:
+        cut = (xs[:-1] != xs[1:]).nonzero()[0]
+        if len(cut):
+            cuttable.append(f)
+            cuts.append(cut)
+            lefts.append(g[order[:cut[-1] + 1]].cumsum()[cut])
+    if not cuts:
         return None, cuttable
-    return best, cuttable
+    cut = np.concatenate(cuts)
+    gl = np.concatenate(lefts)
+    sizes = [len(c) for c in cuts]
+    del cuts, lefts
+    # 0.5 * (gl^2/(hl+lambda) + gr^2/(hr+lambda) - parent) - gamma, operation
+    # by operation in this order, in place: four arrays and no temporaries.
+    gr = g_sum - gl
+    hl = cut + 1.0
+    hr = h_sum - hl
+    gl *= gl
+    hl += lambda_
+    gl /= hl
+    gr *= gr
+    hr += lambda_
+    gr /= hr
+    gl += gr
+    gl -= parent
+    gl *= 0.5
+    gl -= gamma
+    k = int(gl.argmax())
+    gain = float(gl[k])
+    if gain <= 0.0:
+        return None, cuttable
+    j = int(cut[k])
+    for f, size in zip(cuttable, sizes):
+        if k < size:
+            break
+        k -= size
+    lo, hi = cols[f][node[f][j:j + 2]]
+    return (gain, f, float((lo + hi) / 2.0)), cuttable
 
 
 def _partition(order, left, n_left):

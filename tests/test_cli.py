@@ -604,6 +604,24 @@ class TestExitCodes:
         assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1, proc.stderr
         assert not dest.exists()
 
+    def test_huge_finite_base_score_is_exit_four_naming_the_tree_surrogate(self, pipeline,
+                                                                            tmp_path):
+        """A model that loads, whose predictions near 1e151 are finite, but
+        whose tree surrogate squares their sums past the float range: one
+        error line naming the fit, no numpy warning, nothing written."""
+        cfg, out = pipeline
+        doc = json.loads((out / "model.json").read_text())
+        doc["base_score"] = 1e151
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        dest = tmp_path / "x"
+        proc = run_cli("--config", str(cfg), "--out", str(dest), "--quiet", "explain",
+                       "surrogate", "--model", str(model), check=False)
+        assert proc.returncode == 4, proc.stderr
+        message = "error: tree surrogate arithmetic left the float range: "
+        assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1, proc.stderr
+        assert not dest.exists()
+
     @pytest.mark.parametrize("cell", ["", "nan", "inf", "-1e309"])
     def test_ingest_refuses_a_blank_or_non_finite_cell(self, pipeline, tmp_path, cell):
         """normalized.csv would hold it as nan or inf."""

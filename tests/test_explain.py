@@ -232,6 +232,15 @@ class TestTreeSurrogate:
 
         assert depth(root) <= 2
 
+    def test_predictions_too_large_to_square_are_a_numeric_error(self):
+        """Finite predictions whose gradient sums overflow when squared in
+        the split gains, which would otherwise decide the tree."""
+        rows = np.random.default_rng(7).uniform(size=(2000, 2))
+        X = make_matrix(rows, ["u", "v"])
+        with pytest.raises(NumericError,
+                           match="^tree surrogate arithmetic left the float range: "):
+            explain.fit_surrogate_tree(lambda r: np.full(len(r), 1e151), X)
+
 
 class TestLime:
     def test_linear_model_gets_signed_contributions(self, random_matrix):
