@@ -438,10 +438,11 @@ def _best_split(cols, g, node, live, lambda_, gamma):
         return None, cuttable
     cut = np.concatenate(cuts)
     gl = np.concatenate(lefts)
+    # The gain 0.5 * (gl^2/(hl+lambda) + gr^2/(hr+lambda) - parent) - gamma,
+    # in this order, in place and with the per-feature arrays freed: as one
+    # expression its temporaries held ~1.7x the grower's peak memory.
     sizes = [len(c) for c in cuts]
     del cuts, lefts
-    # 0.5 * (gl^2/(hl+lambda) + gr^2/(hr+lambda) - parent) - gamma, operation
-    # by operation in this order, in place: four arrays and no temporaries.
     gr = g_sum - gl
     hl = cut + 1.0
     hr = h_sum - hl

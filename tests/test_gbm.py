@@ -229,9 +229,10 @@ def tied_fixture(seed):
 
 
 #: SHA-256 of the 30-day design matrix (rows then target bytes) and of the
-#: ``model.json`` text the per-node argsort grower trained on it: with the
-#: default hyperparameters, and with 20 trees of depth 15, whose nodes are
-#: mostly small.
+#: ``model.json`` text trained on it: with the default hyperparameters, as the
+#: per-node argsort grower wrote it, and with 20 trees of depth 15, whose nodes
+#: are mostly small, as the column-block grower with per-feature gain
+#: evaluations wrote it.
 INPUTS_SHA256 = "543ccbc9cf38f5956bdee08a4660457b8463080e6742fef44a83256ca8e105ac"
 MODEL_SHA256 = "d9ac72e51e251e7c05aa3c27b5ae8033fd4564b2f508105b74ffcda4a67b4203"
 DEEP_MODEL_SHA256 = "5d855c5fdabd25b71a5e5da2b9e18cf650c60de69501b027f6c7e28890dd4ce0"
@@ -291,8 +292,8 @@ class TestColumnBlockGrower:
         (Hyperparams(max_depth=15, n_trees=20, gamma=0.05), DEEP_MODEL_SHA256),
     ], ids=["default", "depth15"])
     def test_thirty_day_model_bytes_are_pinned(self, params, digest):
-        """``model.json`` of a 30-day train, pinned to the digest the per-node
-        argsort grower wrote. The pin holds for these exact inputs:
+        """``model.json`` of a 30-day train, pinned to the digest an earlier
+        grower wrote (see the constants). The pin holds for these exact inputs:
         the synthesizer uses ``np.cos``, whose last bit may differ between
         numpy builds, so other inputs skip rather than compare."""
         table = dataio.synthesize(dataio.SynthConfig(seed=42, n_days=30))
