@@ -6,9 +6,7 @@ feature mean-substituted (everything else intact), once with everything BUT
 the interested feature mean-substituted — and compares the spectra of the two
 prediction series against the original predictions and the true series.
 
-The discrete Fourier transform is implemented here directly (iterative
-radix-2 when the length is a power of two, Bluestein's chirp-z otherwise); no
-FFT library routine is used anywhere in the package.
+The discrete Fourier transform is ``numpy.fft.fft``.
 """
 from __future__ import annotations
 
@@ -16,8 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SelectionError
+from .errors import ConfigError, DataError, NumericError, SelectionError, float_range
 from .features import FeatureMatrix, training_means
+
+_ARITHMETIC = "PF-FRA spectrum arithmetic"
 
 #: Default analysis bands in cycles/hour. A band (lo, hi) covers bins with
 #: lo < f <= hi; the DC term belongs to a band only when lo < 0 or the band
@@ -86,62 +86,22 @@ class PffraReport:
     band_energies: dict
 
 
-def _fft_pow2(x: np.ndarray) -> np.ndarray:
-    """Iterative decimation-in-time radix-2 FFT; len(x) must be 2**m."""
-    n = len(x)
-    levels = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for _ in range(levels):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    a = x[rev].astype(np.complex128)
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = np.exp(-2j * np.pi * np.arange(half) / size)
-        blocks = a.reshape(-1, size)
-        top = blocks[:, :half].copy()
-        bottom = blocks[:, half:] * tw
-        blocks[:, :half] = top + bottom
-        blocks[:, half:] = top - bottom
-        size *= 2
-    return a
-
-
-def _fft_bluestein(x: np.ndarray) -> np.ndarray:
-    """Chirp-z DFT for arbitrary length via one power-of-two convolution."""
-    n = len(x)
-    # e^(-i*pi*k^2/n) has period 2n in k^2, so reduce the exponent exactly
-    # in integers before touching floats.
-    k = np.arange(n, dtype=np.int64)
-    exp_red = (k * k) % (2 * n)
-    chirp = np.exp(-1j * np.pi * exp_red / n)
-
-    m = 1 << (2 * n - 1).bit_length()
-    a = np.zeros(m, dtype=np.complex128)
-    a[:n] = x * chirp
-    b = np.zeros(m, dtype=np.complex128)
-    b[:n] = np.conj(chirp)
-    b[m - n + 1 :] = np.conj(chirp[1:][::-1])
-
-    fa = _fft_pow2(a)
-    fb = _fft_pow2(b)
-    conv = np.conj(_fft_pow2(np.conj(fa * fb))) / m
-    return chirp * conv[:n]
-
-
 def dft_complex(series) -> np.ndarray:
-    """Full complex DFT F_k = sum_n x_n e^(-2*pi*i*k*n/N) for k = 0..N-1."""
+    """Full complex DFT F_k = sum_n x_n e^(-2*pi*i*k*n/N) for k = 0..N-1.
+
+    Raises NumericError when the transform of the finite series overflows.
+    """
     x = np.asarray(series, dtype=np.complex128)
     if x.ndim != 1 or len(x) < 2:
         raise ConfigError("DFT needs a one-dimensional series of length >= 2")
     if not (np.isfinite(x.real).all() and np.isfinite(x.imag).all()):
         raise DataError("series contains non-finite values")
-    n = len(x)
-    if (n & (n - 1)) == 0:
-        return _fft_pow2(x)
-    return _fft_bluestein(x)
+    f = np.fft.fft(x)
+    # Before numpy 2.0 the transform is not a ufunc, so float_range's errstate
+    # may not see it overflow; a finite series must have a finite transform.
+    if not np.isfinite(f).all():
+        raise NumericError(f"{_ARITHMETIC} left the float range: the DFT overflowed")
+    return f
 
 
 def dft(series, sample_interval_seconds: int) -> Spectrum:
@@ -203,7 +163,9 @@ def band_energy(spectrum: Spectrum, bands: dict) -> dict:
         inside = (spectrum.frequencies > lo) & (spectrum.frequencies <= hi)
         total = float(powers[inside].sum())
         if lo < 0.0 or (lo == 0.0 and hi == 0.0):
-            total += spectrum.dc**2
+            # numpy's square sets the overflow flag that float_range raises;
+            # a Python float's raises OverflowError instead.
+            total += float(np.float64(spectrum.dc) ** 2)
         out[name] = total
     return out
 
@@ -266,6 +228,7 @@ def pffra(
     return report_from_series(feature, series, step)
 
 
+@float_range(_ARITHMETIC)
 def report_from_series(feature: str, series: dict, step: int) -> PffraReport:
     """Spectra and DEFAULT_BANDS energies of the four series of one analysis.
 

@@ -622,6 +622,26 @@ class TestExitCodes:
         assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1, proc.stderr
         assert not dest.exists()
 
+    @pytest.mark.parametrize("protocol", ["static", "rolling"])
+    @pytest.mark.parametrize("base_score", [1e304, 1e307])
+    def test_huge_finite_base_score_is_exit_four_naming_the_spectrum(self, pipeline, tmp_path,
+                                                                     base_score, protocol):
+        """Finite predictions whose transform (1e307) or squared DC term
+        (1e304) leaves the float range: one error line, nothing written."""
+        cfg, out = pipeline
+        doc = json.loads((out / "model.json").read_text())
+        doc["base_score"] = base_score
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(doc))
+        dest = tmp_path / "x"
+        proc = run_cli("--config", str(cfg), "--out", str(dest), "--quiet", "explain",
+                       "pffra", "--feature", "MVART", "--protocol", protocol,
+                       "--model", str(model), check=False)
+        assert proc.returncode == 4, proc.stderr
+        message = "error: PF-FRA spectrum arithmetic left the float range: "
+        assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1, proc.stderr
+        assert not dest.exists()
+
     @pytest.mark.parametrize("cell", ["", "nan", "inf", "-1e309"])
     def test_ingest_refuses_a_blank_or_non_finite_cell(self, pipeline, tmp_path, cell):
         """normalized.csv would hold it as nan or inf."""

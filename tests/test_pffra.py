@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from rtcast import pffra
-from rtcast.errors import ConfigError, DataError, SelectionError
+from rtcast.errors import ConfigError, DataError, NumericError, SelectionError
 from rtcast.pffra import DEFAULT_BANDS, Spectrum
 
 from conftest import make_matrix
@@ -43,6 +43,29 @@ class TestDftComplex:
     def test_non_finite(self):
         with pytest.raises(DataError):
             pffra.dft_complex(np.array([1.0, np.inf, 0.0]))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                        reason="longdouble is plain double here")
+    @pytest.mark.parametrize("n", [100, 257, 1000])
+    def test_matches_long_double_reference(self, n):
+        """Within 3e-16 of the largest |F_k| against a direct DFT in long
+        double, its phases k*j reduced mod n in integers."""
+        x = np.random.default_rng(n).normal(size=n) + 24.0
+        k = np.arange(n)
+        phase = np.outer(k, k) % n
+        theta = phase.astype(np.longdouble) * (-8 * np.arctan(np.longdouble(1)) / n)
+        xl = x.astype(np.longdouble)
+        want_re, want_im = np.cos(theta) @ xl, np.sin(theta) @ xl
+        got = pffra.dft_complex(x)
+        err = np.hypot(got.real - want_re, got.imag - want_im).max()
+        assert err <= 3e-16 * np.hypot(want_re, want_im).max()
+
+    def test_silent_overflow_is_a_numeric_error(self, monkeypatch):
+        """Where the transform overflows without a floating-point flag (numpy
+        before 2.0), the non-finite result still ends in NumericError."""
+        monkeypatch.setattr(np.fft, "fft", lambda x: np.full(len(x), np.inf + 0j))
+        with pytest.raises(NumericError, match="^PF-FRA spectrum arithmetic"):
+            pffra.dft_complex(np.arange(8.0))
 
 
 class TestSpectrum:
@@ -199,3 +222,12 @@ class TestPffra:
     def test_unknown_feature(self, small_model, val_matrix):
         with pytest.raises(SelectionError):
             pffra.pffra(small_model, val_matrix, val_matrix.target, "Nope")
+
+    @pytest.mark.parametrize("v", [1e304, 1e307])
+    def test_spectrum_overflow_is_a_numeric_error(self, v):
+        """Finite series whose transform (1e307) or squared DC term (1e304)
+        overflows."""
+        x = np.full(3456, v) + np.arange(3456)
+        series = dict.fromkeys(("original", "feature_permuted", "feature_only", "truth"), x)
+        with pytest.raises(NumericError, match="^PF-FRA spectrum arithmetic left the float range"):
+            pffra.report_from_series("f", series, 600)
