@@ -534,7 +534,6 @@ def cmd_ablate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
             train_t, val_t, cfg.window_widths_seconds, cfg.engineering, cfg.params,
             access_interval_seconds=cfg.access_seconds,
             horizon_seconds=cfg.horizon_seconds,
-            grid=cfg.grid,
         )
         out.write_csv(
             "window_sweep.csv",
@@ -688,14 +687,9 @@ def cmd_explain(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
                 model, x_part, x_part.target, args.feature, means=means
             )
         else:
-            others = {n: means[n] for n in model.feature_names if n != args.feature}
             runs = {
-                variant: _rolling(cfg, model, part, overrides)
-                for variant, overrides in (
-                    ("original", None),
-                    ("feature_permuted", {args.feature: means[args.feature]}),
-                    ("feature_only", others),
-                )
+                variant: _rolling(cfg, model, part, {n: means[n] for n in names} or None)
+                for variant, names in pffra.variants(model.feature_names, args.feature).items()
             }
             series = {variant: run.y_pred for variant, run in runs.items()}
             series["truth"] = runs["original"].y_true

@@ -21,7 +21,7 @@ from .errors import ConfigError, DataError
 from .features import (
     EngineeringConfig, build_design_matrix, check_finite, engineered_table, groups_for_features,
 )
-from .gbm import Ensemble, HyperparamGrid, Hyperparams, grid_search, train
+from .gbm import Ensemble, Hyperparams, train
 from .stats import MetricReport, metrics
 
 
@@ -202,16 +202,14 @@ def window_sweep(
     params: Hyperparams,
     access_interval_seconds: int = 86400,
     horizon_seconds: int = 28800,
-    grid: HyperparamGrid | None = None,
 ) -> list:
     """Train and evaluate one model per moving-average window width.
 
     Width 0 drops MVART and smoothing entirely ({IOTS, Holiday}); any other
     width uses the full pipeline ({IOTS-MVA, MVART, Holiday}) with that
     window for both the smoother and MVART. Models are evaluated with a
-    rolling forecast on the validation table at the fixed horizon. When
-    ``grid`` is given, each width is grid-searched independently; otherwise
-    ``params`` is used as-is.
+    rolling forecast on the validation table at the fixed horizon, each
+    trained with ``params``.
 
     Returns a list of dicts: width_seconds, mse, mae, mape, r2.
     """
@@ -230,12 +228,7 @@ def window_sweep(
                 raise ConfigError(f"width {w_sec}s is not a multiple of the sampling interval")
             groups = frozenset({"IOTS-MVA", "MVART", "Holiday"})
             cfg = replace(config, mva_window=w_sec // step)
-        x_train = build_design_matrix(train_table, cfg, groups)
-        if grid is not None:
-            x_val = build_design_matrix(val_table, cfg, groups)
-            _, model, _ = grid_search(x_train, x_val, grid)
-        else:
-            model = train(x_train, params)
+        model = train(build_design_matrix(train_table, cfg, groups), params)
         run = rolling_forecast(
             model, val_table, cfg,
             access_interval_seconds=access_interval_seconds,

@@ -38,13 +38,14 @@ output on its training rows.
 
 Every prediction reads one compiled form of the ensemble, built on first
 use: flat arrays over the nodes of all trees, numbered breadth first, node 0
-a leaf holding the base score and nodes 1..T the tree roots. Node ``i`` owns
-slots ``2i`` and ``2i + 1``; both hold its feature, threshold and value
-(``learning_rate * weight`` on a leaf, 0 on a branch), and ``child`` holds
-the first slot of its left child at ``2i`` and of its right child at
-``2i + 1``. A row at slot ``s`` steps to ``child[s + (x[feature[s]] >=
-threshold[s])]``: left when ``x < threshold``. A leaf is its own child, so
-after ``depth`` steps for all trees at once each tree is on its leaf.
+a leaf holding the base score and nodes 1..T the tree roots. Node ``i`` has
+one entry in each: its feature, threshold and value (``learning_rate *
+weight`` on a leaf, 0 on a branch), and ``first``, the number of its left
+child; its right child is ``first + 1``. A row at node ``i`` steps to
+``first[i] + (x[feature[i]] >= threshold[i])``: left when
+``x < threshold``. A leaf is its own ``first`` and has an infinite
+threshold, so it never steps right, and after ``depth`` steps for all trees
+at once each tree is on its leaf.
 ``_leaves`` is that one walk: it steps one row, or a chunk of rows as their
 row-major values, each root reading its row at an offset, and returns the
 leaf values. ``np.cumsum`` along the trees then adds them to the base score
@@ -171,31 +172,31 @@ class Ensemble:
         nodes = [None, *self.trees]
         level = [0] * len(nodes)
         tree = [-1, *range(len(self.trees))]
-        feature, threshold, child, value = [0], [math.inf], [0, 0], [self.base_score]
+        feature, threshold, first, value = [0], [math.inf], [0], [self.base_score]
         i = 1
         while i < len(nodes):
             node = nodes[i]
             if node.is_leaf:
                 feature.append(0)
                 threshold.append(math.inf)
-                child += (2 * i, 2 * i)
+                first.append(i)
                 value.append(self.learning_rate * node.weight)
             else:
                 feature.append(node.feature_index)
                 threshold.append(node.threshold)
-                child += (2 * len(nodes), 2 * len(nodes) + 2)
+                first.append(len(nodes))
                 value.append(0.0)
                 nodes += (node.left, node.right)
                 level += (level[i] + 1,) * 2
                 tree += (tree[i],) * 2
             i += 1
         return _FlatEnsemble(
-            feature=np.repeat(np.array(feature, dtype=np.intp), 2),
-            threshold=np.repeat(threshold, 2),
-            child=np.array(child, dtype=np.intp),
-            value=np.repeat(value, 2),
-            roots=np.arange(0, 2 * len(self.trees) + 2, 2),
-            # At least one step: it spreads the roots to one row of slots per row.
+            feature=np.array(feature, dtype=np.intp),
+            threshold=np.array(threshold),
+            first=np.array(first, dtype=np.intp),
+            value=np.array(value),
+            roots=np.arange(len(self.trees) + 1),
+            # At least one step: it spreads the roots to one row of nodes per row.
             depth=max(1, max(level)),
             tree=np.array(tree, dtype=np.intp),
         )
@@ -220,27 +221,27 @@ ROW_CHUNK = 256
 
 
 class _FlatEnsemble(NamedTuple):
-    """An ensemble's nodes in flat arrays, by slot (see the module docstring)."""
+    """An ensemble's nodes in flat arrays, one entry each (see the module docstring)."""
 
     feature: np.ndarray
     threshold: np.ndarray
-    child: np.ndarray
+    first: np.ndarray  # the left child; the right child is first + 1
     value: np.ndarray  # what a leaf adds to the prediction; 0 on a branch
     roots: np.ndarray
     depth: int
-    tree: np.ndarray  # the tree of each node, by node; -1 for the base score
+    tree: np.ndarray  # the tree of each node; -1 for the base score
 
 
 def _leaves(flat: _FlatEnsemble, x: np.ndarray, offset=None) -> np.ndarray:
     """Walk from every root for one row, or for a chunk of rows (``x`` its
     row-major values, ``offset`` the start of the row each root reads).
     Returns the values of the leaves reached, ``[..., k]`` for root ``k``."""
-    slot = flat.roots
+    node = flat.roots
     for _ in range(flat.depth):
-        at = flat.feature[slot]  # one row skips the add, a quarter of its walk time
+        at = flat.feature[node]  # one row skips the add, a quarter of its walk time
         at = at if offset is None else at + offset
-        slot = flat.child[slot + (x[at] >= flat.threshold[slot])]
-    return flat.value[slot]
+        node = flat.first[node] + (x[at] >= flat.threshold[node])
+    return flat.value[node]
 
 
 def _matrix(model: Ensemble, rows) -> np.ndarray:
@@ -303,11 +304,10 @@ def predict_sweep(model: Ensemble, rows, j: int, grid) -> np.ndarray:
     del others
     flat = model._flat
     n_trees = len(flat.roots) - 1
-    # By node. Leaves hold feature 0 and an infinite threshold; branches never do.
-    feature, threshold = flat.feature[::2], flat.threshold[::2]
-    on_j = (feature == j) & np.isfinite(threshold)
+    # Leaves hold feature 0 and an infinite threshold; branches never do.
+    on_j = (flat.feature == j) & np.isfinite(flat.threshold)
     bucket = np.zeros((n_trees, n_grid), dtype=np.intp)
-    np.add.at(bucket, flat.tree[on_j], threshold[on_j][:, None] <= grid)
+    np.add.at(bucket, flat.tree[on_j], flat.threshold[on_j][:, None] <= grid)
     # A tree may branch on j several times at one threshold, so a bucket can
     # reach the tree's count of j branches, not only the grid size.
     keys = np.arange(n_trees)[:, None] * (np.count_nonzero(on_j) + 1) + bucket
@@ -365,11 +365,10 @@ def predict_coalitions(model: Ensemble, instance, background) -> np.ndarray:
         raise DataError(f"non-finite value in column {model.feature_names[f]!r} at row {1 << f}")
     flat = model._flat
     n_trees = len(flat.roots) - 1
-    # By node. A leaf's threshold is infinite, above both x and b.
-    feature, threshold = flat.feature[::2], flat.threshold[::2]
-    apart = (x[feature] >= threshold) != (b[feature] >= threshold)
+    # A leaf's threshold is infinite, above both x and b.
+    apart = (x[flat.feature] >= flat.threshold) != (b[flat.feature] >= flat.threshold)
     in_key = np.zeros((n_trees, n), dtype=bool)
-    in_key[flat.tree[apart], feature[apart]] = True
+    in_key[flat.tree[apart], flat.feature[apart]] = True
     bits = 1 << np.arange(n)
     # Tree t owns pairs start[t] .. end[t] - 1, one per subset of D_t. Pair
     # k of the tree holds feature f of D_t when bit rank[t, f] of k is set,
@@ -533,7 +532,8 @@ def grow_tree(rows, grad, max_depth: int, lambda_: float, gamma: float,
     leaf weight, with no walk of the tree. ``train`` passes ``presorted``, the
     triple ``(cols, start, work)`` of ``_sort_block(rows)`` and a working
     block of the same shape, which this tree copies ``start`` into and
-    partitions.
+    partitions. Sums and gains that leave the float range raise
+    FloatingPointError.
     """
     if presorted is None:
         cols, block = _sort_block(rows)
@@ -542,8 +542,9 @@ def grow_tree(rows, grad, max_depth: int, lambda_: float, gamma: float,
         block[...] = start
     grad = np.asarray(grad, dtype=np.float64)
     n = block.shape[1]
-    return _grow(cols, grad, block, 0, n, range(len(cols)), 0, max_depth, lambda_, gamma,
-                 np.zeros(n, dtype=bool), np.empty(n) if out is None else out)
+    with np.errstate(over="raise", invalid="raise"):
+        return _grow(cols, grad, block, 0, n, range(len(cols)), 0, max_depth, lambda_,
+                     gamma, np.zeros(n, dtype=bool), np.empty(n) if out is None else out)
 
 
 def train(X: FeatureMatrix, params: Hyperparams) -> Ensemble:

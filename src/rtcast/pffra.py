@@ -146,6 +146,15 @@ def mean_substitute(X: FeatureMatrix, features_to_permute, means: dict) -> Featu
     return FeatureMatrix(X.feature_names, rows, X.target, X.row_timestamps)
 
 
+def variants(feature_names, feature: str) -> dict:
+    """The features each prediction variant mean-substitutes, in model order;
+    both protocols predict these."""
+    if feature not in feature_names:
+        raise SelectionError(f"unknown feature {feature!r}")
+    others = [n for n in feature_names if n != feature]
+    return {"original": [], "feature_permuted": [feature], "feature_only": others}
+
+
 def band_energy(spectrum: Spectrum, bands: dict) -> dict:
     """Mean signal power per named frequency band, in squared signal units.
 
@@ -186,11 +195,10 @@ def pffra(
 ) -> PffraReport:
     """Frequency response analysis of one feature's contribution.
 
-    Computes prediction series for (a) the design matrix with ``feature``
-    mean-substituted, (b) the matrix with every OTHER feature
-    mean-substituted, and (c) the original matrix; takes spectra of all three
-    plus the true series; and integrates the DEFAULT_BANDS energies for each
-    variant.
+    Computes the prediction series of the :func:`variants` of ``feature``
+    (the original matrix, ``feature`` mean-substituted, every OTHER feature
+    mean-substituted); takes spectra of all three plus the true series; and
+    integrates the DEFAULT_BANDS energies for each variant.
 
     Parameters
     ----------
@@ -205,23 +213,16 @@ def pffra(
         Training means per feature; defaults to the column means of X.
     """
     predict = model.predict_batch if hasattr(model, "predict_batch") else model
-    if feature not in X.feature_names:
-        raise SelectionError(f"unknown feature {feature!r}")
+    substituted = variants(X.feature_names, feature)
     if means is None:
         means = training_means(X)
     step = _uniform_step_seconds(X.row_timestamps)
 
-    others = [n for n in X.feature_names if n != feature]
     series = {
-        "original": np.asarray(predict(X.rows), dtype=np.float64),
-        "feature_permuted": np.asarray(
-            predict(mean_substitute(X, [feature], means).rows), dtype=np.float64
-        ),
-        "feature_only": np.asarray(
-            predict(mean_substitute(X, others, means).rows), dtype=np.float64
-        ),
-        "truth": np.asarray(y_true, dtype=np.float64),
+        variant: np.asarray(predict(mean_substitute(X, names, means).rows), dtype=np.float64)
+        for variant, names in substituted.items()
     }
+    series["truth"] = np.asarray(y_true, dtype=np.float64)
     if series["truth"].shape != series["original"].shape:
         raise DataError("y_true length does not match the design matrix")
 

@@ -214,6 +214,25 @@ class TestAblate:
         assert len(calls) == trained
         assert len(read_csv(out / "horizon_sweep.csv")) == 2
 
+    def test_window_sweep_scores_the_combination_models(self, tmp_path):
+        """``grid.*`` keys drive only ``train``: widths 0 and 60 minutes are
+        the ``IOTS+Holiday`` and default-groups models of ``ablation.csv``."""
+        cfg = tmp_path / "ablate.ini"
+        cfg.write_text(CONFIG.replace("model.n_trees = 8", "model.n_trees = 5") + (
+            "ablate.combos = IOTS-MVA+MVART+Holiday;IOTS+Holiday\n"
+            "ablate.window_widths_minutes = 0,60\n"
+            "ablate.intervals_minutes = 60\n"
+            "grid.max_depth = 2,4\n"
+            "grid.n_trees = 3,8\n"
+            "grid.gamma = 0.0\n"
+        ))
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(cfg), "--out", str(out), "--quiet", "ablate"]) == 0
+        ablation = {row[0]: row[1:] for row in read_csv(out / "ablation.csv")[1:]}
+        sweep = {row[0]: row[1:] for row in read_csv(out / "window_sweep.csv")[1:]}
+        assert sweep == {"0": ablation["Holiday+IOTS"],
+                         "3600": ablation["Holiday+IOTS-MVA+MVART"]}
+
 
 class TestDiagnoseCommands:
     def test_acf_row_count(self, pipeline, tmp_path):
@@ -702,6 +721,27 @@ class TestExitCodes:
                        "evaluate", "--model", str(model), check=False)
         assert proc.returncode == 3, proc.stderr
         assert "malformed model document" in proc.stderr
+
+    @pytest.mark.parametrize("protocol", ["static", "rolling"])
+    @pytest.mark.parametrize("feature, groups", [("Nope", None), ("MVART", "IOTS")],
+                             ids=["unknown-name", "not-in-model"])
+    def test_absent_pffra_feature_is_exit_three(self, pipeline, tmp_path, feature, groups,
+                                                protocol):
+        """A feature the model lacks: both protocols exit 3 with one line."""
+        cfg, out = pipeline
+        model = out / "model.json"
+        if groups:
+            trained = tmp_path / "trained"
+            run_cli("--config", str(cfg), "--out", str(trained), "--quiet", "train",
+                    "--groups", groups)
+            model = trained / "model.json"
+        dest = tmp_path / "x"
+        proc = run_cli("--config", str(cfg), "--out", str(dest), "--quiet", "explain",
+                       "pffra", "--feature", feature, "--protocol", protocol,
+                       "--model", str(model), check=False)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == f"error: unknown feature {feature!r}\n"
+        assert not dest.exists()
 
     def test_unknown_method_is_rejected_by_the_parser(self, tmp_path):
         proc = run_cli("--out", str(tmp_path / "x"), "--quiet",

@@ -405,6 +405,14 @@ class TestTrain:
         with pytest.raises(NumericError):
             gbm.train(X, Hyperparams(n_trees=1))
 
+    def test_grow_tree_raises_when_gradient_sums_overflow(self):
+        """Finite gradients whose squared sums leave the float range: a direct
+        call raises, where it would grow a tree from inf and NaN gains."""
+        rng = np.random.default_rng(0)
+        u, v = rng.uniform(size=(2000, 2)), rng.uniform(size=2000)
+        with pytest.raises(FloatingPointError):
+            gbm.grow_tree(u, np.full(2000, 1e200) + v, max_depth=3, lambda_=1.0, gamma=0.0)
+
     def test_hyperparams_validation(self):
         with pytest.raises(ConfigError):
             Hyperparams(max_depth=-1)

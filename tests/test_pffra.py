@@ -168,6 +168,17 @@ class TestMeanSubstitute:
             pffra.mean_substitute(X, ["a"], {})
 
 
+class TestVariants:
+    def test_features_substituted_per_variant(self):
+        got = pffra.variants(("c", "a", "b"), "a")
+        assert list(got) == ["original", "feature_permuted", "feature_only"]
+        assert got == {"original": [], "feature_permuted": ["a"], "feature_only": ["c", "b"]}
+
+    def test_unknown_feature(self):
+        with pytest.raises(SelectionError, match="^unknown feature 'zzz'$"):
+            pffra.variants(("a", "b"), "zzz")
+
+
 class TestPffra:
     def _setup(self):
         n = 288
