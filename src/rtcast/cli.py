@@ -47,16 +47,20 @@ _DEFAULT_ABLATE_COMBOS = (
 
 
 def _parse_kv_file(path: str) -> dict:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     out = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: line {lineno}: expected key=value")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}: line {lineno}: expected key=value")
+        key, val = line.split("=", 1)
+        out[key.strip()] = val.strip()
     return out
 
 
@@ -653,7 +657,7 @@ def cmd_explain(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
             }
         else:
             x_test = build_design_matrix(test_t, cfg.engineering, groups)
-            idx = args.instance
+            idx = args.instance or 0
             if not 0 <= idx < len(x_test):
                 raise ConfigError(f"--instance {idx} out of range 0..{len(x_test) - 1}")
             cases = {f"instance{idx}": (x_test.rows[idx], {"y_true": float(x_test.target[idx])})}
@@ -678,8 +682,6 @@ def cmd_explain(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
                 )
 
     else:
-        if not args.feature:
-            raise ConfigError("pffra needs --feature NAME")
         part = parts[args.split]
         if args.protocol == "static":
             x_part = build_design_matrix(part, cfg.engineering, groups)
@@ -720,22 +722,19 @@ def cmd_explain(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
 
 def cmd_diagnose(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
     parts = _load_splits(cfg)
+    if args.which == "hist":
+        for name, part in parts.items():
+            out.write_csv(f"hist_{name}.csv", ["bin", "count"],
+                          stats.histogram(part.target, cfg.bin_width))
+        return {"which": args.which}
     series = parts[args.split].target
-
-    if args.which in ("acf", "pacf"):
-        correlations = stats.acf if args.which == "acf" else stats.pacf
-        out.write_csv(f"{args.which}.csv", ["lag", "value"],
-                      enumerate(correlations(series, cfg.max_lag)))
-    elif args.which == "adf":
+    if args.which == "adf":
         out.write_json("adf_rt.json", _adf_doc(stats.adf_test(series)))
         out.write_json("adf_diff.json", _adf_doc(stats.adf_test(np.diff(series))))
     else:
-        for name, part in parts.items():
-            out.write_csv(
-                f"hist_{name}.csv",
-                ["bin", "count"],
-                stats.histogram(part.target, cfg.bin_width),
-            )
+        correlations = stats.acf if args.which == "acf" else stats.pacf
+        out.write_csv(f"{args.which}.csv", ["lag", "value"],
+                      enumerate(correlations(series, cfg.max_lag)))
     return {"which": args.which, "split": args.split}
 
 
@@ -771,19 +770,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--skip-sweeps", action="store_true")
 
     p = sub.add_parser("explain", help="global and local model explanations")
-    p.add_argument("method", choices=["importance", "pdp", "surrogate", "lime", "shap", "pffra"])
-    p.add_argument("--model", default=None)
-    p.add_argument("--feature", default=None)
-    p.add_argument("--instance", type=int, default=0)
-    p.add_argument("--select", default=None, help='case-study selection, e.g. "accurate,deviated"')
-    p.add_argument("--threshold-acc", type=float, default=0.01)
-    p.add_argument("--threshold-dev", type=float, default=2.0)
-    p.add_argument("--split", choices=["train", "val", "test"], default="val")
-    p.add_argument("--protocol", choices=["static", "rolling"], default="static")
+    methods = p.add_subparsers(dest="method", required=True)
+    # Each method and check declares only the flags that its branch reads.
+    for name in ("importance", "pdp", "surrogate", "lime", "shap", "pffra"):
+        m = methods.add_parser(name)
+        m.add_argument("--model", default=None)
+        if name in ("pdp", "pffra"):  # pdp without --feature sweeps every feature
+            m.add_argument("--feature", required=name == "pffra")
+        if name == "pffra":
+            m.add_argument("--split", choices=["train", "val", "test"], default="val")
+            m.add_argument("--protocol", choices=["static", "rolling"], default="static")
+        if name in ("lime", "shap"):
+            # No default for --instance: argparse would let "--instance 0" equal to
+            # a default of 0 pass beside --select.
+            case = m.add_mutually_exclusive_group()
+            case.add_argument("--instance", type=int, help="test row (default 0)")
+            case.add_argument("--select", choices=["accurate,deviated"], help="case-study pair")
+            m.add_argument("--threshold-acc", type=float, default=0.01)
+            m.add_argument("--threshold-dev", type=float, default=2.0)
 
     p = sub.add_parser("diagnose", help="ACF/PACF, unit-root tests, histograms")
-    p.add_argument("which", choices=["acf", "pacf", "adf", "hist"])
-    p.add_argument("--split", choices=["train", "val", "test"], default="train")
+    checks = p.add_subparsers(dest="which", required=True)
+    for name in ("acf", "pacf", "adf"):
+        checks.add_parser(name).add_argument(
+            "--split", choices=["train", "val", "test"], default="train")
+    checks.add_parser("hist")  # every split's histogram, so no --split
     return parser
 
 
@@ -810,10 +821,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _build_config(args)
-        if getattr(args, "select", None):
-            wanted = {part.strip() for part in args.select.split(",")}
-            if wanted != {"accurate", "deviated"}:
-                raise ConfigError('--select currently supports exactly "accurate,deviated"')
         out = ArtifactWriter(cfg.out_dir, _label(args), cfg)
         out.finish(_COMMANDS[args.command](cfg, args, out))
     except (ToolkitError, OSError) as exc:

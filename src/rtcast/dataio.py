@@ -154,31 +154,23 @@ class SynthConfig:
             raise ConfigError(f"noise_sd must be >= 0, got {self.noise_sd}")
 
 
-def _resolve_roles(header: list, schema: dict | None) -> dict:
-    """Map header columns to roles; raise SchemaError on missing requirements."""
-    if schema is None:
-        if TIMESTAMP_COLUMN not in header:
-            raise SchemaError(f"missing required column {TIMESTAMP_COLUMN!r}")
-        if TARGET_COLUMN not in header:
-            raise SchemaError(f"missing required column {TARGET_COLUMN!r}")
-        return {
-            name: (
-                "timestamp"
-                if name == TIMESTAMP_COLUMN
-                else "target" if name == TARGET_COLUMN else "feature"
-            )
-            for name in header
-        }
+#: The schema of a CSV read without one.
+_DEFAULT_SCHEMA = {TIMESTAMP_COLUMN: "timestamp", TARGET_COLUMN: "target"}
 
+
+def _resolve_roles(header: list, schema: dict | None) -> dict:
+    """Map header columns to roles; raise SchemaError on missing requirements.
+    Columns a schema leaves out are ignored; without a schema they are features."""
+    unlisted = "feature" if schema is None else "ignore"
     roles = {}
-    for name, role in schema.items():
+    for name, role in (_DEFAULT_SCHEMA if schema is None else schema).items():
         if role not in ("timestamp", "target", "feature", "ignore"):
             raise ConfigError(f"unknown role {role!r} for column {name!r}")
         if role != "ignore" and name not in header:
             raise SchemaError(f"missing required column {name!r}")
         roles[name] = role
     for name in header:
-        roles.setdefault(name, "ignore")
+        roles.setdefault(name, unlisted)
     for required in ("timestamp", "target"):
         found = [n for n, r in roles.items() if r == required]
         if len(found) != 1:
@@ -208,8 +200,11 @@ def ingest_csv(source, schema: dict | None = None) -> TimeTable:
     """
     if hasattr(source, "read"):
         return _ingest_stream(source, schema)
-    with open(source, newline="", encoding="utf-8") as fh:
-        return _ingest_stream(fh, schema)
+    try:
+        with open(source, newline="", encoding="utf-8") as fh:
+            return _ingest_stream(fh, schema)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{source}: not UTF-8 text ({exc.reason})") from None
 
 
 def _ingest_stream(fh, schema) -> TimeTable:
@@ -219,6 +214,8 @@ def _ingest_stream(fh, schema) -> TimeTable:
         header = next(reader)
     except StopIteration:
         raise DataError("empty file: no header row") from None
+    except csv.Error as exc:
+        raise ParseError(f"header row: {exc}") from None
     header = [h.strip() for h in header]
     roles = _resolve_roles(header, schema)
 
@@ -328,37 +325,41 @@ def _parse_rows(reader, header, ts_idx, numeric_idx):
     """Epoch seconds and numeric cells of the remaining CSV rows, one row at
     a time; raises ParseError naming the first bad row."""
     stamps, rows = [], []
-    for rownum, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise ParseError(
-                f"row {rownum}: expected {len(header)} cells, got {len(row)}"
-            )
-        try:
-            stamps.append(timebase.parse_instant(row[ts_idx]))
-        except ParseError as exc:
-            raise ParseError(f"row {rownum}: {exc}") from None
-        # float() also reads PEP 515 underscores, non-ASCII digits and
-        # non-ASCII spaces ("1_5", "１５"); a CSV number is plain ASCII. Rows
-        # are checked whole, and the cells of a row that fails one by one.
-        text = "".join(row)
-        plain = text.isascii() and "_" not in text
-        vals = []
-        for i, name in numeric_idx:
-            cell = row[i].strip() if plain or row[i].isascii() else row[i]
-            if cell == "":
-                vals.append(math.nan)
+    rownum = 0
+    try:
+        for rownum, row in enumerate(reader, start=1):
+            if not row:
                 continue
-            try:
-                if not plain and ("_" in cell or not cell.isascii()):
-                    raise ValueError(cell)
-                vals.append(float(cell))
-            except ValueError:
+            if len(row) != len(header):
                 raise ParseError(
-                    f"row {rownum}: non-numeric value {cell!r} in column {name!r}"
-                ) from None
-        rows.append(vals)
+                    f"row {rownum}: expected {len(header)} cells, got {len(row)}"
+                )
+            try:
+                stamps.append(timebase.parse_instant(row[ts_idx]))
+            except ParseError as exc:
+                raise ParseError(f"row {rownum}: {exc}") from None
+            # float() also reads PEP 515 underscores, non-ASCII digits and
+            # non-ASCII spaces ("1_5", "１５"); a CSV number is plain ASCII. Rows
+            # are checked whole, and the cells of a row that fails one by one.
+            text = "".join(row)
+            plain = text.isascii() and "_" not in text
+            vals = []
+            for i, name in numeric_idx:
+                cell = row[i].strip() if plain or row[i].isascii() else row[i]
+                if cell == "":
+                    vals.append(math.nan)
+                    continue
+                try:
+                    if not plain and ("_" in cell or not cell.isascii()):
+                        raise ValueError(cell)
+                    vals.append(float(cell))
+                except ValueError:
+                    raise ParseError(
+                        f"row {rownum}: non-numeric value {cell!r} in column {name!r}"
+                    ) from None
+            rows.append(vals)
+    except csv.Error as exc:  # e.g. a stray quote that runs on past the field size limit
+        raise ParseError(f"row {rownum + 1}: {exc}") from None
     return np.array(stamps, dtype=np.int64), np.array(rows, dtype=np.float64)
 
 

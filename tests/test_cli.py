@@ -267,6 +267,119 @@ class TestDiagnoseCommands:
             assert len(rows) > 1
 
 
+#: The flags each explain method and diagnose check accepts, and nothing else.
+ACCEPTED = {
+    ("explain", "importance"): ("--model",),
+    ("explain", "surrogate"): ("--model",),
+    ("explain", "pdp"): ("--model", "--feature"),
+    ("explain", "lime"): ("--model", "--instance", "--select", "--threshold-acc",
+                          "--threshold-dev"),
+    ("explain", "shap"): ("--model", "--instance", "--select", "--threshold-acc",
+                          "--threshold-dev"),
+    ("explain", "pffra"): ("--model", "--feature", "--split", "--protocol"),
+    ("diagnose", "acf"): ("--split",),
+    ("diagnose", "pacf"): ("--split",),
+    ("diagnose", "adf"): ("--split",),
+    ("diagnose", "hist"): (),
+}
+FLAG_VALUES = {
+    "--model": "m.json", "--feature": "Hour", "--instance": "3",
+    "--select": "accurate,deviated", "--threshold-acc": "0.1", "--threshold-dev": "1.5",
+    "--split": "test", "--protocol": "rolling",
+}
+ALL_FLAGS = {
+    "explain": tuple(FLAG_VALUES),
+    "diagnose": ("--split",),
+}
+PAIRS = [(cmd, flag) for cmd in ACCEPTED for flag in ALL_FLAGS[cmd[0]]]
+
+
+def parse(*argv):
+    """``argv`` as the CLI parses it; pffra's required --feature is given
+    unless ``argv`` sets it."""
+    if argv[:2] == ("explain", "pffra") and "--feature" not in argv:
+        argv += ("--feature", "MVART")
+    return cli._build_parser().parse_args(["--out", "o", *argv])
+
+
+class TestFlagsPerSubcommand:
+    """Each explain method and diagnose check takes only the flags it reads;
+    the parser refuses any other with exit 2 before any input is read."""
+
+    def test_pair_counts(self):
+        assert len(PAIRS) == 52
+        assert sum(flag in ACCEPTED[cmd] for cmd, flag in PAIRS) == 21
+
+    @pytest.mark.parametrize("cmd, flag", [p for p in PAIRS if p[1] in ACCEPTED[p[0]]],
+                             ids=lambda v: "-".join(v) if isinstance(v, tuple) else v)
+    def test_accepted_flag_is_read(self, cmd, flag):
+        args = parse(*cmd, flag, FLAG_VALUES[flag])
+        value = getattr(args, flag[2:].replace("-", "_"))
+        assert str(value) == FLAG_VALUES[flag]
+
+    @pytest.mark.parametrize("cmd, flag", [p for p in PAIRS if p[1] not in ACCEPTED[p[0]]],
+                             ids=lambda v: "-".join(v) if isinstance(v, tuple) else v)
+    def test_other_flag_is_exit_two(self, cmd, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(*cmd, flag, FLAG_VALUES[flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("explain", "shap", "--instance", "0", "--select", "accurate,deviated"),
+        ("explain", "lime", "--select", "accurate,deviated", "--instance", "3"),
+        ("explain", "shap", "--select", "deviated,accurate"),
+        ("explain", "shap", "--select", "accurate"),
+        ("explain", "pffra"),
+        ("explain", "pffra", "--split", "val"),
+    ], ids=["instance-0-and-select", "select-and-instance", "select-reversed",
+            "select-one-case", "pffra-no-feature", "pffra-split-no-feature"])
+    def test_refused_by_the_parser(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser().parse_args(["--out", "o", *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.count("error:") == 1
+
+    def test_defaults(self):
+        args = parse("explain", "shap")
+        assert (args.instance, args.select) == (None, None)
+        args = parse("explain", "pffra")
+        assert (args.split, args.protocol) == ("val", "static")
+        assert parse("diagnose", "adf").split == "train"
+        assert not hasattr(parse("diagnose", "hist"), "split")
+
+    def test_benchmark_and_readme_invocations_are_accepted(self):
+        perfbench = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
+        sys.path.insert(0, perfbench)
+        try:
+            import rtbench
+        finally:
+            sys.path.remove(perfbench)
+        readme = os.path.join(os.path.dirname(perfbench), "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            session = [line.split()[3:] for line in fh if line.startswith("rtcast --out runs ")]
+        assert len(session) == 5
+        for argv in [*(argv for _, argv in rtbench.Pipeline.commands), *session]:
+            cli._build_parser().parse_args(["--out", "o", *argv])
+
+    def test_ignored_split_is_exit_two_and_writes_nothing(self, pipeline, tmp_path):
+        cfg, out = pipeline
+        dest = tmp_path / "x"
+        proc = run_cli("--config", str(cfg), "--out", str(dest), "--quiet",
+                       "explain", "shap", "--model", str(out / "model.json"),
+                       "--instance", "3", "--split", "val", check=False)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.splitlines()[-1].endswith("error: unrecognized arguments: --split val")
+        assert not dest.exists()
+
+    def test_hist_manifest_has_no_split(self, pipeline, tmp_path):
+        cfg, _ = pipeline
+        dest = tmp_path / "hist"
+        run_cli("--config", str(cfg), "--out", str(dest), "--quiet", "diagnose", "hist")
+        doc = json.loads((dest / "manifest_diagnose_hist.json").read_text())
+        assert doc["which"] == "hist" and "split" not in doc
+
+
 class TestSplitAndIngest:
     def test_split_partitions(self, pipeline, tmp_path):
         cfg, _ = pipeline
@@ -376,6 +489,56 @@ class TestExitCodes:
             f"error: config features.holiday_file: cannot read {str(holidays)!r}: "
             f"{holidays}: line 2: unparseable date 'not-a-date'\n")
         assert not dest.exists()
+
+    @pytest.mark.parametrize("what, code", [
+        ("config", 2), ("schema", 2), ("csv", 3), ("holiday_file", 2), ("model", 3),
+    ])
+    def test_input_that_is_not_utf8_is_one_line(self, pipeline, tmp_path, what, code):
+        """A 0xff byte in any file the CLI reads: exit 2 or 3, one line
+        naming the file, and nothing written."""
+        cfg, out = pipeline
+        bad = tmp_path / f"bad_{what}"
+        argv = ["--config", str(cfg), "--out", str(tmp_path / "x"), "--quiet", "train"]
+        if what == "config":
+            bad.write_bytes(b"\xff\xfe = 3\n")
+            argv[1] = str(bad)
+        elif what == "schema":
+            bad.write_bytes(b"\xff=feature\n")
+            argv[-1:] = ["ingest", "--csv", str(out / "synthetic.csv"), "--schema", str(bad)]
+        elif what == "csv":
+            data = bytearray((out / "synthetic.csv").read_bytes())
+            data[200] = 0xff
+            bad.write_bytes(bytes(data))
+            argv[-1:] = ["ingest", "--csv", str(bad)]
+        elif what == "holiday_file":
+            bad.write_bytes(b"\xff2017-12-25\n")
+            config = tmp_path / "c.ini"
+            config.write_text(CONFIG + f"features.holiday_file = {bad}\n")
+            argv[1] = str(config)
+        else:
+            data = bytearray((out / "model.json").read_bytes())
+            data[20] = 0xff
+            bad.write_bytes(bytes(data))
+            argv[-1:] = ["evaluate", "--model", str(bad)]
+        proc = run_cli(*argv, check=False)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert str(bad) in proc.stderr or what == "model", proc.stderr
+        assert not (tmp_path / "x").exists()
+
+    def test_quote_that_runs_past_the_field_size_limit_is_exit_three(self, pipeline, tmp_path):
+        """A stray quote at the start of a row-1 cell makes the rest of the
+        202 KB file one field, past csv's 131,072-character limit."""
+        _, out = pipeline
+        lines = (out / "synthetic.csv").read_text().splitlines(keepends=True)
+        lines[1] = lines[1].replace(",", ',"', 1)
+        bad = tmp_path / "quote.csv"
+        bad.write_text("".join(lines))
+        proc = run_cli("--out", str(tmp_path / "x"), "--quiet", "ingest", "--csv", str(bad),
+                       check=False)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == "error: row 1: field larger than field limit (131072)\n"
+        assert not (tmp_path / "x").exists()
 
     def test_bad_data_is_exit_three(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -181,6 +181,45 @@ class TestIngest:
         with pytest.raises(SchemaError):
             dataio.ingest_csv(io.StringIO("a,b,c\n1,2,3\n"), schema)
 
+    def test_no_schema_is_the_default_schema_with_features_for_the_rest(self):
+        text = "".join(",".join(r) + "\n" for r in writer_rows())
+        spelled = {"timestamp": "timestamp", "RT": "target", "OnOffState": "feature",
+                   "OpMode": "feature", "OutTemp": "feature", "OutHumid": "feature"}
+        assert table_key(dataio.ingest_csv(io.StringIO(text))) == \
+            table_key(dataio.ingest_csv(io.StringIO(text), spelled))
+        # An empty schema file is no default: every column is ignored.
+        with pytest.raises(SchemaError, match="exactly one timestamp column, found \\[\\]"):
+            dataio.ingest_csv(io.StringIO(text), {})
+
+    @pytest.mark.parametrize("header, missing", [
+        ("RT,x", "timestamp"), ("x,y", "timestamp"), ("timestamp,x", "RT"),
+    ])
+    def test_without_a_schema_the_first_missing_column_is_named(self, header, missing):
+        with pytest.raises(SchemaError) as err:
+            dataio.ingest_csv(io.StringIO(f"{header}\n1,2\n3,4\n"))
+        assert str(err.value) == f"missing required column {missing!r}"
+
+    @pytest.mark.parametrize("where, row", [("header", "header row"), ("data", "row 1")])
+    def test_a_quote_that_runs_past_the_field_size_limit_names_its_row(self, where, row):
+        """One stray quote makes the rest of the file one field."""
+        buf = io.StringIO()
+        dataio.write_csv(dataio.synthesize(SynthConfig(seed=4, n_days=20)), buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+        i = 0 if where == "header" else 1
+        lines[i] = lines[i].replace(",", ',"', 1)
+        text = "".join(lines)
+        assert len(text) > csv.field_size_limit()
+        with pytest.raises(ParseError) as err:
+            dataio.ingest_csv(io.StringIO(text))
+        assert str(err.value) == f"{row}: field larger than field limit ({csv.field_size_limit()})"
+
+    def test_a_file_that_is_not_utf8_is_a_parse_error_naming_it(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("timestamp,RT,Ort\n2020-01-01T00:00:00Z,21.0,Zürich\n".encode("latin-1"))
+        with pytest.raises(ParseError) as err:
+            dataio.ingest_csv(str(path))
+        assert str(err.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
 
 #: Roles for the writer's columns plus an ignored free-text ``note``.
 NOTE_SCHEMA = {"timestamp": "timestamp", "RT": "target", "OnOffState": "feature",
