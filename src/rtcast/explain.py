@@ -123,9 +123,10 @@ def pdp(model, X: FeatureMatrix, feature: str, grid_size: int = 20) -> PdpCurve:
     categorical and evaluated at each observed level. A constant feature
     yields a single-point curve flagged ``constant=True``.
 
-    An :class:`~rtcast.gbm.Ensemble` is read by ``gbm.predict_sweep``, which
-    walks each tree once per distinct branch of the feature, on blocks of at
-    most one grid value per column. Its curve is bit for bit the one of
+    An :class:`~rtcast.gbm.Ensemble` is read by ``gbm.predict_sweep``, one
+    call per block of up to four grid values per column (the whole grid at
+    the default size), which reads each tree once per row and distinct
+    bucket of the feature's thresholds. Its curve is bit for bit the one of
     setting the column to each grid value in turn and calling
     ``predict_batch``, the path any other callable takes.
     """
@@ -148,11 +149,12 @@ def pdp(model, X: FeatureMatrix, feature: str, grid_size: int = 20) -> PdpCurve:
         grid = np.linspace(lo, hi, grid_size)
 
     if isinstance(model, Ensemble):
-        # At most one grid value per column at a time: no block of swept
-        # predictions outgrows X.rows, the copy the per-value loop makes.
-        width = X.rows.shape[1]
-        swept = (pred for lo in range(0, len(grid), width)
-                 for pred in predict_sweep(model, X.rows, j, grid[lo:lo + width]))
+        # Blocks of 4 grid values per column, so a 20- or 24-value grid of 11
+        # features is one sweep, and no block of predictions outgrows four
+        # copies of X.rows.
+        block = 4 * X.rows.shape[1]
+        swept = (pred for lo in range(0, len(grid), block)
+                 for pred in predict_sweep(model, X.rows, j, grid[lo:lo + block]))
     else:
         swept = _swept(_predictor(model), X.rows, j, grid)
     # Each mean reads one contiguous prediction vector, as np.mean of a

@@ -48,22 +48,38 @@ threshold, so it never steps right, and after ``depth`` steps for all trees
 at once each tree is on its leaf.
 ``_leaves`` is that one walk: it steps one row, or a chunk of rows as their
 row-major values, each root reading its row at an offset, and returns the
-leaf values. ``np.cumsum`` along the trees then adds them to the base score
-one tree at a time in tree order, the float additions of ``train``: a row
-gives the same float in any batch, and every stage of
-``staged_predictions`` is exact. ``predict_batch`` walks ``ROW_CHUNK`` rows
-at a time, so its arrays stay ``ROW_CHUNK x (T + 1)``.
+leaf values.
 
-``predict_sweep`` reads the same walk with other roots. Swept over a grid, a
-feature ``j`` reaches a tree only at its branches on ``j``, so a tree's leaf
-for a row depends on the grid value ``v`` only through its bucket: the
-number of the tree's ``j`` thresholds ``<= v``. Each distinct (tree, bucket)
-pair becomes one root, walked on the row copy of its first grid value,
-which it reads through its offset; each grid value gathers its pairs'
-leaves in tree order, and the same ``cumsum`` gives the same floats as
-``predict_batch`` on the swept rows.
+When every tree has at most 64 leaves (every tree of depth 6 or less),
+``predict_batch``, ``staged_predictions`` and ``predict_sweep`` read leaf
+bitmasks instead of walking (QuickScorer, Lucchese et al., SIGIR 2015).
+Each tree's leaves are numbered left to right, one bit each of a uint64. A
+branch that sends a row right clears the bits of its left subtree's leaves,
+and the leaf the walk reaches is the lowest bit that no branch clears. Each
+feature has one table, built on first use: its distinct thresholds in
+ascending order and a ``(K + 1, T)`` prefix AND, whose row ``k`` holds, for
+each tree, the bits left by the tree's branches at the ``k`` lowest
+thresholds. A row's mask for tree ``t`` is the AND over the features of
+``table_f[searchsorted(thresholds_f, x_f, "right"), t]``, and its exit
+leaf's value one lookup. ``predict_row`` (one row walks as fast),
+``predict_coalitions`` and every model with a larger tree keep the walk.
 
-``predict_coalitions`` is the third reader of the walk. The coalition rows of
+Either way ``np.cumsum`` along the trees then adds the leaf values to the
+base score one tree at a time in tree order, the float additions of
+``train``: a row gives the same float in any batch and on either path, and
+every stage of ``staged_predictions`` is exact. ``predict_batch`` reads
+``ROW_CHUNK`` rows at a time, so its arrays stay ``ROW_CHUNK x (T + 1)``.
+
+``predict_sweep`` reads a feature ``j`` swept over a grid. A tree reads
+``j`` only at its branches on ``j``, so its leaf for a row depends on the
+grid value ``v`` only through its bucket: the number of the tree's ``j``
+thresholds ``<= v``. Each row reads each distinct (tree, bucket) pair once:
+its mask without ``j``, built once per row, ANDed with the pair's row of the
+``j`` table, or, on the walk, the pair's root walked on the row copy of the
+pair's first grid value. Each grid value adds its pairs' leaves one tree at
+a time in tree order, the additions of the ``cumsum``.
+
+``predict_coalitions`` reads the walk as well. The coalition rows of
 an instance against a background differ only in which of the two values each
 feature takes, and a tree tells them apart only at its branches where the two
 fall on different sides of the threshold. Each tree is walked once per key,
@@ -166,6 +182,11 @@ class Ensemble:
     gamma: float
 
     @cached_property
+    def _masks(self) -> "_Masks | None":
+        """The leaf-bitmask tables, or None when a tree has more than 64 leaves."""
+        return _compile_masks(self._flat, len(self.trees))
+
+    @cached_property
     def _flat(self) -> "_FlatEnsemble":
         """The nodes numbered breadth first, without recursion, so any depth
         compiles."""
@@ -244,6 +265,91 @@ def _leaves(flat: _FlatEnsemble, x: np.ndarray, offset=None) -> np.ndarray:
     return flat.value[node]
 
 
+#: A mask with every leaf set. The mask arithmetic stays in uint64 arrays and
+#: constants, so no promotion rule (numpy 1.x or NEP 50) changes its type.
+_ALL = ~np.uint64(0)
+_ONE = np.uint64(1)
+
+
+class _Masks(NamedTuple):
+    """Leaf-bitmask tables of an ensemble whose trees have at most 64 leaves
+    (see the module docstring)."""
+
+    tables: dict  # feature -> (its distinct thresholds ascending, (K + 1, T) uint64 table)
+    leaf: np.ndarray  # leaf values: tree t's leaf k, counted from the left, at 64 t + k
+    offset: np.ndarray  # 64 t - 1023 for tree t: see _exits
+
+
+def _compile_masks(flat: _FlatEnsemble, n_trees: int) -> "_Masks | None":
+    """The tables of ``flat``'s trees, or None when one has more than 64 leaves."""
+    is_leaf = np.isinf(flat.threshold)
+    is_leaf[0] = False  # node 0 holds the base score
+    if np.bincount(flat.tree[is_leaf], minlength=n_trees).max(initial=0) > 64:
+        return None
+    branch = ~np.isinf(flat.threshold)
+    left = flat.first[branch]
+    # Leaves under each node, then the number of the leftmost one within its
+    # tree; each pass settles one more level.
+    count = is_leaf.astype(np.intp)
+    for _ in range(flat.depth):
+        count[branch] = count[left] + count[left + 1]
+    lo = np.zeros_like(count)
+    for _ in range(flat.depth):
+        lo[left] = lo[branch]
+        lo[left + 1] = lo[branch] + count[left]
+    # A branch the row sends right clears its left subtree's leaves: at most
+    # 63 bits, below bit 64.
+    width = count[left].astype(np.uint64)
+    clear = ~(((_ONE << width) - _ONE) << lo[branch].astype(np.uint64))
+    tree, feature, threshold = flat.tree[branch], flat.feature[branch], flat.threshold[branch]
+    tables = {}
+    for f in np.unique(feature).tolist():
+        on = feature == f
+        thresholds, rank = np.unique(threshold[on], return_inverse=True)
+        table = np.full((len(thresholds) + 1, n_trees), _ALL, dtype=np.uint64)
+        np.bitwise_and.at(table, (rank + 1, tree[on]), clear[on])
+        # Row k: the bits left by the branches at the k lowest thresholds.
+        tables[f] = (thresholds, np.bitwise_and.accumulate(table, axis=0))
+    leaf = np.zeros(64 * n_trees)
+    leaf[64 * flat.tree[is_leaf] + lo[is_leaf]] = flat.value[is_leaf]
+    return _Masks(tables, leaf, 64 * np.arange(n_trees) - 1023)
+
+
+def _row_masks(masks: _Masks, x: np.ndarray, skip: int = -1) -> np.ndarray:
+    """``(rows, T)``: each tree's leaves left by the rows' values of every
+    feature but ``skip``."""
+    out = np.full((len(x), len(masks.offset)), _ALL, dtype=np.uint64)
+    for f, (thresholds, table) in masks.tables.items():
+        if f != skip:
+            out &= table[np.searchsorted(thresholds, x[:, f], side="right")]
+    return out
+
+
+def _exits(masks: _Masks, m: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """The values of the exit leaves, the lowest set bits of the masks ``m``;
+    ``offset`` broadcasts each mask's ``masks.offset`` entry over ``m``."""
+    low = m - _ONE  # never wraps: the exit leaf's bit is set
+    np.invert(low, out=low)
+    low &= m
+    # A power of two 2^k converts to a float exactly; its exponent field is 1023 + k.
+    exponent = low.astype(np.float64).view(np.int64)
+    exponent >>= 52
+    exponent += offset
+    return masks.leaf.take(exponent)
+
+
+def _tree_values(model: Ensemble, x: np.ndarray) -> np.ndarray:
+    """``(rows, T + 1)``: the base score, then each tree's leaf value, for
+    each row of the matrix ``x``."""
+    masks = model._masks
+    if masks is None:
+        return _leaves(model._flat, x.ravel(), np.arange(len(x))[:, None] * x.shape[1])
+    out = np.empty((len(x), len(masks.offset) + 1))
+    out[:, 0] = model.base_score
+    out[:, 1:] = _exits(masks, _row_masks(masks, x), masks.offset)
+    return out
+
+
 def _matrix(model: Ensemble, rows) -> np.ndarray:
     x = np.asarray(rows, dtype=np.float64)
     _check_width(model, x.shape)
@@ -260,16 +366,12 @@ def _read(model: Ensemble, rows, stages: bool) -> np.ndarray:
     """Predictions for a row matrix, summed ``ROW_CHUNK`` rows at a time: the
     final ones, or with ``stages`` a ``(T + 1, rows)`` array, after 0..T trees."""
     x = _matrix(model, rows)
-    width = x.shape[1]
     check_finite(x, model.feature_names)
-    flat = model._flat
-    out = np.empty((len(flat.roots), len(x)) if stages else len(x))
+    out = np.empty((len(model.trees) + 1, len(x)) if stages else len(x))
     keep = slice(None) if stages else -1
-    offset = np.arange(min(ROW_CHUNK, len(x)))[:, None] * width
     for lo in range(0, len(x), ROW_CHUNK):
-        hi = min(lo + ROW_CHUNK, len(x))
-        leaves = _leaves(flat, x[lo:hi].ravel(), offset[:hi - lo])
-        out[..., lo:hi] = np.cumsum(leaves, axis=-1).T[keep]
+        leaves = _tree_values(model, x[lo:lo + ROW_CHUNK])
+        out[..., lo:lo + ROW_CHUNK] = np.cumsum(leaves, axis=-1).T[keep]
     return out
 
 
@@ -281,10 +383,13 @@ def predict_sweep(model: Ensemble, rows, j: int, grid) -> np.ndarray:
 
     A tree reads the swept value only at its branches on ``j``, and two grid
     values with the same bucket, the count of those branch thresholds
-    ``<= v``, take the same side at each of them. So each distinct
-    (tree, bucket) pair, a root of the walk, is walked once, on the row copy
-    of its first grid value, and each grid value gathers its pairs' leaves
-    in tree order for the sums of ``predict_batch``.
+    ``<= v``, take the same side at each of them. So each row reads each
+    distinct (tree, bucket) pair once (see ``_sweep_pairs``): through the
+    tree's mask of the row without ``j``, ANDed with the pair's row of the
+    ``j`` table, or, on the walk, from the pair's root on the row copy of its
+    first grid value. Each grid value then adds its pairs' leaves to the base
+    score one tree at a time in tree order, the float additions of the
+    ``cumsum`` of ``predict_batch``.
     """
     x = _matrix(model, rows)
     width = x.shape[1]
@@ -302,35 +407,71 @@ def predict_sweep(model: Ensemble, rows, j: int, grid) -> np.ndarray:
         swept[:, j] = grid[0 if not others.all() else bad[0]]
         check_finite(swept, model.feature_names)
     del others
-    flat = model._flat
-    n_trees = len(flat.roots) - 1
-    # Leaves hold feature 0 and an infinite threshold; branches never do.
-    on_j = (flat.feature == j) & np.isfinite(flat.threshold)
-    bucket = np.zeros((n_trees, n_grid), dtype=np.intp)
-    np.add.at(bucket, flat.tree[on_j], flat.threshold[on_j][:, None] <= grid)
-    # A tree may branch on j several times at one threshold, so a bucket can
-    # reach the tree's count of j branches, not only the grid size.
-    keys = np.arange(n_trees)[:, None] * (np.count_nonzero(on_j) + 1) + bucket
-    _, first, pair = np.unique(keys.ravel(), return_index=True, return_inverse=True)
-    pair_tree, pair_grid = np.divmod(first, n_grid)
-    pairs = flat._replace(roots=np.concatenate(([0], flat.roots[1 + pair_tree])))
-    # Column 0 is the base score; then each grid value's pair for every tree.
-    gather = np.zeros((n_grid, n_trees + 1), dtype=np.intp)
-    gather[:, 1:] = 1 + pair.reshape(n_trees, n_grid).T
-    # No chunk temporary exceeds ROW_CHUNK x (T + 1) values: the (rows, G, T + 1)
-    # gather is the largest, as there are at most T x G pairs.
-    step = max(1, ROW_CHUNK // n_grid)
-    copies = np.empty((step, n_grid, width))
-    offset = (np.arange(step)[:, None] * n_grid + np.concatenate(([0], pair_grid))) * width
+    flat, masks = model._flat, model._masks
+    n_trees = len(model.trees)
+    order, pair_tree, start, length = _sweep_pairs(flat, j, grid)
+    first = order[start]
+    # Tree t's pairs, each with its run of the sorted grid; a tree with one
+    # pair adds one value per row at every grid value.
+    bounds = np.flatnonzero(start == 0).tolist() + [len(start)]
+    runs = [(a, length[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    if masks is not None:
+        # Each pair's row of the j table: the leaves its bucket leaves.
+        own = np.full(len(pair_tree), _ALL, dtype=np.uint64)
+        if j in masks.tables:
+            thresholds, table = masks.tables[j]
+            own = table[np.searchsorted(thresholds, grid[first], side="right"), pair_tree]
+        offset = masks.offset[pair_tree][:, None]
+    else:
+        walk = flat._replace(roots=flat.roots[1 + pair_tree])
+    # Rows per chunk: its pair values (P x rows), and on the walk its row copies
+    # (rows x G x width), stay within 2 x ROW_CHUNK x (T + 1) values.
+    step = max(1, 2 * ROW_CHUNK * (n_trees + 1) // max(len(pair_tree), n_grid * width))
     out = np.empty((n_grid, len(x)))
     for lo in range(0, len(x), step):
-        hi = min(lo + step, len(x))
-        chunk = copies[:hi - lo]
-        chunk[...] = x[lo:hi, None]
-        chunk[..., j] = grid
-        sums = _leaves(pairs, chunk.ravel(), offset[:hi - lo])[:, gather]
-        out[:, lo:hi] = np.cumsum(sums, axis=-1, out=sums)[..., -1].T
+        chunk = x[lo:lo + step]
+        if masks is not None:
+            m = _row_masks(masks, chunk, skip=j).T[pair_tree]
+            m &= own[:, None]
+            values = _exits(masks, m, offset)
+        else:
+            copies = np.repeat(chunk[:, None], n_grid, axis=1)
+            copies[..., j] = grid
+            at = (np.arange(len(chunk))[:, None] * n_grid + first) * width
+            values = np.ascontiguousarray(_leaves(walk, copies.ravel(), at).T)
+        # In sorted grid order, in a contiguous block: adding in place to
+        # out's strided rows is ~2x slower.
+        total = np.full((n_grid, len(chunk)), model.base_score)
+        for a, n in runs:
+            total += values[a] if len(n) == 1 else np.repeat(values[a:a + len(n)], n, axis=0)
+        out[order, lo:lo + step] = total
     return out
+
+
+def _sweep_pairs(flat: _FlatEnsemble, j: int, grid: np.ndarray) -> tuple:
+    """The distinct (tree, bucket) pairs of a sweep of feature ``j`` over
+    ``grid``, tree by tree, as runs of the sorted grid: ``(order, tree,
+    start, length)``, where ``grid[order]`` is the grid sorted stably and
+    pair ``p`` is tree ``tree[p]``'s at its ``length[p]`` sorted values from
+    ``start[p]`` on.
+
+    One ``searchsorted`` of the branch thresholds on ``j`` in the sorted
+    grid finds where each branch starts sending grid values right; a tree's
+    bucket changes only there.
+    """
+    n_trees, n_grid = len(flat.roots) - 1, len(grid)
+    order = np.argsort(grid, kind="stable")
+    # Leaves hold feature 0 and an infinite threshold; branches never do.
+    on_j = (flat.feature == j) & np.isfinite(flat.threshold)
+    cut = np.searchsorted(grid[order], flat.threshold[on_j])
+    inside = cut < n_grid
+    starts = np.zeros((n_trees, n_grid), dtype=bool)
+    starts[:, 0] = True
+    starts[flat.tree[on_j][inside], cut[inside]] = True
+    # Every tree has a pair at position 0, so each pair runs to the next one.
+    at = np.flatnonzero(starts)
+    tree, start = np.divmod(at, n_grid)
+    return order, tree, start, np.diff(at, append=n_trees * n_grid)
 
 
 def predict_coalitions(model: Ensemble, instance, background) -> np.ndarray:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, NumericError, SelectionError, float_range
 from .features import FeatureMatrix, training_means
+from .gbm import Ensemble, predict_sweep
 
 _ARITHMETIC = "PF-FRA spectrum arithmetic"
 
@@ -198,7 +199,10 @@ def pffra(
     Computes the prediction series of the :func:`variants` of ``feature``
     (the original matrix, ``feature`` mean-substituted, every OTHER feature
     mean-substituted); takes spectra of all three plus the true series; and
-    integrates the DEFAULT_BANDS energies for each variant.
+    integrates the DEFAULT_BANDS energies for each variant. For an
+    :class:`~rtcast.gbm.Ensemble`, ``feature_only``'s rows differ only in
+    ``feature``, so its series is one ``gbm.predict_sweep`` of the feature
+    over its own column, bit for bit ``predict_batch`` of those rows.
 
     Parameters
     ----------
@@ -218,10 +222,14 @@ def pffra(
         means = training_means(X)
     step = _uniform_step_seconds(X.row_timestamps)
 
-    series = {
-        variant: np.asarray(predict(mean_substitute(X, names, means).rows), dtype=np.float64)
-        for variant, names in substituted.items()
-    }
+    series = {}
+    for variant, names in substituted.items():
+        rows = mean_substitute(X, names, means).rows
+        if variant == "feature_only" and isinstance(model, Ensemble):
+            j = X.index(feature)
+            series[variant] = predict_sweep(model, rows[:1], j, X.rows[:, j])[:, 0]
+        else:
+            series[variant] = np.asarray(predict(rows), dtype=np.float64)
     series["truth"] = np.asarray(y_true, dtype=np.float64)
     if series["truth"].shape != series["original"].shape:
         raise DataError("y_true length does not match the design matrix")

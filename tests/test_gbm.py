@@ -1022,3 +1022,136 @@ class TestPredictCoalitions:
                 tracemalloc.stop()
         assert np.array_equal(values[0], values[1])
         assert peaks[1] <= peaks[0] + 5 * (1 << n) * 8
+
+
+def perfect_tree(rng, depth, width=WIDTH):
+    """A full tree of 2^depth leaves, features and thresholds drawn from
+    ``width`` and SWEEP_VALUES, each leaf a distinct weight."""
+    if depth == 0:
+        return leaf(float(rng.normal()))
+    return branch(int(rng.integers(width)), float(rng.choice(SWEEP_VALUES)),
+                  perfect_tree(rng, depth - 1, width), perfect_tree(rng, depth - 1, width))
+
+
+def chain(n_leaves, f=0):
+    """A right-leaning chain: level i sends x < i - 0.5 to a leaf of weight i."""
+    tree = leaf(-1.0)
+    for i in reversed(range(n_leaves - 1)):
+        tree = branch(f, i - 0.5, leaf(float(i)), tree)
+    return tree
+
+
+def count_leaves(tree):
+    stack, n = [tree], 0
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            n += 1
+        else:
+            stack += (node.left, node.right)
+    return n
+
+
+def assert_reads_are_the_node_walk(model, rows, grids=(SWEEP_VALUES,)):
+    """predict_row, predict_batch, every stage of staged_predictions and
+    every sweep of every feature over ``grids``, bit for bit the TreeNode
+    walk of the same rows."""
+    rows = np.asarray(rows, dtype=np.float64)
+    assert_walks_agree(model, rows)
+    want = np.array([node_stages(model, x) for x in rows]).T
+    assert np.array_equal(gbm.staged_predictions(model, rows), want)
+    for j in range(rows.shape[1]):
+        for grid in grids:
+            swept = np.repeat(rows[None], len(grid), axis=0)
+            swept[..., j] = np.asarray(grid)[:, None]
+            want = [[node_walk(model, x) for x in block] for block in swept]
+            assert np.array_equal(gbm.predict_sweep(model, rows, j, grid), want), (j, grid)
+
+
+#: Rows on, between and beyond the SWEEP_VALUES thresholds, -0.0 among them.
+EDGE_ROWS = np.array([[x, y, z] for x in (-2.0, -0.0, 0.5, 3.25)
+                      for y in (-3.0, 0.0, 1.0) for z in (-0.5, 0.25, 9.0)])
+
+
+class TestMaskAndWalkBoundary:
+    """Trees of at most 64 leaves are read through leaf bitmasks, the others
+    by the walk; both read every tree exactly as the TreeNode walk does."""
+
+    def test_perfect_depth_six_tree_takes_the_masks(self):
+        rng = np.random.default_rng(6)
+        trees = [perfect_tree(rng, 6) for _ in range(3)]
+        assert {count_leaves(t) for t in trees} == {64}
+        model = ensemble(trees)
+        assert model._masks is not None
+        assert_reads_are_the_node_walk(model, EDGE_ROWS)
+
+    def test_sixty_five_leaves_take_the_walk(self):
+        rng = np.random.default_rng(65)
+        tree = perfect_tree(rng, 6)
+        node = tree
+        while not node.left.is_leaf:
+            node = node.left
+        node.left = branch(2, 0.25, leaf(100.0), leaf(200.0))
+        assert count_leaves(tree) == 65
+        model = ensemble([perfect_tree(rng, 2), tree])
+        assert model._masks is None
+        assert_reads_are_the_node_walk(model, EDGE_ROWS)
+
+    @pytest.mark.parametrize("deep, masked", [(64, True), (65, False)])
+    def test_shallow_trees_with_one_deep_chain(self, deep, masked):
+        """A 64-leaf chain is 63 levels deep, and its last leaf is bit 63."""
+        rng = np.random.default_rng(deep)
+        trees = [perfect_tree(rng, int(d)) for d in rng.integers(0, 4, size=6)]
+        trees.insert(3, chain(deep))
+        model = ensemble(trees)
+        assert (model._masks is not None) is masked
+        rows = np.column_stack([np.arange(-1.0, deep + 1.0), np.zeros(deep + 2),
+                                np.full(deep + 2, 0.5)])
+        assert_reads_are_the_node_walk(model, rows, grids=(SWEEP_VALUES, [deep - 2.5, 70.0]))
+
+    @pytest.mark.parametrize("trees", [[], [leaf(1.5)], [leaf(-0.1), leaf(2.0), leaf(0.0)]],
+                             ids=["no-trees", "one-leaf", "leaves"])
+    def test_trees_without_branches(self, trees):
+        model = ensemble(trees)
+        assert model._masks is not None
+        assert_reads_are_the_node_walk(model, EDGE_ROWS)
+
+    def test_equal_thresholds_across_trees_and_on_one_path(self):
+        """Trees 0-2 share thresholds 0.5 and 1.0 on feature 0, and tree 0
+        branches on feature 0 at 0.5 twice on one path."""
+        t0 = branch(0, 0.5, leaf(-1.0),
+                    branch(0, 0.5, leaf(2.0), branch(0, 1.0, leaf(4.0), leaf(8.0))))
+        t1 = branch(0, 1.0, branch(0, 0.5, leaf(16.0), leaf(32.0)), leaf(64.0))
+        t2 = branch(1, 0.5, leaf(-2.0), branch(0, 0.5, leaf(0.5), leaf(0.25)))
+        model = ensemble([t0, t1, t2])
+        assert model._masks is not None
+        assert_reads_are_the_node_walk(model, EDGE_ROWS, grids=(SWEEP_VALUES, [0.5, 0.5, 1.0]))
+
+    def test_signed_zero_thresholds_and_rows_on_thresholds(self):
+        """-0.0 and 0.0 are one threshold: a row of either sign routes right at both."""
+        model = ensemble([branch(0, -0.0, leaf(1.0), leaf(2.0)),
+                          branch(0, 0.0, branch(1, -0.0, leaf(4.0), leaf(8.0)), leaf(16.0)),
+                          branch(2, 0.25, leaf(32.0), branch(0, -0.0, leaf(64.0), leaf(128.0)))])
+        assert model._masks is not None
+        rows = np.array([[-0.0, 0.0, 0.25], [0.0, -0.0, 0.25], [-1e-300, 0.0, 0.24],
+                         [1e-300, -1e-300, 0.26]])
+        assert_reads_are_the_node_walk(model, rows, grids=([-0.0], [0.0], [-0.0, 0.0, 1e-300]))
+        lr = model.learning_rate
+        assert model.predict_batch(rows[:1]).tolist() == [((0.25 + lr * 2.0) + lr * 16.0)
+                                                           + lr * 128.0]
+
+    @pytest.mark.parametrize("depth", [6, 8])
+    def test_long_sweep_over_one_row(self, depth):
+        """3,450 grid values, the length of a 120-day validation split, on
+        one row: bit for bit predict_batch of the 3,450 swept rows."""
+        rng = np.random.default_rng(3450 + depth)
+        model = ensemble([random_tree(rng, depth) for _ in range(40)])
+        assert (model._masks is not None) is (depth == 6)
+        grid = rng.choice(SWEEP_VALUES + list(rng.normal(size=20)), size=3450)
+        row = np.array([[0.5, -0.5, 1.0]])
+        for j in range(WIDTH):
+            swept = np.repeat(row, len(grid), axis=0)
+            swept[:, j] = grid
+            got = gbm.predict_sweep(model, row, j, grid)
+            assert np.array_equal(got[:, 0], model.predict_batch(swept))
+            assert np.array_equal(got[::50, 0], [node_walk(model, x) for x in swept[::50]])

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from rtcast import pffra
+from rtcast import gbm, pffra
 from rtcast.errors import ConfigError, DataError, NumericError, SelectionError
+from rtcast.features import training_means
 from rtcast.pffra import DEFAULT_BANDS, Spectrum
 
 from conftest import make_matrix
@@ -220,6 +221,39 @@ class TestPffra:
         for cell in rep.band_energies.values():
             assert set(cell) == {"original", "feature_permuted",
                                  "feature_only", "truth"}
+
+    @pytest.mark.parametrize("depth", [4, 8])
+    def test_ensemble_report_is_the_batch_path(self, train_matrix, val_matrix, depth):
+        """An Ensemble's feature_only series is one sweep of the feature (on
+        leaf bitmasks at depth 4, on the walk at depth 8); every field of
+        every report equals the one of mean_substitute + predict_batch, the
+        path any other callable takes."""
+        model = gbm.train(train_matrix, gbm.Hyperparams(max_depth=depth, n_trees=6))
+        assert (model._masks is None) is (depth == 8)
+        means = training_means(train_matrix)
+        for name in val_matrix.feature_names:
+            got = pffra.pffra(model, val_matrix, val_matrix.target, name, means)
+            want = pffra.pffra(lambda rows: model.predict_batch(rows), val_matrix,
+                               val_matrix.target, name, means)
+            assert got.band_energies == want.band_energies
+            for field in ("feature_only", "feature_permuted", "original", "truth"):
+                a = getattr(got, f"spectrum_{field}")
+                b = getattr(want, f"spectrum_{field}")
+                assert a.dc == b.dc and a.n == b.n
+                assert np.array_equal(a.magnitudes, b.magnitudes)
+                assert np.array_equal(a.frequencies, b.frequencies)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mean_raises_as_the_batch_path_does(self, small_model, train_matrix,
+                                                           val_matrix, bad):
+        means = training_means(train_matrix)
+        means["Hour"] = means["Month"] = bad
+        messages = []
+        for model in (small_model, lambda rows: small_model.predict_batch(rows)):
+            with pytest.raises(DataError) as got:
+                pffra.pffra(model, val_matrix, val_matrix.target, "MVART", means)
+            messages.append(str(got.value))
+        assert messages[0] == messages[1] == "non-finite value in column 'Month' at row 0"
 
     def test_requires_uniform_spacing(self):
         X, model, _, _ = self._setup()
