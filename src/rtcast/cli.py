@@ -20,7 +20,7 @@ import math
 import os
 import sys
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -378,14 +378,30 @@ def _load_splits(cfg: PipelineConfig) -> dict:
     return dict(zip(("train", "val", "test"), parts))
 
 
-def _adf_doc(result: stats.AdfResult) -> dict:
+def _columns(cls) -> list:
+    """The document names of a result type's fields: a trailing underscore,
+    which only keeps a name off a Python keyword, is dropped (``lambda_`` is
+    written ``lambda``)."""
+    return [f.name.removesuffix("_") for f in fields(cls)]
+
+
+def _doc(result) -> dict:
+    """A result dataclass as an artifact document: its fields under their
+    ``_columns`` names, leaving out an optional field (default None) that is
+    None."""
     return {
-        "statistic": result.statistic,
-        "used_lags": result.used_lags,
-        "max_lags": result.max_lags,
-        "reject_at": {f"{int(level * 100)}%": bool(v) for level, v in result.reject_at.items()},
-        "p_bracket": list(result.p_bracket),
+        name: value
+        for name, f, value in zip(_columns(result), fields(result), asdict(result).values())
+        if not (value is None and f.default is None)
     }
+
+
+_METRICS = _columns(stats.MetricReport)
+
+
+def _adf_doc(result: stats.AdfResult) -> dict:
+    reject_at = {f"{int(level * 100)}%": bool(v) for level, v in result.reject_at.items()}
+    return {**_doc(result), "reject_at": reject_at}
 
 
 def _rolling(cfg: PipelineConfig, model: Ensemble, table: TimeTable, overrides=None):
@@ -444,16 +460,6 @@ def cmd_split(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
     })
 
 
-def _params_doc(params: Hyperparams) -> dict:
-    return {
-        "max_depth": params.max_depth,
-        "n_trees": params.n_trees,
-        "gamma": params.gamma,
-        "lambda": params.lambda_,
-        "learning_rate": params.learning_rate,
-    }
-
-
 def cmd_train(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
     train_t, val_t, _ = _load_splits(cfg).values()
     x_train = build_design_matrix(train_t, cfg.engineering, cfg.groups)
@@ -466,18 +472,13 @@ def cmd_train(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
         params, model, score_table = gbm.grid_search(x_train, x_val, cfg.grid)
         out.write_csv(
             "grid_scores.csv",
-            ["max_depth", "n_trees", "gamma", "lambda", "learning_rate",
-             "mse", "mae", "mape", "r2"],
-            [
-                [p.max_depth, p.n_trees, p.gamma, p.lambda_, p.learning_rate,
-                 rep.mse, rep.mae, rep.mape, rep.r2]
-                for p, rep in score_table
-            ],
+            [*_columns(Hyperparams), *_METRICS],
+            [[*_doc(p).values(), *rep.as_dict().values()] for p, rep in score_table],
         )
 
     out.write_bytes("model.json", gbm.dumps(model).encode())
     out.write_json("params.json", {
-        "params": _params_doc(params),
+        "params": _doc(params),
         "groups": sorted(cfg.groups),
         "mva_window": cfg.engineering.mva_window,
         "grid_searched": cfg.grid is not None,
@@ -530,8 +531,8 @@ def cmd_ablate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
     for combo in cfg.ablate_combos:
         models[combo] = model = fit(combo)
         report = _rolling(cfg, model, val_t).report()
-        rows.append(["+".join(sorted(combo)), report.mse, report.mae, report.mape, report.r2])
-    out.write_csv("ablation.csv", ["group", "mse", "mae", "mape", "r2"], rows)
+        rows.append(["+".join(sorted(combo)), *report.as_dict().values()])
+    out.write_csv("ablation.csv", ["group", *_METRICS], rows)
 
     if not args.skip_sweeps:
         sweep = forecast.window_sweep(
@@ -539,21 +540,15 @@ def cmd_ablate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
             access_interval_seconds=cfg.access_seconds,
             horizon_seconds=cfg.horizon_seconds,
         )
-        out.write_csv(
-            "window_sweep.csv",
-            ["width_or_interval", "mse", "mae", "mape", "r2"],
-            [[r["width_seconds"], r["mse"], r["mae"], r["mape"], r["r2"]] for r in sweep],
-        )
+        out.write_csv("window_sweep.csv", ["width_or_interval", *_METRICS],
+                      [list(r.values()) for r in sweep])
 
         # The horizon sweep re-scores the configured groups' model, which the
         # combination table has already trained when it lists those groups.
         model = models[cfg.groups] if cfg.groups in models else fit(cfg.groups)
         hsweep = forecast.horizon_sweep(model, val_t, cfg.engineering, cfg.intervals_seconds)
-        out.write_csv(
-            "horizon_sweep.csv",
-            ["width_or_interval", "mse", "mae", "mape", "r2"],
-            [[r["interval_seconds"], r["mse"], r["mae"], r["mape"], r["r2"]] for r in hsweep],
-        )
+        out.write_csv("horizon_sweep.csv", ["width_or_interval", *_METRICS],
+                      [list(r.values()) for r in hsweep])
 
 
 def _select_case_pair(run, thr_acc: float, thr_dev: float):
@@ -570,19 +565,6 @@ def _select_case_pair(run, thr_acc: float, thr_dev: float):
         f"(thresholds {thr_acc}/{thr_dev}; {len(accurate)} accurate, "
         f"{len(deviated)} deviated candidates)"
     )
-
-
-def _attribution_doc(att: explain.Attribution) -> dict:
-    doc = {
-        "base_value": att.base_value,
-        "contributions": att.contributions,
-        "prediction": att.prediction,
-    }
-    if att.local_r2 is not None:
-        doc["local_r2"] = att.local_r2
-    if att.labels is not None:
-        doc["labels"] = att.labels
-    return doc
 
 
 def _force_rows(att: explain.Attribution, values: dict) -> list:
@@ -626,15 +608,8 @@ def cmd_explain(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
             )
 
     elif method == "surrogate":
-        ridge = explain.fit_surrogate_ridge(model, x_train, cfg.explain_lambda)
-        out.write_json("surrogate_ridge.json", {
-            "intercept": ridge.intercept,
-            "coefficients": ridge.coefficients,
-            "std_coefficients": ridge.std_coefficients,
-            "standardization": {k: list(v) for k, v in ridge.standardization.items()},
-            "lambda": ridge.lambda_,
-            "fidelity_r2": ridge.fidelity_r2,
-        })
+        out.write_json("surrogate_ridge.json",
+                       _doc(explain.fit_surrogate_ridge(model, x_train, cfg.explain_lambda)))
         tree, fidelity = explain.fit_surrogate_tree(model, x_train, cfg.explain_tree_depth)
         out.write_json("surrogate_tree.json", {
             "tree": gbm._node_to_dict(tree),
@@ -671,9 +646,7 @@ def cmd_explain(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
                     model, row, x_train,
                     n_samples=cfg.lime_samples, seed=cfg.seed,
                 )
-            doc = _attribution_doc(att)
-            doc["case"] = case
-            out.write_json(f"{method}_{label}.json", doc)
+            out.write_json(f"{method}_{label}.json", {**_doc(att), "case": case})
             if method == "shap":
                 out.write_csv(
                     f"shap_{label}_force.csv",
@@ -699,10 +672,8 @@ def cmd_explain(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
 
         tag = f"{args.feature}_{args.split}"
         spectra = {
-            "feature_only": report.spectrum_feature_only,
-            "feature_permuted": report.spectrum_feature_permuted,
-            "original": report.spectrum_original,
-            "truth": report.spectrum_truth,
+            f.name.removeprefix("spectrum_"): getattr(report, f.name)
+            for f in fields(report) if f.name.startswith("spectrum_")
         }
         out.write_json(f"pffra_{tag}.json", {
             "feature": report.feature,

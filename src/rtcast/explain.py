@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ConfigError, DataError, NumericError, float_range
 from .features import FeatureMatrix, training_means
 from .gbm import Ensemble, grow_tree, predict_coalitions, predict_sweep
+from .pffra import mean_substitute
 from .stats import metrics
 
 
@@ -83,8 +84,10 @@ def permutation_importance(
 ) -> dict:
     """Per-feature error increase when the feature's information is destroyed.
 
-    ``mean_substitute`` replaces the column with its training mean
-    (deterministic); ``shuffle`` permutes the column with a seeded generator.
+    ``mean_substitute`` replaces the column with its training mean through
+    ``pffra.mean_substitute`` (deterministic; a feature missing from ``means``
+    raises ConfigError, as in ``pffra.pffra``); ``shuffle`` permutes the
+    column with a seeded generator.
     Importance = metric(degraded) - metric(baseline), so 0 means the feature
     is unused and larger is more important.
     """
@@ -106,10 +109,10 @@ def permutation_importance(
     rng = np.random.default_rng(seed)
     out = {}
     for j, name in enumerate(X.feature_names):
-        rows = X.rows.copy()
         if strategy == "mean_substitute":
-            rows[:, j] = means[name]
+            rows = mean_substitute(X, [name], means).rows
         else:
+            rows = X.rows.copy()
             rows[:, j] = rng.permutation(rows[:, j])
         out[name] = score(rows) - baseline
     return out

@@ -8,7 +8,7 @@ Dickey-Fuller critical-value table (constant, no trend) and reports a p-value
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -53,7 +53,7 @@ class MetricReport:
     r2: float | None
 
     def as_dict(self) -> dict:
-        return {"mse": self.mse, "mae": self.mae, "mape": self.mape, "r2": self.r2}
+        return asdict(self)
 
 
 def _demeaned(series) -> np.ndarray:

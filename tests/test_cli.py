@@ -1,6 +1,7 @@
 """End-to-end command-line runs in a subprocess: artifacts, manifests,
 determinism, and exit codes."""
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from rtcast import cli, forecast, gbm
+from rtcast import cli, explain, forecast, gbm, pffra, stats
 from rtcast.errors import NumericError
 
 CONFIG = """\
@@ -45,6 +46,12 @@ def pipeline(tmp_path_factory):
     for cmd in ("synth", "train", "evaluate"):
         run_cli("--config", str(cfg), "--out", str(out), "--quiet", cmd)
     return cfg, out
+
+
+def names(cls):
+    """The names an artifact gives a result type's fields: ``lambda_`` is
+    written ``lambda``."""
+    return [f.name[:-1] if f.name.endswith("_") else f.name for f in dataclasses.fields(cls)]
 
 
 def read_csv(path):
@@ -88,6 +95,10 @@ class TestPipelineArtifacts:
                      "metrics_fit_train.json"):
             doc = json.loads((out / name).read_text())
             assert {"schema_version", "mae", "mse"} <= set(doc)
+            assert list(doc) == sorted(["schema_version", *names(stats.MetricReport)])
+        params = json.loads((out / "params.json").read_text())["params"]
+        assert list(params) == sorted(names(gbm.Hyperparams))
+        assert "lambda" in params
 
     def test_residual_rows_cover_scored_predictions(self, pipeline):
         _, out = pipeline
@@ -139,6 +150,16 @@ class TestExplainCommands:
         assert rows[0] == ["feature", "value", "push", "cumulative"]
         assert rows[1][0] == "__base__"
         assert float(rows[-1][3]) == pytest.approx(doc["prediction"], abs=1e-9)
+        # Both methods write an Attribution; SHAP's leaves out the two
+        # optional LIME fields, which are None.
+        attribution = {"schema_version", "case", *names(explain.Attribution)}
+        assert set(doc) == attribution - {"local_r2", "labels"}
+        run_cli("--config", str(cfg), "--out", str(dest), "--quiet",
+                "explain", "lime", "--model", str(out / "model.json"),
+                "--instance", "4")
+        lime = json.loads((dest / "lime_instance4.json").read_text())
+        assert set(lime) == attribution
+        assert set(lime["labels"]) == set(lime["contributions"])
 
     def test_pffra_artifacts(self, pipeline, tmp_path):
         cfg, out = pipeline
@@ -148,6 +169,11 @@ class TestExplainCommands:
                 "--feature", "MVART")
         doc = json.loads((dest / "pffra_MVART_val.json").read_text())
         assert set(doc["band_energies"]) == {"dc", "low", "mid", "high"}
+        variants = {name.removeprefix("spectrum_") for name in names(pffra.PffraReport)
+                    if name.startswith("spectrum_")}
+        assert set(doc["dc"]) == variants
+        assert {p.name for p in dest.glob("spectrum_*.csv")} == {
+            f"spectrum_{v}_MVART_val.csv" for v in variants}
         spec = read_csv(dest / "spectrum_feature_only_MVART_val.csv")
         assert spec[0] == ["frequency", "magnitude"]
         assert float(spec[1][0]) == 0.0  # DC row leads
@@ -184,6 +210,8 @@ class TestExplainCommands:
         assert len(pdp_rows) == 25  # 24 hourly levels + header
         ridge = json.loads((dest / "surrogate_ridge.json").read_text())
         assert "MVART" in ridge["coefficients"]
+        assert list(ridge) == sorted(["schema_version", *names(explain.LinearSurrogate)])
+        assert ridge["lambda"] == 1.0
 
 
 class TestAblate:
@@ -232,6 +260,20 @@ class TestAblate:
         sweep = {row[0]: row[1:] for row in read_csv(out / "window_sweep.csv")[1:]}
         assert sweep == {"0": ablation["Holiday+IOTS"],
                          "3600": ablation["Holiday+IOTS-MVA+MVART"]}
+        metrics = names(stats.MetricReport)
+        assert read_csv(out / "ablation.csv")[0] == ["group", *metrics]
+        for table in ("window_sweep.csv", "horizon_sweep.csv"):
+            assert read_csv(out / table)[0] == ["width_or_interval", *metrics]
+        # The same keys drive train's grid search, whose table and chosen
+        # parameters follow Hyperparams.
+        assert cli.main(["--config", str(cfg), "--out", str(out), "--quiet", "train"]) == 0
+        grid = read_csv(out / "grid_scores.csv")
+        assert grid[0] == [*names(gbm.Hyperparams), *metrics]
+        assert "lambda" in grid[0]
+        assert len(grid) == 1 + 4
+        params = json.loads((out / "params.json").read_text())
+        assert list(params["params"]) == sorted(names(gbm.Hyperparams))
+        assert params["grid_searched"] is True
 
 
 class TestDiagnoseCommands:
@@ -252,6 +294,7 @@ class TestDiagnoseCommands:
         rt = json.loads((dest / "adf_rt.json").read_text())
         diff = json.loads((dest / "adf_diff.json").read_text())
         assert {"statistic", "used_lags", "max_lags", "reject_at", "p_bracket"} <= set(rt)
+        assert set(rt) == {"schema_version", *names(stats.AdfResult)}
         for doc in (rt, diff):
             assert 0 <= doc["used_lags"] <= doc["max_lags"]
         assert diff["reject_at"]["1%"] is True

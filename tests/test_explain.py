@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from rtcast import dataio, explain, features, gbm
+from rtcast import dataio, explain, features, gbm, pffra
 from rtcast.errors import ConfigError, DataError, NumericError
 
 from conftest import FULL_GROUPS, make_matrix
@@ -76,6 +76,19 @@ class TestPermutationImportance:
                 linear_box([1, 1, 1, 1]), random_matrix,
                 np.zeros(200), strategy="typo",
             )
+
+    def test_missing_mean_is_the_config_error_of_pffra(self, small_model, train_matrix):
+        """A feature absent from ``means`` raises the ConfigError of
+        ``pffra.mean_substitute``, the one substitution rule, as ``pffra.pffra``
+        does, not a bare KeyError."""
+        means = features.training_means(train_matrix)
+        del means["Hour"]
+        message = "no training mean supplied for feature 'Hour'"
+        with pytest.raises(ConfigError, match=message):
+            explain.permutation_importance(small_model, train_matrix, train_matrix.target,
+                                           means=means)
+        with pytest.raises(ConfigError, match=message):
+            pffra.pffra(small_model, train_matrix, train_matrix.target, "Hour", means=means)
 
 
 class TestPdp:
