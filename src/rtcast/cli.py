@@ -166,7 +166,10 @@ def _combos(key, text):
 
 
 def _day(key, text):
-    return timebase.parse_day(text)
+    try:
+        return timebase.parse_day(text)
+    except ParseError as exc:
+        raise ConfigError(f"config {key}: {exc}") from None
 
 
 def _source(key, text):
@@ -404,13 +407,12 @@ def _adf_doc(result: stats.AdfResult) -> dict:
     return {**_doc(result), "reject_at": reject_at}
 
 
-def _rolling(cfg: PipelineConfig, model: Ensemble, table: TimeTable, overrides=None):
+def _rolling(cfg: PipelineConfig, model: Ensemble, table: TimeTable):
     """The configured rolling forecast: every command re-anchors alike."""
     return forecast.rolling_forecast(
         model, table, cfg.engineering,
         access_interval_seconds=cfg.access_seconds,
         horizon_seconds=cfg.horizon_seconds,
-        input_overrides=overrides,
     )
 
 
@@ -527,26 +529,31 @@ def cmd_ablate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
     def fit(groups):
         return gbm.train(build_design_matrix(train_t, cfg.engineering, groups), cfg.params)
 
-    rows, models = [], {}
-    for combo in cfg.ablate_combos:
-        models[combo] = model = fit(combo)
-        report = _rolling(cfg, model, val_t).report()
-        rows.append(["+".join(sorted(combo)), *report.as_dict().values()])
-    out.write_csv("ablation.csv", ["group", *_METRICS], rows)
-
+    # The sweeps run first, so a bad interval or width exits after one model
+    # trains, not after the whole table: the horizon sweep re-scores the
+    # configured groups' model, which the combination table then reuses.
+    models = {}
     if not args.skip_sweeps:
+        models[cfg.groups] = fit(cfg.groups)
+        hsweep = forecast.horizon_sweep(
+            models[cfg.groups], val_t, cfg.engineering, cfg.intervals_seconds
+        )
         sweep = forecast.window_sweep(
             train_t, val_t, cfg.window_widths_seconds, cfg.engineering, cfg.params,
             access_interval_seconds=cfg.access_seconds,
             horizon_seconds=cfg.horizon_seconds,
         )
+
+    rows = []
+    for combo in cfg.ablate_combos:
+        if combo not in models:
+            models[combo] = fit(combo)
+        report = _rolling(cfg, models[combo], val_t).report()
+        rows.append(["+".join(sorted(combo)), *report.as_dict().values()])
+    out.write_csv("ablation.csv", ["group", *_METRICS], rows)
+    if not args.skip_sweeps:
         out.write_csv("window_sweep.csv", ["width_or_interval", *_METRICS],
                       [list(r.values()) for r in sweep])
-
-        # The horizon sweep re-scores the configured groups' model, which the
-        # combination table has already trained when it lists those groups.
-        model = models[cfg.groups] if cfg.groups in models else fit(cfg.groups)
-        hsweep = forecast.horizon_sweep(model, val_t, cfg.engineering, cfg.intervals_seconds)
         out.write_csv("horizon_sweep.csv", ["width_or_interval", *_METRICS],
                       [list(r.values()) for r in hsweep])
 
@@ -658,17 +665,12 @@ def cmd_explain(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
         part = parts[args.split]
         if args.protocol == "static":
             x_part = build_design_matrix(part, cfg.engineering, groups)
-            report = pffra.pffra(
-                model, x_part, x_part.target, args.feature, means=means
-            )
+            report = pffra.pffra(model, x_part, x_part.target, args.feature, means=means)
         else:
-            runs = {
-                variant: _rolling(cfg, model, part, {n: means[n] for n in names} or None)
-                for variant, names in pffra.variants(model.feature_names, args.feature).items()
-            }
-            series = {variant: run.y_pred for variant, run in runs.items()}
-            series["truth"] = runs["original"].y_true
-            report = pffra.report_from_series(args.feature, series, part.interval_seconds)
+            report = pffra.rolling_pffra(
+                model, part, cfg.engineering, args.feature, means,
+                cfg.access_seconds, cfg.horizon_seconds,
+            )
 
         tag = f"{args.feature}_{args.split}"
         spectra = {

@@ -118,30 +118,25 @@ def permutation_importance(
     return out
 
 
-def pdp(model, X: FeatureMatrix, feature: str, grid_size: int = 20) -> PdpCurve:
+def pdp(model, X: FeatureMatrix, feature: str) -> PdpCurve:
     """Partial dependence: mean prediction as one feature sweeps its range.
 
-    Continuous features get ``grid_size`` equispaced points from observed min
-    to max; integer-valued features with few levels are treated as
-    categorical and evaluated at each observed level. A constant feature
+    Continuous features get 20 equispaced points from observed min to max;
+    integer-valued features with at most 24 levels (hour of day) are treated
+    as categorical and evaluated at each observed level. A constant feature
     yields a single-point curve flagged ``constant=True``.
 
-    An :class:`~rtcast.gbm.Ensemble` is read by ``gbm.predict_sweep``, one
-    call per block of up to four grid values per column (the whole grid at
-    the default size), which reads each tree once per row and distinct
-    bucket of the feature's thresholds. Its curve is bit for bit the one of
-    setting the column to each grid value in turn and calling
-    ``predict_batch``, the path any other callable takes.
+    An :class:`~rtcast.gbm.Ensemble` is read by one ``gbm.predict_sweep``
+    call, which reads each tree once per row and distinct bucket of the
+    feature's thresholds. Its curve is bit for bit the one of setting the
+    column to each grid value in turn and calling ``predict_batch``, the path
+    any other callable takes.
     """
-    if grid_size < 2:
-        raise ConfigError(f"grid_size must be >= 2, got {grid_size}")
     j = X.index(feature)
     col = X.rows[:, j]
     levels = np.unique(col)
     constant = len(levels) == 1
-    # Integer-valued columns up to hour-of-day cardinality are categorical;
-    # a larger grid_size widens what still counts as "few levels".
-    if constant or (len(levels) <= max(grid_size, 24) and np.all(levels == np.round(levels))):
+    if constant or (len(levels) <= 24 and np.all(levels == np.round(levels))):
         grid = levels
     else:
         lo, hi = float(col.min()), float(col.max())
@@ -149,15 +144,10 @@ def pdp(model, X: FeatureMatrix, feature: str, grid_size: int = 20) -> PdpCurve:
         if math.isfinite(lo) and math.isfinite(hi) and not math.isfinite(hi - lo):
             raise DataError(f"feature {feature!r} spans {lo!r} to {hi!r}, a range wider "
                             "than the float range: no grid can be built")
-        grid = np.linspace(lo, hi, grid_size)
+        grid = np.linspace(lo, hi, 20)
 
     if isinstance(model, Ensemble):
-        # Blocks of 4 grid values per column, so a 20- or 24-value grid of 11
-        # features is one sweep, and no block of predictions outgrows four
-        # copies of X.rows.
-        block = 4 * X.rows.shape[1]
-        swept = (pred for lo in range(0, len(grid), block)
-                 for pred in predict_sweep(model, X.rows, j, grid[lo:lo + block]))
+        swept = predict_sweep(model, X.rows, j, grid)
     else:
         swept = _swept(_predictor(model), X.rows, j, grid)
     # Each mean reads one contiguous prediction vector, as np.mean of a

@@ -79,8 +79,7 @@ def rolling_forecast(
     input_overrides : dict, optional
         Feature name -> constant: overrides the model's *input view* of those
         features at every step while the MVART recursion still propagates the
-        model's own predictions (used by the frequency-response analysis in
-        its rolling variant).
+        model's own predictions (used by ``pffra.rolling_pffra``).
 
     Returns
     -------
@@ -213,21 +212,22 @@ def window_sweep(
 
     Returns a list of dicts: width_seconds, mse, mae, mape, r2.
     """
-    widths = list(widths_seconds)
+    widths = [int(w) for w in widths_seconds]
     if not widths:
         raise ConfigError("no widths to sweep")
     step = train_table.interval_seconds
-    out = []
+    # Every width is checked, its config built, before any model trains.
+    plan = []
     for w_sec in widths:
-        w_sec = int(w_sec)
+        if w_sec % step:
+            raise ConfigError(f"width {w_sec}s is not a multiple of the sampling interval")
         if w_sec == 0:
-            groups = frozenset({"IOTS", "Holiday"})
-            cfg = replace(config, mva_window=1)
+            plan.append((w_sec, frozenset({"IOTS", "Holiday"}), config))
         else:
-            if w_sec % step:
-                raise ConfigError(f"width {w_sec}s is not a multiple of the sampling interval")
-            groups = frozenset({"IOTS-MVA", "MVART", "Holiday"})
-            cfg = replace(config, mva_window=w_sec // step)
+            plan.append((w_sec, frozenset({"IOTS-MVA", "MVART", "Holiday"}),
+                         replace(config, mva_window=w_sec // step)))
+    out = []
+    for w_sec, groups, cfg in plan:
         model = train(build_design_matrix(train_table, cfg, groups), params)
         run = rolling_forecast(
             model, val_table, cfg,

@@ -1,10 +1,13 @@
 """Permutation-feature frequency response analysis.
 
 Which frequency bands of the prediction signal does each feature drive? The
-analysis predicts over a design matrix twice — once with the interested
-feature mean-substituted (everything else intact), once with everything BUT
-the interested feature mean-substituted — and compares the spectra of the two
-prediction series against the original predictions and the true series.
+analysis predicts twice — once with the interested feature mean-substituted
+(everything else intact), once with everything BUT the interested feature
+mean-substituted — and compares the spectra of the two prediction series
+against the original predictions and the true series.
+The static protocol (:func:`pffra`) predicts the rows of a design matrix;
+the rolling protocol (:func:`rolling_pffra`) runs the deployed re-anchored
+forecast once per variant.
 
 The discrete Fourier transform is ``numpy.fft.fft``.
 """
@@ -14,8 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import TimeTable
 from .errors import ConfigError, DataError, NumericError, SelectionError, float_range
-from .features import FeatureMatrix, training_means
+from .features import EngineeringConfig, FeatureMatrix, training_means
+from .forecast import rolling_forecast
 from .gbm import Ensemble, predict_sweep
 
 _ARITHMETIC = "PF-FRA spectrum arithmetic"
@@ -137,14 +142,17 @@ def mean_substitute(X: FeatureMatrix, features_to_permute, means: dict) -> Featu
     feature. Unlisted columns are untouched; applying the substitution twice
     equals applying it once.
     """
-    todo = list(features_to_permute)
     rows = X.rows.copy()
-    for name in todo:
+    for name in features_to_permute:
         j = X.index(name)  # raises SelectionError on unknown names
-        if name not in means:
-            raise ConfigError(f"no training mean supplied for feature {name!r}")
-        rows[:, j] = float(means[name])
+        rows[:, j] = _training_mean(means, name)
     return FeatureMatrix(X.feature_names, rows, X.target, X.row_timestamps)
+
+
+def _training_mean(means: dict, name: str) -> float:
+    if name not in means:
+        raise ConfigError(f"no training mean supplied for feature {name!r}")
+    return float(means[name])
 
 
 def variants(feature_names, feature: str) -> dict:
@@ -237,14 +245,51 @@ def pffra(
     return report_from_series(feature, series, step)
 
 
+def rolling_pffra(
+    model: Ensemble,
+    table: TimeTable,
+    config: EngineeringConfig,
+    feature: str,
+    means: dict,
+    access_interval_seconds: int = 86400,
+    horizon_seconds: int = 28800,
+) -> PffraReport:
+    """Frequency response analysis of one feature in the rolling regime.
+
+    The deployed-forecast counterpart of :func:`pffra`: each of the
+    :func:`variants` of ``feature`` is one
+    :func:`~rtcast.forecast.rolling_forecast` of ``model`` over ``table``
+    (``config``, ``access_interval_seconds`` and ``horizon_seconds`` as
+    there), its substituted features held at their training ``means``
+    (``features.training_means``) as ``input_overrides`` while MVART still
+    recurs on the model's own predictions. The true series is the scored
+    truth of the ``original`` run. Every substituted feature's mean is looked
+    up before any forecast runs.
+    """
+    overrides = {
+        variant: {n: _training_mean(means, n) for n in names}
+        for variant, names in variants(model.feature_names, feature).items()
+    }
+    runs = {
+        variant: rolling_forecast(
+            model, table, config, access_interval_seconds, horizon_seconds,
+            input_overrides=fixed,
+        )
+        for variant, fixed in overrides.items()
+    }
+    series = {variant: run.y_pred for variant, run in runs.items()}
+    series["truth"] = runs["original"].y_true
+    return report_from_series(feature, series, table.interval_seconds)
+
+
 @float_range(_ARITHMETIC)
 def report_from_series(feature: str, series: dict, step: int) -> PffraReport:
     """Spectra and DEFAULT_BANDS energies of the four series of one analysis.
 
     ``series`` maps ``original``, ``feature_permuted``, ``feature_only`` and
     ``truth`` to equal-length series sampled every ``step`` seconds. Both the
-    static protocol (:func:`pffra`) and the rolling-forecast protocol build
-    their report here. ``band_energies`` maps band -> variant -> energy.
+    static protocol (:func:`pffra`) and the rolling-forecast protocol
+    (:func:`rolling_pffra`) build their report here. ``band_energies`` maps band -> variant -> energy.
     """
     spectra = {k: dft(v, step) for k, v in series.items()}
     energies = {k: band_energy(spec, DEFAULT_BANDS) for k, spec in spectra.items()}

@@ -23,6 +23,14 @@ model.n_trees = 8
 """
 
 
+SPLIT_DATES = """\
+split.data_start = 2017-12-09
+split.train_end = 2017-12-18
+split.val_end = 2017-12-22
+split.data_cutoff = 2017-12-26
+"""
+
+
 def run_cli(*args, check=True):
     """Run the CLI in a subprocess where, as in this process (pyproject's
     filterwarnings), a numpy RuntimeWarning is an error."""
@@ -242,6 +250,27 @@ class TestAblate:
         assert len(calls) == trained
         assert len(read_csv(out / "horizon_sweep.csv")) == 2
 
+    @pytest.mark.parametrize("line", [
+        "ablate.intervals_minutes = 10,7",
+        "ablate.window_widths_minutes = 0,7",
+    ], ids=["interval", "width"])
+    def test_bad_sweep_value_exits_two_after_one_model(self, tmp_path, monkeypatch, line):
+        """The sweeps are checked before the combination models train."""
+        cfg = tmp_path / "ablate.ini"
+        cfg.write_text(CONFIG + line + "\n")
+        calls = []
+        real_train = gbm.train
+
+        def counting_train(*args, **kwargs):
+            calls.append(args)
+            return real_train(*args, **kwargs)
+        monkeypatch.setattr(gbm, "train", counting_train)
+        monkeypatch.setattr(forecast, "train", counting_train)
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(cfg), "--out", str(out), "--quiet", "ablate"]) == 2
+        assert len(calls) <= 1
+        assert not out.exists()
+
     def test_window_sweep_scores_the_combination_models(self, tmp_path):
         """``grid.*`` keys drive only ``train``: widths 0 and 60 minutes are
         the ``IOTS+Holiday`` and default-groups models of ``ablation.csv``."""
@@ -432,6 +461,34 @@ class TestSplitAndIngest:
         n = sum(report["rows"].values())
         assert n == 20 * 144
         assert report["rows"]["train"] == int(n * 0.6)
+
+    def test_split_by_dates(self, tmp_path):
+        """Rows go by their local (UTC+2) day, a boundary day to the earlier
+        part; the synthetic table starts 2017-12-08T00:00Z."""
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(CONFIG + SPLIT_DATES)
+        dest = tmp_path / "split"
+        run_cli("--config", str(cfg), "--out", str(dest), "--quiet", "split")
+        report = json.loads((dest / "split_report.json").read_text())
+        assert report == {
+            "rows": {"train": 10 * 144, "val": 4 * 144, "test": 4 * 144},
+            "boundaries": {
+                "train": ["2017-12-08T22:00:00Z", "2017-12-18T21:50:00Z"],
+                "val": ["2017-12-18T22:00:00Z", "2017-12-22T21:50:00Z"],
+                "test": ["2017-12-22T22:00:00Z", "2017-12-26T21:50:00Z"],
+            },
+            "schema_version": cli.SCHEMA_VERSION,
+        }
+
+    def test_malformed_split_date_is_exit_two_naming_its_key(self, tmp_path):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(CONFIG + SPLIT_DATES.replace("2017-12-18", "2018-13-40"))
+        proc = run_cli("--config", str(cfg), "--out", str(tmp_path / "x"), "--quiet",
+                       "split", check=False)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == \
+            "error: config split.train_end: unparseable date '2018-13-40'\n"
+        assert not (tmp_path / "x").exists()
 
     def test_ingest_round_trip(self, pipeline, tmp_path):
         _, out = pipeline

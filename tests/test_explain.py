@@ -94,9 +94,9 @@ class TestPermutationImportance:
 class TestPdp:
     def test_continuous_grid_and_response(self, random_matrix):
         f = linear_box([0.0, 2.0, 0.0, 0.0], c=1.0)
-        curve = explain.pdp(f, random_matrix, "b", grid_size=7)
+        curve = explain.pdp(f, random_matrix, "b")
         col = random_matrix.column("b")
-        assert len(curve.grid) == 7
+        assert len(curve.grid) == 20
         assert curve.grid[0] == col.min() and curve.grid[-1] == col.max()
         # for a linear model the partial dependence is the line itself
         assert np.allclose(curve.mean_response, 2.0 * curve.grid + 1.0, atol=1e-10)
@@ -124,12 +124,11 @@ class TestPdp:
         assert curve.constant
         assert curve.grid.tolist() == [5.0]
 
-    @pytest.mark.parametrize("grid_size", [2, 20, 40])
-    def test_ensemble_sweep_equals_the_loop(self, small_model, train_matrix, grid_size):
+    def test_ensemble_sweep_equals_the_loop(self, small_model, train_matrix):
         """An Ensemble is swept; its predict_batch takes the per-value loop."""
         for name in small_model.feature_names:
-            got = explain.pdp(small_model, train_matrix, name, grid_size)
-            want = explain.pdp(small_model.predict_batch, train_matrix, name, grid_size)
+            got = explain.pdp(small_model, train_matrix, name)
+            want = explain.pdp(small_model.predict_batch, train_matrix, name)
             assert got.grid.tobytes() == want.grid.tobytes()
             assert got.mean_response.tobytes() == want.mean_response.tobytes(), name
             assert got.constant == want.constant

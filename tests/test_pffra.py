@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from rtcast import gbm, pffra
+from rtcast import forecast, gbm, pffra
 from rtcast.errors import ConfigError, DataError, NumericError, SelectionError
 from rtcast.features import training_means
 from rtcast.pffra import DEFAULT_BANDS, Spectrum
@@ -276,3 +276,58 @@ class TestPffra:
         series = dict.fromkeys(("original", "feature_permuted", "feature_only", "truth"), x)
         with pytest.raises(NumericError, match="^PF-FRA spectrum arithmetic left the float range"):
             pffra.report_from_series("f", series, 600)
+
+
+class TestRollingPffra:
+    @pytest.mark.parametrize("feature, access, horizon", [
+        ("MVART", 86400, 28800),
+        ("Hour", 86400, 28800),
+        ("OutTempMVA", 43200, 21600),
+    ])
+    def test_equals_the_rolling_assembly(self, small_model, train_matrix, synth_splits,
+                                         engineering, feature, access, horizon):
+        """Every field equals that of three rolling forecasts, the substituted
+        features held at their means, read by ``report_from_series``."""
+        table = synth_splits[1]
+        means = training_means(train_matrix)
+        runs = {
+            variant: forecast.rolling_forecast(
+                small_model, table, engineering, access, horizon,
+                input_overrides={n: means[n] for n in names} or None,
+            )
+            for variant, names in pffra.variants(small_model.feature_names, feature).items()
+        }
+        series = {variant: run.y_pred for variant, run in runs.items()}
+        series["truth"] = runs["original"].y_true
+        want = pffra.report_from_series(feature, series, table.interval_seconds)
+
+        got = pffra.rolling_pffra(small_model, table, engineering, feature, means,
+                                  access, horizon)
+        assert got.feature == want.feature
+        assert got.band_energies == want.band_energies
+        for field in ("feature_only", "feature_permuted", "original", "truth"):
+            a = getattr(got, f"spectrum_{field}")
+            b = getattr(want, f"spectrum_{field}")
+            assert (a.dc, a.n, a.sample_interval_seconds) == \
+                (b.dc, b.n, b.sample_interval_seconds)
+            assert np.array_equal(a.magnitudes, b.magnitudes)
+            assert np.array_equal(a.frequencies, b.frequencies)
+
+    def test_missing_mean_is_the_config_error_of_mean_substitute(
+            self, small_model, train_matrix, synth_splits, engineering, monkeypatch):
+        """Refused before any forecast runs, with mean_substitute's message."""
+        means = training_means(train_matrix)
+        del means["Hour"]
+        calls = []
+        monkeypatch.setattr(pffra, "rolling_forecast", lambda *a, **k: calls.append(a))
+        with pytest.raises(ConfigError) as got:
+            pffra.rolling_pffra(small_model, synth_splits[1], engineering, "MVART", means)
+        with pytest.raises(ConfigError) as want:
+            pffra.mean_substitute(train_matrix, ["Hour"], means)
+        assert str(got.value) == str(want.value) == "no training mean supplied for feature 'Hour'"
+        assert calls == []
+
+    def test_unknown_feature(self, small_model, synth_splits, engineering, train_matrix):
+        with pytest.raises(SelectionError, match="^unknown feature 'Nope'$"):
+            pffra.rolling_pffra(small_model, synth_splits[1], engineering, "Nope",
+                                training_means(train_matrix))
