@@ -289,7 +289,8 @@ def report_from_series(feature: str, series: dict, step: int) -> PffraReport:
     ``series`` maps ``original``, ``feature_permuted``, ``feature_only`` and
     ``truth`` to equal-length series sampled every ``step`` seconds. Both the
     static protocol (:func:`pffra`) and the rolling-forecast protocol
-    (:func:`rolling_pffra`) build their report here. ``band_energies`` maps band -> variant -> energy.
+    (:func:`rolling_pffra`) build their report here. ``band_energies`` maps
+    band -> variant -> energy.
     """
     spectra = {k: dft(v, step) for k, v in series.items()}
     energies = {k: band_energy(spec, DEFAULT_BANDS) for k, spec in spectra.items()}
