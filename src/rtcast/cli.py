@@ -416,6 +416,33 @@ def _rolling(cfg: PipelineConfig, model: Ensemble, table: TimeTable):
     )
 
 
+def _check_forecast_keys(cfg: PipelineConfig, step: int) -> None:
+    """The checks of ``forecast.rolling_forecast`` on the configured access
+    interval and horizon, against the data's sampling interval ``step`` (s),
+    naming the key and its text. Commands that re-anchor run them right after
+    ingest, before a model loads or trains."""
+    keys = {"forecast.access_minutes": cfg.access_seconds,
+            "forecast.horizon_minutes": cfg.horizon_seconds}
+    text = {key: cfg.raw.get(key, str(seconds // 60)) for key, seconds in keys.items()}
+    for key, seconds in keys.items():
+        if seconds % step:
+            reason = f"not a multiple of the {step} s sampling interval"
+        elif seconds < step:
+            reason = f"covers less than one {step} s step"
+        elif key == "forecast.horizon_minutes" and seconds > cfg.access_seconds:
+            reason = f"exceeds forecast.access_minutes = {text['forecast.access_minutes']}"
+        else:
+            continue
+        raise ConfigError(f"config {key} = {text[key]}: {reason}")
+
+
+def _forecast_splits(cfg: PipelineConfig) -> dict:
+    """The splits, once the forecast keys pass ``_check_forecast_keys``."""
+    parts = _load_splits(cfg)
+    _check_forecast_keys(cfg, parts["train"].interval_seconds)
+    return parts
+
+
 def _require_model(cfg: PipelineConfig, args) -> Ensemble:
     """The model at ``--model``, by default ``model.json`` in ``--out``."""
     path = args.model or os.path.join(cfg.out_dir, "model.json")
@@ -493,8 +520,9 @@ def cmd_train(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
 
 
 def cmd_evaluate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
+    parts = _forecast_splits(cfg)
     model = _require_model(cfg, args)
-    runs = {name: _rolling(cfg, model, part) for name, part in _load_splits(cfg).items()}
+    runs = {name: _rolling(cfg, model, part) for name, part in parts.items()}
     for name, run in runs.items():
         out.write_csv(
             f"forecast_{name}.csv",
@@ -524,7 +552,7 @@ def cmd_evaluate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
 
 
 def cmd_ablate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
-    train_t, val_t, _ = _load_splits(cfg).values()
+    train_t, val_t, _ = _forecast_splits(cfg).values()
 
     def fit(groups):
         return gbm.train(build_design_matrix(train_t, cfg.engineering, groups), cfg.params)
@@ -587,8 +615,8 @@ def _force_rows(att: explain.Attribution, values: dict) -> list:
 
 
 def cmd_explain(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
+    parts = _forecast_splits(cfg)
     model = _require_model(cfg, args)
-    parts = _load_splits(cfg)
     train_t, test_t = parts["train"], parts["test"]
     groups = groups_for_features(model.feature_names)
     x_train = build_design_matrix(train_t, cfg.engineering, groups)

@@ -55,29 +55,41 @@ When every tree has at most 64 leaves (every tree of depth 6 or less),
 bitmasks instead of walking (QuickScorer, Lucchese et al., SIGIR 2015).
 Each tree's leaves are numbered left to right, one bit each of a uint64. A
 branch that sends a row right clears the bits of its left subtree's leaves,
-and the leaf the walk reaches is the lowest bit that no branch clears. Each
-feature has one table, built on first use: its distinct thresholds in
-ascending order and a ``(K + 1, T)`` prefix AND, whose row ``k`` holds, for
-each tree, the bits left by the tree's branches at the ``k`` lowest
-thresholds. A row's mask for tree ``t`` is the AND over the features of
-``table_f[searchsorted(thresholds_f, x_f, "right"), t]``, and its exit
-leaf's value one lookup. ``predict_row`` (one row walks as fast),
+and the leaf the walk reaches is the lowest bit that no branch clears. A
+feature with ``K`` distinct thresholds has ``K + 1`` buckets and a
+``(K + 1, T)`` prefix AND: row ``b`` holds, for each tree, the bits left by
+the tree's branches at the ``b`` lowest thresholds, so row 0 is all ones
+and a value's row is its bucket, ``searchsorted(thresholds, x, "right")``.
+Features are packed, fewest buckets first, into joint tables, built on
+first use, while the product of their bucket counts stays within
+``JOINT_ROWS``; a joint table's row ``sum_f stride_f * b_f`` is the AND of
+its features' rows ``b_f``. A read computes each row's code in each table
+once per call, over all rows; each chunk of rows is then one gather and one
+AND per table, and each tree's exit leaf one lookup. A feature read as code
+0 in its table is left out, which gives a sweep the mask "without ``j``"
+from the same table. ``predict_row`` (one row walks as fast),
 ``predict_coalitions`` and every model with a larger tree keep the walk.
 
-Either way ``np.cumsum`` along the trees then adds the leaf values to the
-base score one tree at a time in tree order, the float additions of
-``train``: a row gives the same float in any batch and on either path, and
-every stage of ``staged_predictions`` is exact. ``predict_batch`` reads
-``ROW_CHUNK`` rows at a time, so its arrays stay ``ROW_CHUNK x (T + 1)``.
+Either way a chunk's leaf values form a tree-major ``(T + 1, rows)`` block,
+the base score first, and one ``np.add.reduce`` over the tree axis adds
+them to the base score one tree at a time in tree order, the float
+additions of ``train``. numpy adds row by row only when the reduced axis is
+not the fast axis: a one-column block leaves it no other axis, and numpy
+would sum it pairwise, so such a block takes ``np.cumsum``, which adds in
+order in any layout. A row gives the same float in any batch and on either
+path, and every stage of ``staged_predictions``, the block's ``cumsum``, is
+exact. ``predict_batch`` reads ``ROW_CHUNK`` rows at a time, so its arrays
+stay ``ROW_CHUNK x (T + 1)``.
 
 ``predict_sweep`` reads a feature ``j`` swept over a grid. A tree reads
 ``j`` only at its branches on ``j``, so its leaf for a row depends on the
 grid value ``v`` only through its bucket: the number of the tree's ``j``
 thresholds ``<= v``. Each row reads each distinct (tree, bucket) pair once:
-its mask without ``j``, built once per row, ANDed with the pair's row of the
-``j`` table, or, on the walk, the pair's root walked on the row copy of the
-pair's first grid value. Each grid value adds its pairs' leaves one tree at
-a time in tree order, the additions of the ``cumsum``.
+its mask without ``j`` ANDed with the pair's row of the ``j`` table, or, on
+the walk, the pair's root walked on the row copy of the pair's first grid
+value. A ``(T, G)`` pair map names each tree's pair at each grid value; one
+gather through it builds a tree-major block of grid values and rows behind
+the base score, which the same guarded reduce adds up.
 
 ``predict_coalitions`` reads the walk as well. The coalition rows of
 an instance against a background differ only in which of the two values each
@@ -275,9 +287,26 @@ class _Masks(NamedTuple):
     """Leaf-bitmask tables of an ensemble whose trees have at most 64 leaves
     (see the module docstring)."""
 
-    tables: dict  # feature -> (its distinct thresholds ascending, (K + 1, T) uint64 table)
+    joints: tuple  # the joint tables, a _Joint each
     leaf: np.ndarray  # leaf values: tree t's leaf k, counted from the left, at 64 t + k
     offset: np.ndarray  # 64 t - 1023 for tree t: see _exits
+
+
+class _Joint(NamedTuple):
+    """One table over a group of features: its row ``sum_f stride_f * b_f`` is
+    the AND of each feature's table row ``b_f``."""
+
+    features: tuple
+    thresholds: tuple  # each feature's distinct thresholds, ascending
+    strides: tuple  # each feature's code step: the bucket counts before it, multiplied
+    table: np.ndarray  # (product of the bucket counts, T) uint64
+
+
+#: Rows of a joint table at most: features are packed into one table while the
+#: product of their bucket counts stays within it. A table of 1,024 rows holds
+#: 800 KB at 100 trees. On the seed-1 120-day model it packs ten features into
+#: five tables, as 4,096 does; one table fewer would take 16,896 rows.
+JOINT_ROWS = 1024
 
 
 def _compile_masks(flat: _FlatEnsemble, n_trees: int) -> "_Masks | None":
@@ -310,44 +339,95 @@ def _compile_masks(flat: _FlatEnsemble, n_trees: int) -> "_Masks | None":
         np.bitwise_and.at(table, (rank + 1, tree[on]), clear[on])
         # Row k: the bits left by the branches at the k lowest thresholds.
         tables[f] = (thresholds, np.bitwise_and.accumulate(table, axis=0))
+    # Fewest buckets first, each feature joins the last group while the
+    # group's table stays within JOINT_ROWS rows.
+    groups, rows = [], 0
+    for f in sorted(tables, key=lambda f: len(tables[f][1])):
+        buckets = len(tables[f][1])
+        if groups and rows * buckets <= JOINT_ROWS:
+            groups[-1].append(f)
+            rows *= buckets
+        else:
+            groups.append([f])
+            rows = buckets
+    joints = tuple(_joint(group, tables) for group in groups)
     leaf = np.zeros(64 * n_trees)
     leaf[64 * flat.tree[is_leaf] + lo[is_leaf]] = flat.value[is_leaf]
-    return _Masks(tables, leaf, 64 * np.arange(n_trees) - 1023)
+    return _Masks(joints, leaf, 64 * np.arange(n_trees) - 1023)
 
 
-def _row_masks(masks: _Masks, x: np.ndarray, skip: int = -1) -> np.ndarray:
-    """``(rows, T)``: each tree's leaves left by the rows' values of every
-    feature but ``skip``."""
-    out = np.full((len(x), len(masks.offset)), _ALL, dtype=np.uint64)
-    for f, (thresholds, table) in masks.tables.items():
-        if f != skip:
-            out &= table[np.searchsorted(thresholds, x[:, f], side="right")]
+def _joint(group: list, tables: dict) -> _Joint:
+    """The joint table of the features ``group``, built from and replacing
+    their own ``tables``."""
+    thresholds, table = tables.pop(group[0])
+    joint = _Joint((group[0],), (thresholds,), (1,), table)
+    for f in group[1:]:
+        thresholds, own = tables.pop(f)
+        # The new feature's bucket is the slow index: row b * stride + code.
+        table = (own[:, None] & joint.table).reshape(-1, own.shape[1])
+        joint = _Joint((*joint.features, f), (*joint.thresholds, thresholds),
+                       (*joint.strides, len(joint.table)), table)
+    return joint
+
+
+def _codes(masks: _Masks, x: np.ndarray, skip: int = -1) -> np.ndarray:
+    """``(joints, rows)``: each joint table's row for each row of ``x``, with
+    feature ``skip`` read as bucket 0, whose table row is all ones."""
+    codes = np.zeros((len(masks.joints), len(x)), dtype=np.intp)
+    for code, joint in zip(codes, masks.joints):
+        for f, thresholds, stride in zip(joint.features, joint.thresholds, joint.strides):
+            if f != skip:
+                bucket = np.searchsorted(thresholds, x[:, f], side="right")
+                bucket *= stride
+                code += bucket
+    return codes
+
+
+def _row_masks(masks: _Masks, codes: np.ndarray) -> np.ndarray:
+    """``(rows, T)``: each tree's leaves left by the rows of these ``codes``."""
+    if not masks.joints:
+        return np.full((codes.shape[1], len(masks.offset)), _ALL, dtype=np.uint64)
+    out = masks.joints[0].table.take(codes[0], axis=0)
+    for joint, code in zip(masks.joints[1:], codes[1:]):
+        out &= joint.table.take(code, axis=0)
     return out
 
 
-def _exits(masks: _Masks, m: np.ndarray, offset: np.ndarray) -> np.ndarray:
+def _exits(masks: _Masks, m: np.ndarray, offset: np.ndarray, out=None) -> np.ndarray:
     """The values of the exit leaves, the lowest set bits of the masks ``m``;
     ``offset`` broadcasts each mask's ``masks.offset`` entry over ``m``."""
-    low = m - _ONE  # never wraps: the exit leaf's bit is set
-    np.invert(low, out=low)
+    low = np.negative(m)  # ~(m - 1): m's lowest set bit, and every bit above it flipped
     low &= m
     # A power of two 2^k converts to a float exactly; its exponent field is 1023 + k.
     exponent = low.astype(np.float64).view(np.int64)
     exponent >>= 52
     exponent += offset
-    return masks.leaf.take(exponent)
+    # In range, so "clip" writes straight into ``out``.
+    return masks.leaf.take(exponent, out=out, mode="clip")
 
 
-def _tree_values(model: Ensemble, x: np.ndarray) -> np.ndarray:
-    """``(rows, T + 1)``: the base score, then each tree's leaf value, for
-    each row of the matrix ``x``."""
+def _tree_values(model: Ensemble, x: np.ndarray, codes) -> np.ndarray:
+    """``(T + 1, rows)``, tree-major: the base score, then each tree's leaf
+    value, for each row of the matrix ``x``, read through the masks at the
+    rows' ``codes`` or, when ``codes`` is None, by the walk."""
+    flat = model._flat
+    if codes is None:
+        walk = flat._replace(roots=flat.roots[:, None])
+        return _leaves(walk, x.ravel(), np.arange(len(x)) * x.shape[1])
     masks = model._masks
-    if masks is None:
-        return _leaves(model._flat, x.ravel(), np.arange(len(x))[:, None] * x.shape[1])
-    out = np.empty((len(x), len(masks.offset) + 1))
-    out[:, 0] = model.base_score
-    out[:, 1:] = _exits(masks, _row_masks(masks, x), masks.offset)
+    out = np.empty((len(flat.roots), len(x)))
+    out[0] = model.base_score
+    _exits(masks, _row_masks(masks, codes).T, masks.offset[:, None], out=out[1:])
     return out
+
+
+def _total(block: np.ndarray) -> np.ndarray:
+    """The column sums of a C-contiguous ``(T + 1, n)`` block, added row by
+    row in tree order: the float additions of the ``cumsum``."""
+    if block.shape[1] == 1:
+        # numpy sums pairwise along the fast axis, and one column leaves no other.
+        return np.cumsum(block, axis=0)[-1]
+    return np.add.reduce(block, axis=0)
 
 
 def _matrix(model: Ensemble, rows) -> np.ndarray:
@@ -368,10 +448,14 @@ def _read(model: Ensemble, rows, stages: bool) -> np.ndarray:
     x = _matrix(model, rows)
     check_finite(x, model.feature_names)
     out = np.empty((len(model.trees) + 1, len(x)) if stages else len(x))
-    keep = slice(None) if stages else -1
+    codes = None if model._masks is None else _codes(model._masks, x)
     for lo in range(0, len(x), ROW_CHUNK):
-        leaves = _tree_values(model, x[lo:lo + ROW_CHUNK])
-        out[..., lo:lo + ROW_CHUNK] = np.cumsum(leaves, axis=-1).T[keep]
+        chunk = slice(lo, lo + ROW_CHUNK)
+        block = _tree_values(model, x[chunk], None if codes is None else codes[:, chunk])
+        if stages:
+            np.cumsum(block, axis=0, out=out[:, chunk])
+        else:
+            out[chunk] = _total(block)
     return out
 
 
@@ -379,7 +463,8 @@ def predict_sweep(model: Ensemble, rows, j: int, grid) -> np.ndarray:
     """Predictions as feature ``j`` sweeps ``grid``: row ``g`` of the
     ``(G, rows)`` result is, bit for bit, ``model.predict_batch(rows)`` with
     column ``j`` set to ``grid[g]``, and a non-finite cell raises the error
-    that call raises on the first grid value it fails for.
+    that call raises on the first grid value it fails for. ``j`` must be an
+    integer and ``grid`` a vector.
 
     A tree reads the swept value only at its branches on ``j``, and two grid
     values with the same bucket, the count of those branch thresholds
@@ -387,15 +472,19 @@ def predict_sweep(model: Ensemble, rows, j: int, grid) -> np.ndarray:
     distinct (tree, bucket) pair once (see ``_sweep_pairs``): through the
     tree's mask of the row without ``j``, ANDed with the pair's row of the
     ``j`` table, or, on the walk, from the pair's root on the row copy of its
-    first grid value. Each grid value then adds its pairs' leaves to the base
-    score one tree at a time in tree order, the float additions of the
-    ``cumsum`` of ``predict_batch``.
+    first grid value. A block of grid values then gathers each tree's pair
+    values through the pair map, behind the base score, and adds them up
+    tree by tree, the float additions of the ``cumsum`` of ``predict_batch``.
     """
     x = _matrix(model, rows)
     width = x.shape[1]
+    if isinstance(j, (bool, np.bool_)) or not isinstance(j, (int, np.integer)):
+        raise ConfigError(f"feature index must be an integer, got {reprlib.repr(j)}")
     if not 0 <= j < width:
         raise ConfigError(f"feature index {j} outside 0..{width - 1}")
     grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 1:
+        raise ConfigError(f"grid must be a vector of values, got shape {grid.shape}")
     n_grid = len(grid)
     if n_grid == 0:
         return np.empty((0, len(x)))
@@ -409,29 +498,32 @@ def predict_sweep(model: Ensemble, rows, j: int, grid) -> np.ndarray:
     del others
     flat, masks = model._flat, model._masks
     n_trees = len(model.trees)
-    order, pair_tree, start, length = _sweep_pairs(flat, j, grid)
+    order, pair_tree, start, pair_map = _sweep_pairs(flat, j, grid)
     first = order[start]
-    # Tree t's pairs, each with its run of the sorted grid; a tree with one
-    # pair adds one value per row at every grid value.
-    bounds = np.flatnonzero(start == 0).tolist() + [len(start)]
-    runs = [(a, length[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
     if masks is not None:
-        # Each pair's row of the j table: the leaves its bucket leaves.
+        codes = _codes(masks, x, skip=j)
+        # Each pair's row of the j table: the leaves its bucket leaves; the
+        # joint table holds it where the other features take bucket 0.
         own = np.full(len(pair_tree), _ALL, dtype=np.uint64)
-        if j in masks.tables:
-            thresholds, table = masks.tables[j]
-            own = table[np.searchsorted(thresholds, grid[first], side="right"), pair_tree]
+        for joint in masks.joints:
+            if j in joint.features:
+                k = joint.features.index(j)
+                bucket = np.searchsorted(joint.thresholds[k], grid[first], side="right")
+                own = joint.table[bucket * joint.strides[k], pair_tree]
         offset = masks.offset[pair_tree][:, None]
     else:
         walk = flat._replace(roots=flat.roots[1 + pair_tree])
-    # Rows per chunk: its pair values (P x rows), and on the walk its row copies
-    # (rows x G x width), stay within 2 x ROW_CHUNK x (T + 1) values.
-    step = max(1, 2 * ROW_CHUNK * (n_trees + 1) // max(len(pair_tree), n_grid * width))
+    # Rows per chunk and grid values per block: the chunk's pair values
+    # (P x rows), its blocks (T + 1 x G x rows) and, on the walk, its row
+    # copies (rows x G x width) stay within 2 x ROW_CHUNK x (T + 1) values.
+    budget = 2 * ROW_CHUNK * (n_trees + 1)
+    step = max(1, budget // max(len(pair_tree), n_grid * max(width, n_trees + 1)))
+    span = budget // ((n_trees + 1) * step)
     out = np.empty((n_grid, len(x)))
     for lo in range(0, len(x), step):
         chunk = x[lo:lo + step]
         if masks is not None:
-            m = _row_masks(masks, chunk, skip=j).T[pair_tree]
+            m = _row_masks(masks, codes[:, lo:lo + step]).T[pair_tree]
             m &= own[:, None]
             values = _exits(masks, m, offset)
         else:
@@ -439,21 +531,22 @@ def predict_sweep(model: Ensemble, rows, j: int, grid) -> np.ndarray:
             copies[..., j] = grid
             at = (np.arange(len(chunk))[:, None] * n_grid + first) * width
             values = np.ascontiguousarray(_leaves(walk, copies.ravel(), at).T)
-        # In sorted grid order, in a contiguous block: adding in place to
-        # out's strided rows is ~2x slower.
-        total = np.full((n_grid, len(chunk)), model.base_score)
-        for a, n in runs:
-            total += values[a] if len(n) == 1 else np.repeat(values[a:a + len(n)], n, axis=0)
-        out[order, lo:lo + step] = total
+        for g in range(0, n_grid, span):
+            pairs = pair_map[:, g:g + span]
+            block = np.empty((n_trees + 1, pairs.shape[1], len(chunk)))
+            block[0] = model.base_score
+            values.take(pairs, axis=0, out=block[1:], mode="clip")
+            total = _total(block.reshape(n_trees + 1, -1))
+            out[order[g:g + span], lo:lo + step] = total.reshape(-1, len(chunk))
     return out
 
 
 def _sweep_pairs(flat: _FlatEnsemble, j: int, grid: np.ndarray) -> tuple:
     """The distinct (tree, bucket) pairs of a sweep of feature ``j`` over
-    ``grid``, tree by tree, as runs of the sorted grid: ``(order, tree,
-    start, length)``, where ``grid[order]`` is the grid sorted stably and
-    pair ``p`` is tree ``tree[p]``'s at its ``length[p]`` sorted values from
-    ``start[p]`` on.
+    ``grid``, tree by tree: ``(order, tree, start, pair_map)``, where
+    ``grid[order]`` is the grid sorted stably, pair ``p`` is tree
+    ``tree[p]``'s from sorted value ``start[p]`` on, and ``pair_map[t, s]``
+    is tree ``t``'s pair at sorted value ``s``.
 
     One ``searchsorted`` of the branch thresholds on ``j`` in the sorted
     grid finds where each branch starts sending grid values right; a tree's
@@ -468,10 +561,14 @@ def _sweep_pairs(flat: _FlatEnsemble, j: int, grid: np.ndarray) -> tuple:
     starts = np.zeros((n_trees, n_grid), dtype=bool)
     starts[:, 0] = True
     starts[flat.tree[on_j][inside], cut[inside]] = True
-    # Every tree has a pair at position 0, so each pair runs to the next one.
     at = np.flatnonzero(starts)
     tree, start = np.divmod(at, n_grid)
-    return order, tree, start, np.diff(at, append=n_trees * n_grid)
+    # Pair p holds tree[p]'s sorted values up to the next pair's start. The
+    # map's type is the smallest unsigned one that numbers every pair.
+    length = np.diff(at, append=n_trees * n_grid)
+    pairs = np.arange(len(at), dtype=np.min_scalar_type(len(at)))
+    pair_map = np.repeat(pairs, length).reshape(n_trees, n_grid)
+    return order, tree, start, pair_map
 
 
 def predict_coalitions(model: Ensemble, instance, background) -> np.ndarray:

@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rtcast import dataio, features, gbm
+
+# Under CI a failing property test also prints the blob that replays its
+# example with @reproduce_failure, so a failure on a CI-only numpy reproduces.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 FULL_GROUPS = frozenset({"IOTS-MVA", "MVART", "Holiday"})
 

@@ -1010,3 +1010,49 @@ class TestExitCodes:
         proc = run_cli("--out", str(tmp_path / "x"), "--quiet",
                        "explain", "nonsense", check=False)
         assert proc.returncode == 2
+
+
+class TestForecastKeysAfterIngest:
+    """An access interval or horizon that the data's sampling interval cannot
+    honour exits 2 naming its key and text, right after ingest: no model
+    loads or trains first."""
+
+    @pytest.mark.parametrize("line, message", [
+        ("forecast.horizon_minutes = 7",
+         "config forecast.horizon_minutes = 7: not a multiple of the 600 s sampling interval"),
+        ("forecast.access_minutes = 95",
+         "config forecast.access_minutes = 95: not a multiple of the 600 s sampling interval"),
+        ("forecast.horizon_minutes = 0",
+         "config forecast.horizon_minutes = 0: covers less than one 600 s step"),
+        ("forecast.horizon_minutes = 1450",
+         "config forecast.horizon_minutes = 1450: exceeds forecast.access_minutes = 1440"),
+        ("forecast.access_minutes = 60",
+         "config forecast.horizon_minutes = 480: exceeds forecast.access_minutes = 60"),
+    ], ids=["horizon-7", "access-95", "horizon-0", "horizon-past-access", "access-below-horizon"])
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--model", "MODEL"],
+        ["explain", "importance", "--model", "MODEL"],
+        ["explain", "pffra", "--feature", "MVART", "--protocol", "rolling", "--model", "MODEL"],
+        ["ablate"],
+    ], ids=["evaluate", "explain-importance", "explain-pffra-rolling", "ablate"])
+    def test_exits_two_before_any_model(self, pipeline, tmp_path, monkeypatch, capsys,
+                                        line, message, command):
+        cfg, out = pipeline
+        bad = tmp_path / "bad.ini"
+        bad.write_text(cfg.read_text() + line + "\n")
+        calls = []
+
+        def counting(real):
+            def call(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+            return call
+        monkeypatch.setattr(gbm, "train", counting(gbm.train))
+        monkeypatch.setattr(forecast, "train", counting(forecast.train))
+        monkeypatch.setattr(gbm, "load", counting(gbm.load))
+        dest = tmp_path / "x"
+        argv = [str(out / "model.json") if a == "MODEL" else a for a in command]
+        code = cli.main(["--config", str(bad), "--out", str(dest), "--quiet", *argv])
+        assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+        assert calls == []
+        assert not dest.exists()

@@ -5,10 +5,11 @@ import json
 import math
 import tracemalloc
 from collections import defaultdict
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rtcast import dataio, explain, features, gbm
@@ -1155,3 +1156,147 @@ class TestMaskAndWalkBoundary:
             got = gbm.predict_sweep(model, row, j, grid)
             assert np.array_equal(got[:, 0], model.predict_batch(swept))
             assert np.array_equal(got[::50, 0], [node_walk(model, x) for x in swept[::50]])
+
+
+#: Every routing of the three stumps of TestSummationOrder's model.
+CORNERS = np.array(list(product([0.0, 1.0], repeat=WIDTH)))
+
+
+class TestSummationOrder:
+    """Every read adds the leaf values to the base score one tree at a time,
+    in tree order, as ``train`` does. A numpy reduce adds row by row only
+    across the fast axis; along it (a one-row block) numpy sums pairwise,
+    and these leaf values tell the two orders apart."""
+
+    @staticmethod
+    def model(walk):
+        """Ten trees around 2^53, where adding 1 rounds; with ``walk`` an
+        eleventh, a 65-leaf chain of zeros, sends the model down the walk."""
+        big = 2.0 ** 53
+        trees = [branch(0, 0.5, leaf(big), leaf(big + 2.0))]
+        trees += [branch(1, 0.5, leaf(1.0), leaf(3.0)) for _ in range(7)]
+        trees += [branch(2, 0.5, leaf(-big), leaf(-big - 4.0)), leaf(0.5)]
+        if walk:
+            tree = leaf(0.0)
+            for i in range(64):
+                tree = branch(0, i + 0.25, leaf(0.0), tree)
+            trees.append(tree)
+        model = ensemble(trees, base_score=1.0, learning_rate=1.0)
+        assert (model._masks is None) is walk
+        return model
+
+    @staticmethod
+    def left_to_right(model, x):
+        """The TreeNode walk's sum, checked to differ from numpy's pairwise
+        sum of the same values."""
+        lr = model.learning_rate
+        values = [model.base_score, *(lr * leaf_weight(t, x) for t in model.trees)]
+        total = node_walk(model, x)
+        assert total != float(np.add.reduce(np.array(values)))
+        return total
+
+    @pytest.mark.parametrize("walk", [False, True], ids=["masks", "walk"])
+    def test_every_read_adds_left_to_right(self, walk):
+        model = self.model(walk)
+        want = [self.left_to_right(model, x) for x in CORNERS]
+        for x, total in zip(CORNERS, want):
+            assert model.predict_batch(x[None]).tolist() == [total]
+        assert model.predict_batch(CORNERS).tolist() == want
+        stages = [node_stages(model, x) for x in CORNERS]
+        assert gbm.staged_predictions(model, CORNERS).T.tolist() == stages
+        assert gbm.staged_predictions(model, CORNERS[:1]).T.tolist() == stages[:1]
+        grid = [1.0, 0.0, 0.5, -1.0]
+        for j in range(WIDTH):
+            # One row over one grid value, then every row over the grid.
+            for x, total in zip(CORNERS, want):
+                assert gbm.predict_sweep(model, x[None], j, [x[j]]).tolist() == [[total]]
+            swept = np.repeat(CORNERS[None], len(grid), axis=0)
+            swept[..., j] = np.array(grid)[:, None]
+            assert gbm.predict_sweep(model, CORNERS, j, grid).tolist() == [
+                [self.left_to_right(model, x) for x in block] for block in swept]
+
+    @settings(max_examples=200, deadline=None)
+    @given(trees=st.lists(TREES, max_size=12),
+           base_score=st.floats(-1e3, 1e3),
+           learning_rate=st.floats(1e-3, 1.0),
+           row=st.lists(GRID | st.floats(-5.0, 5.0), min_size=WIDTH, max_size=WIDTH))
+    # Seven leaf-only trees: 116.4391 left to right, 116.43910000000002 pairwise.
+    @example(trees=[leaf(w) for w in (-911.392, 604.842, -630.41, 391.248, -689.999,
+                                      383.24, 917.268)],
+             base_score=97.0, learning_rate=0.3, row=[0.0, 0.0, 0.0])
+    def test_one_row_adds_left_to_right(self, trees, base_score, learning_rate, row):
+        model = ensemble(trees, base_score, learning_rate)
+        x = np.array([row])
+        want = node_stages(model, x[0])
+        assert model.predict_batch(x).tolist() == want[-1:]
+        assert gbm.staged_predictions(model, x)[:, 0].tolist() == want
+        for j in range(WIDTH):
+            assert gbm.predict_sweep(model, x, j, [row[j]]).tolist() == [want[-1:]]
+
+
+def joint_tables(model):
+    """The (features, rows) of each of the model's joint tables."""
+    return [(joint.features, len(joint.table)) for joint in model._masks.joints]
+
+
+class TestJointTables:
+    """Features share one table while the product of their bucket counts
+    stays within JOINT_ROWS; every read equals the TreeNode walk."""
+
+    def test_sweep_of_a_feature_inside_a_packed_table(self):
+        """Every feature branches at SWEEP_VALUES only: 7 buckets each at
+        most, so one table of at most 343 rows holds all three."""
+        rng = np.random.default_rng(3)
+        model = ensemble([perfect_tree(rng, 3) for _ in range(12)])
+        (features, rows), = joint_tables(model)
+        assert sorted(features) == [0, 1, 2]
+        assert rows == math.prod(len(t) + 1 for t in model._masks.joints[0].thresholds) <= 343
+        assert_reads_are_the_node_walk(model, EDGE_ROWS,
+                                       grids=(SWEEP_VALUES, [0.5], np.linspace(-3.0, 4.0, 29)))
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-the-budget", "just-past"])
+    def test_table_at_and_just_past_the_row_budget(self, extra):
+        """Two chains of ``side`` and ``side + extra`` leaves: as many
+        buckets each, whose product is JOINT_ROWS, or just past it."""
+        side = math.isqrt(gbm.JOINT_ROWS)
+        assert side * side == gbm.JOINT_ROWS and side + 1 <= 64
+        model = ensemble([chain(side, 0), chain(side + extra, 1), leaf(0.5)])
+        if extra:
+            assert joint_tables(model) == [((0,), side), ((1,), side + 1)]
+        else:
+            assert joint_tables(model) == [((0, 1), gbm.JOINT_ROWS)]
+        rows = np.column_stack([np.arange(-1.0, side + 1.0), np.arange(side + 0.0, -2.0, -1.0),
+                                np.zeros(side + 2)])
+        assert_reads_are_the_node_walk(model, rows, grids=(np.arange(-1.0, side + 1.5, 0.5),))
+
+    def test_feature_in_no_tree(self):
+        """Feature 1 has no branch: no table holds it, and its sweep is flat."""
+        model = ensemble([branch(0, 0.5, leaf(1.0), branch(2, 1.0, leaf(2.0), leaf(4.0))),
+                          branch(2, -0.5, leaf(8.0), leaf(16.0))])
+        assert joint_tables(model) == [((0, 2), 6)]
+        assert_reads_are_the_node_walk(model, EDGE_ROWS)
+        flat = gbm.predict_sweep(model, EDGE_ROWS, 1, SWEEP_VALUES)
+        assert (flat == model.predict_batch(EDGE_ROWS)).all()
+
+    def test_model_without_trees(self):
+        model = ensemble([])
+        assert joint_tables(model) == []
+        assert_reads_are_the_node_walk(model, EDGE_ROWS)
+
+
+class TestSweepArguments:
+    @pytest.mark.parametrize("j", [1.0, True, np.True_, "1", None])
+    def test_feature_index_must_be_an_integer(self, small_model, val_matrix, j):
+        with pytest.raises(ConfigError, match="feature index must be an integer"):
+            gbm.predict_sweep(small_model, val_matrix.rows[:5], j, [0.0])
+
+    @pytest.mark.parametrize("grid", [[[0.0, 1.0]], 0.5, np.zeros((2, 2))],
+                             ids=["nested", "scalar", "matrix"])
+    def test_grid_must_be_a_vector(self, small_model, val_matrix, grid):
+        with pytest.raises(ConfigError, match="grid must be a vector"):
+            gbm.predict_sweep(small_model, val_matrix.rows[:5], 1, grid)
+
+    def test_numpy_integer_index(self, small_model, val_matrix):
+        rows = val_matrix.rows[:5]
+        assert np.array_equal(gbm.predict_sweep(small_model, rows, np.int64(1), [0.0, 1.0]),
+                              gbm.predict_sweep(small_model, rows, 1, [0.0, 1.0]))
