@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 usage/config error, 3 data error, 4 numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import io
 import json
@@ -299,13 +298,23 @@ class ArtifactWriter:
     def write_json(self, name: str, obj) -> None:
         self.write_bytes(name, _json_bytes(name, {"schema_version": SCHEMA_VERSION, **obj}))
 
-    def write_csv(self, name: str, header, rows) -> None:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(name, v) for v in row])
-        self.write_bytes(name, buf.getvalue().encode())
+    def write_csv(self, name: str, header, columns) -> None:
+        """Columns, one per header name, as CSV (``dataio.csv_lines``, each
+        line ending in ``\\n``). A non-finite float raises NumericError
+        naming the first such cell in row order."""
+        first = None  # (row, value) of the first non-finite cell
+        for col in columns:
+            if isinstance(col, np.ndarray) and col.dtype.kind != "O":
+                rows = np.flatnonzero(~np.isfinite(col)) if col.dtype.kind == "f" else ()
+            else:
+                rows = [i for i, v in enumerate(col)
+                        if isinstance(v, (float, np.floating)) and not math.isfinite(v)]
+            if len(rows) and (first is None or rows[0] < first[0]):
+                first = (rows[0], col[rows[0]])
+        if first is not None:
+            raise NumericError(
+                f"artifact {name} would hold a non-finite number {float(first[1])!r}")
+        self.write_bytes(name, "".join(dataio.csv_lines(header, columns, "\n")).encode())
 
     def write_table(self, name: str, table: TimeTable) -> None:
         """A table as CSV. A blank or non-finite cell raises DataError naming
@@ -347,20 +356,6 @@ def _json_bytes(name: str, doc) -> bytes:
         return (json.dumps(doc, sort_keys=True, indent=1, allow_nan=False) + "\n").encode()
     except ValueError as exc:
         raise NumericError(f"artifact {name} would hold a non-finite number") from exc
-
-
-def _cell(name: str, v):
-    """A CSV cell of artifact ``name``: floats (numpy's too) in shortest
-    round-trip form, None blank. A non-finite float raises NumericError."""
-    if isinstance(v, np.floating):
-        v = float(v)
-    if isinstance(v, float):
-        if not math.isfinite(v):
-            raise NumericError(f"artifact {name} would hold a non-finite number {v!r}")
-        return repr(v)
-    if v is None:
-        return ""
-    return v
 
 
 def _load_splits(cfg: PipelineConfig) -> dict:
@@ -436,6 +431,24 @@ def _check_forecast_keys(cfg: PipelineConfig, step: int) -> None:
         raise ConfigError(f"config {key} = {text[key]}: {reason}")
 
 
+def _check_sweep_keys(cfg: PipelineConfig, step: int) -> None:
+    """The values ``ablate``'s sweeps read, checked like the forecast keys:
+    each window width a multiple of the sampling interval ``step`` (s), 0
+    (no MVART) or more, and each predicting interval a multiple of at least
+    one step. A bad value exits before any model trains, naming its key."""
+    for key, values, least in (("ablate.window_widths_minutes", cfg.window_widths_seconds, 0),
+                               ("ablate.intervals_minutes", cfg.intervals_seconds, step)):
+        text = cfg.raw.get(key, ",".join(str(seconds // 60) for seconds in values))
+        for seconds in values:
+            if seconds % step:
+                reason = f"is not a multiple of the {step} s sampling interval"
+            elif seconds < least:
+                reason = f"covers less than one {step} s step" if least else "is negative"
+            else:
+                continue
+            raise ConfigError(f"config {key} = {text}: {seconds // 60} {reason}")
+
+
 def _forecast_splits(cfg: PipelineConfig) -> dict:
     """The splits, once the forecast keys pass ``_check_forecast_keys``."""
     parts = _load_splits(cfg)
@@ -502,7 +515,7 @@ def cmd_train(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
         out.write_csv(
             "grid_scores.csv",
             [*_columns(Hyperparams), *_METRICS],
-            [[*_doc(p).values(), *rep.as_dict().values()] for p, rep in score_table],
+            list(zip(*([*_doc(p).values(), *rep.as_dict().values()] for p, rep in score_table))),
         )
 
     out.write_bytes("model.json", gbm.dumps(model).encode())
@@ -527,8 +540,7 @@ def cmd_evaluate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
         out.write_csv(
             f"forecast_{name}.csv",
             ["timestamp", "y_true", "y_pred", "anchor_id"],
-            zip(timebase.format_instants(run.timestamps),
-                run.y_true, run.y_pred, run.anchor_ids),
+            [run.timestamps.astype("datetime64[s]"), run.y_true, run.y_pred, run.anchor_ids],
         )
         out.write_json(f"metrics_{name}.json", run.report().as_dict())
 
@@ -537,29 +549,32 @@ def cmd_evaluate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
     out.write_csv(
         "residuals_test.csv",
         ["timestamp", "residual"],
-        zip(timebase.format_instants(test_run.timestamps), residuals),
+        [test_run.timestamps.astype("datetime64[s]"), residuals],
     )
     out.write_csv(
         "residual_hist_test.csv",
         ["bin", "count"],
-        stats.histogram(residuals, cfg.bin_width * 0.25),
+        list(zip(*stats.histogram(residuals, cfg.bin_width * 0.25))),
     )
     out.write_csv(
         "qq_test.csv",
         ["theoretical", "sample"],
-        stats.qq_normal(residuals),
+        list(zip(*stats.qq_normal(residuals))),
     )
 
 
 def cmd_ablate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
     train_t, val_t, _ = _forecast_splits(cfg).values()
+    if not args.skip_sweeps:
+        _check_sweep_keys(cfg, train_t.interval_seconds)
 
     def fit(groups):
         return gbm.train(build_design_matrix(train_t, cfg.engineering, groups), cfg.params)
 
-    # The sweeps run first, so a bad interval or width exits after one model
-    # trains, not after the whole table: the horizon sweep re-scores the
-    # configured groups' model, which the combination table then reuses.
+    # The sweeps run first, so an interval that the validation split cannot
+    # hold exits after one model trains, not after the whole table: the
+    # horizon sweep re-scores the configured groups' model, which the
+    # combination table then reuses.
     models = {}
     if not args.skip_sweeps:
         models[cfg.groups] = fit(cfg.groups)
@@ -578,12 +593,12 @@ def cmd_ablate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
             models[combo] = fit(combo)
         report = _rolling(cfg, models[combo], val_t).report()
         rows.append(["+".join(sorted(combo)), *report.as_dict().values()])
-    out.write_csv("ablation.csv", ["group", *_METRICS], rows)
+    out.write_csv("ablation.csv", ["group", *_METRICS], list(zip(*rows)))
     if not args.skip_sweeps:
         out.write_csv("window_sweep.csv", ["width_or_interval", *_METRICS],
-                      [list(r.values()) for r in sweep])
+                      list(zip(*(r.values() for r in sweep))))
         out.write_csv("horizon_sweep.csv", ["width_or_interval", *_METRICS],
-                      [list(r.values()) for r in hsweep])
+                      list(zip(*(r.values() for r in hsweep))))
 
 
 def _select_case_pair(run, thr_acc: float, thr_dev: float):
@@ -639,7 +654,7 @@ def cmd_explain(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
             out.write_csv(
                 f"pdp_{name}.csv",
                 ["value", "mean_response"],
-                zip(curve.grid, curve.mean_response),
+                [curve.grid, curve.mean_response],
             )
 
     elif method == "surrogate":
@@ -686,7 +701,7 @@ def cmd_explain(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
                 out.write_csv(
                     f"shap_{label}_force.csv",
                     ["feature", "value", "push", "cumulative"],
-                    _force_rows(att, dict(zip(model.feature_names, row))),
+                    list(zip(*_force_rows(att, dict(zip(model.feature_names, row))))),
                 )
 
     else:
@@ -716,7 +731,7 @@ def cmd_explain(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
             out.write_csv(
                 f"spectrum_{variant}_{tag}.csv",
                 ["frequency", "magnitude"],
-                [(0.0, spec.dc), *zip(spec.frequencies, spec.magnitudes)],
+                [np.append(0.0, spec.frequencies), np.append(spec.dc, spec.magnitudes)],
             )
     return {"method": method}
 
@@ -726,7 +741,7 @@ def cmd_diagnose(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
     if args.which == "hist":
         for name, part in parts.items():
             out.write_csv(f"hist_{name}.csv", ["bin", "count"],
-                          stats.histogram(part.target, cfg.bin_width))
+                          list(zip(*stats.histogram(part.target, cfg.bin_width))))
         return {"which": args.which}
     series = parts[args.split].target
     if args.which == "adf":
@@ -734,8 +749,8 @@ def cmd_diagnose(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
         out.write_json("adf_diff.json", _adf_doc(stats.adf_test(np.diff(series))))
     else:
         correlations = stats.acf if args.which == "acf" else stats.pacf
-        out.write_csv(f"{args.which}.csv", ["lag", "value"],
-                      enumerate(correlations(series, cfg.max_lag)))
+        values = correlations(series, cfg.max_lag)
+        out.write_csv(f"{args.which}.csv", ["lag", "value"], [np.arange(len(values)), values])
     return {"which": args.which, "split": args.split}
 
 

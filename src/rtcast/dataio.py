@@ -7,6 +7,7 @@ immutable; every operation returns a new one.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from datetime import date
@@ -363,19 +364,79 @@ def _parse_rows(reader, header, ts_idx, numeric_idx):
     return np.array(stamps, dtype=np.int64), np.array(rows, dtype=np.float64)
 
 
+#: Rows that ``csv_lines`` renders and joins at a time.
+CSV_CHUNK_ROWS = 4096
+
+#: The characters that can make ``csv.writer`` quote a cell.
+_CSV_SPECIAL = ',"\r\n'
+
+
+def csv_lines(header, columns, lineterminator: str = "\r\n"):
+    """Yield the CSV text of a header and its columns, the header's line
+    first, then the rows ``CSV_CHUNK_ROWS`` at a time; the text equals what
+    ``csv.writer`` writes with the same line end.
+
+    Each column becomes strings once, by its kind: a float array by
+    ``repr`` (shortest round-trip form, ``nan`` and ``inf`` as written), an
+    int or bool array by ``str``, a ``datetime64`` array by
+    ``timebase.format_instants``. Any other sequence goes cell by cell: None
+    is a blank cell, a float (numpy's too) is written by ``repr`` and other
+    values by ``str``. The header and string cells keep ``csv.writer``'s
+    quoting, which depends on the line end.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=lineterminator)
+    writer.writerow(header)
+    yield buf.getvalue()
+
+    def text(value):
+        if value is None:
+            return ""
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        if isinstance(value, str) and any(c in value for c in _CSV_SPECIAL):
+            buf.seek(0)
+            buf.truncate()
+            writer.writerow([value])
+            return buf.getvalue()[:-len(lineterminator)]
+        return str(value)
+
+    def texts(values):
+        kind = values.dtype.kind if isinstance(values, np.ndarray) else "O"
+        if kind == "f":
+            return map(repr, values.tolist())
+        if kind in "iub":
+            return map(str, values.tolist())
+        if kind == "M":
+            return timebase.format_instants(values.astype("datetime64[s]"))
+        return map(text, values)
+
+    n = len(columns[0]) if columns else 0
+    if len(columns) != len(header) or any(len(col) != n for col in columns):
+        raise ValueError(f"{len(header)} CSV column names for columns of lengths "
+                         f"{[len(col) for col in columns]}")
+    for start in range(0, n, CSV_CHUNK_ROWS):
+        cells = [texts(col[start:start + CSV_CHUNK_ROWS]) for col in columns]
+        if len(cells) == 1:  # csv.writer quotes a row's lone blank cell
+            rows = [c or '""' for c in cells[0]]
+        else:
+            rows = map(",".join, zip(*cells))
+        yield lineterminator.join(rows) + lineterminator
+
+
 def write_csv(table: TimeTable, dest) -> None:
-    """Write a table back to CSV (timestamp, features, target)."""
+    """Write a table back to CSV (timestamp, features, target), each line
+    ending in ``\\r\\n``."""
     close = False
     if not hasattr(dest, "write"):
         dest = open(dest, "w", newline="", encoding="utf-8")
         close = True
     try:
-        writer = csv.writer(dest)
         names = list(table.columns)
-        writer.writerow([TIMESTAMP_COLUMN, *names, TARGET_COLUMN])
-        cols = [table.columns[n] for n in names] + [table.target]
-        writer.writerows(zip(timebase.format_instants(table.timestamps),
-                             *(map(repr, c.tolist()) for c in cols)))
+        columns = [table.timestamps.astype("datetime64[s]"),
+                   *(table.columns[n] for n in names), table.target]
+        for text in csv_lines([TIMESTAMP_COLUMN, *names, TARGET_COLUMN], columns):
+            dest.write(text)
     finally:
         if close:
             dest.close()

@@ -546,7 +546,7 @@ class TestAllOrNothing:
     @pytest.mark.parametrize("write", [
         lambda w: w.write_json("metrics.json", {"mse": math.inf}),
         lambda w: w.write_json("metrics.json", {"r2": [1.0, math.nan]}),
-        lambda w: w.write_csv("forecast.csv", ["y"], [[1.0], [np.float64("nan")]]),
+        lambda w: w.write_csv("forecast.csv", ["y"], [[1.0, np.float64("nan")]]),
         lambda w: w.write_csv("forecast.csv", ["y"], [[-math.inf]]),
         lambda w: w.finish({"data": {"mae": math.nan}}),
     ], ids=["json-inf", "json-nested-nan", "csv-numpy-nan", "csv-inf", "manifest-nan"])
@@ -1053,6 +1053,41 @@ class TestForecastKeysAfterIngest:
         dest = tmp_path / "x"
         argv = [str(out / "model.json") if a == "MODEL" else a for a in command]
         code = cli.main(["--config", str(bad), "--out", str(dest), "--quiet", *argv])
+        assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+        assert calls == []
+        assert not dest.exists()
+
+
+class TestSweepKeysAfterIngest:
+    """A sweep width or interval that the data's sampling interval cannot
+    honour exits 2 naming its key, its text and the bad value, right after
+    ingest: no model trains first."""
+
+    @pytest.mark.parametrize("line, message", [
+        ("ablate.window_widths_minutes = -10,60",
+         "config ablate.window_widths_minutes = -10,60: -10 is negative"),
+        ("ablate.window_widths_minutes = 7",
+         "config ablate.window_widths_minutes = 7: "
+         "7 is not a multiple of the 600 s sampling interval"),
+        ("ablate.intervals_minutes = 0",
+         "config ablate.intervals_minutes = 0: 0 covers less than one 600 s step"),
+        ("ablate.intervals_minutes = 60,15",
+         "config ablate.intervals_minutes = 60,15: "
+         "15 is not a multiple of the 600 s sampling interval"),
+        ("ablate.intervals_minutes = -60",
+         "config ablate.intervals_minutes = -60: -60 covers less than one 600 s step"),
+    ], ids=["width-negative", "width-7", "interval-0", "interval-15", "interval-negative"])
+    def test_exits_two_before_any_model(self, tmp_path, monkeypatch, capsys, line, message):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(CONFIG + line + "\n")
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+        monkeypatch.setattr(gbm, "train", counting)
+        monkeypatch.setattr(forecast, "train", counting)
+        dest = tmp_path / "x"
+        code = cli.main(["--config", str(cfg), "--out", str(dest), "--quiet", "ablate"])
         assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
         assert calls == []
         assert not dest.exists()

@@ -2,6 +2,7 @@
 import contextlib
 import csv
 import io
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -428,6 +429,177 @@ class TestCsvFuzz:
             for path in (tmp / "out").glob("*") if code == 0 else ():
                 body = path.read_text(encoding="utf-8")
                 assert not re.search(r"(?i)\b(nan|inf|infinity)\b", body), path.name
+
+
+def reference_table_csv(table) -> str:
+    """``dataio.write_csv`` as it was before ``csv_lines``: ``csv.writer``
+    row by row, each line ending in ``\\r\\n``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    names = list(table.columns)
+    writer.writerow([dataio.TIMESTAMP_COLUMN, *names, dataio.TARGET_COLUMN])
+    cols = [table.columns[n] for n in names] + [table.target]
+    writer.writerows(zip(timebase.format_instants(table.timestamps),
+                         *(map(repr, c.tolist()) for c in cols)))
+    return buf.getvalue()
+
+
+def reference_cell(name, v):
+    """A cell of an artifact as ``cli`` wrote it before ``csv_lines``."""
+    if isinstance(v, np.floating):
+        v = float(v)
+    if isinstance(v, float):
+        if not math.isfinite(v):
+            raise NumericError(f"artifact {name} would hold a non-finite number {v!r}")
+        return repr(v)
+    if v is None:
+        return ""
+    return v
+
+
+def reference_artifact_csv(name, header, rows) -> bytes:
+    """``cli.ArtifactWriter.write_csv`` as it was before ``csv_lines``: rows
+    through ``csv.writer``, each line ending in ``\\n``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([reference_cell(name, v) for v in row])
+    return buf.getvalue().encode()
+
+
+#: Names and string cells, rich in what ``csv.writer`` quotes: the delimiter,
+#: the quote and both line-break characters (``\\r`` is quoted only under
+#: the ``\\r\\n`` line end).
+CSV_TEXT = st.text(st.sampled_from(list('ab ,"\r\n\t\u00e9'))
+                   | st.characters(exclude_categories=["Cs"]), max_size=5)
+#: Floats with the cases whose shortest form changes notation or sign.
+EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-7, 0.1, 1e-4, 123456789012345678.0]
+FINITE = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+ANY_FLOAT = FINITE | st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats()
+#: ``csv_lines`` chunk size under the hypothesis tests, so a few rows cross
+#: several chunk boundaries.
+SMALL_CHUNK = 4
+
+
+def artifact_column(data, n, floats):
+    """One artifact column of ``n`` cells, of a kind the CLI passes: a float
+    or int array, or a sequence mixing None, strings, ints, numpy ints and
+    floats."""
+    kind = data.draw(st.sampled_from(["float", "int", "mixed"]), label="kind")
+    if kind == "float":
+        return np.array(data.draw(st.lists(floats, min_size=n, max_size=n)), dtype=np.float64)
+    if kind == "int":
+        return np.array(data.draw(st.lists(st.integers(-2**63, 2**63 - 1),
+                                           min_size=n, max_size=n)), dtype=np.int64)
+    cell = (st.none() | CSV_TEXT | st.integers() | st.integers(-2**63, 2**63 - 1).map(np.int64)
+            | floats | floats.map(np.float64) | st.floats(width=32).map(np.float32))
+    return data.draw(st.lists(cell, min_size=n, max_size=n))
+
+
+def artifact_outcome(writer_dir, name, header, columns):
+    """The artifact's bytes, or the NumericError message; nothing stored then."""
+    writer = cli.ArtifactWriter(writer_dir, "test",
+                                cli.PipelineConfig(out_dir=writer_dir, quiet=True))
+    try:
+        writer.write_csv(name, header, columns)
+    except NumericError as exc:
+        assert writer.artifacts == {}
+        return str(exc)
+    return writer.artifacts[name]
+
+
+def reference_outcome(name, header, columns):
+    try:
+        return reference_artifact_csv(name, header, list(zip(*columns)))
+    except NumericError as exc:
+        return str(exc)
+
+
+@pytest.fixture(scope="module")
+def writer_dir(tmp_path_factory):
+    """An output directory that no test creates, so no artifact is refused."""
+    return str(tmp_path_factory.mktemp("artifacts") / "out")
+
+
+def random_table(n, names, floats, seed=0):
+    rng = np.random.default_rng(seed)
+    cols = {name: rng.choice(floats, n) for name in names}
+    return TimeTable(1_500_000_000 + 600 * np.arange(n), cols, rng.choice(floats, n), 600)
+
+
+class TestCsvLines:
+    """``csv_lines`` under both writers equals the ``csv.writer`` code it
+    replaced, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_table_writer_equals_csv_writer(self, data):
+        n = data.draw(st.integers(1, 3 * SMALL_CHUNK + 1), label="rows")
+        names = data.draw(st.lists(CSV_TEXT, max_size=4, unique=True), label="names")
+        start = data.draw(st.integers(0, 2**32), label="start")
+        step = data.draw(st.integers(1, 86400), label="step")
+        floats = st.lists(ANY_FLOAT, min_size=n, max_size=n).map(np.array)
+        table = TimeTable(start + step * np.arange(n), {name: data.draw(floats) for name in names},
+                          data.draw(floats), step)
+        buf = io.StringIO()
+        with mock.patch.object(dataio, "CSV_CHUNK_ROWS", SMALL_CHUNK):
+            dataio.write_csv(table, buf)
+        assert buf.getvalue() == reference_table_csv(table)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_artifact_writer_equals_csv_writer(self, writer_dir, data):
+        """The same bytes, or the same NumericError text, which names the
+        first non-finite cell in row order."""
+        n = data.draw(st.integers(0, 3 * SMALL_CHUNK + 1), label="rows")
+        width = data.draw(st.integers(1, 4), label="columns")
+        header = data.draw(st.lists(CSV_TEXT, min_size=width, max_size=width), label="header")
+        floats = data.draw(st.sampled_from([FINITE, ANY_FLOAT]), label="floats")
+        columns = [artifact_column(data, n, floats) for _ in range(width)]
+        with mock.patch.object(dataio, "CSV_CHUNK_ROWS", SMALL_CHUNK):
+            got = artifact_outcome(writer_dir, "a.csv", header, columns)
+        assert got == reference_outcome("a.csv", header, columns)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lineterminator=st.sampled_from(["\r\n", "\n"]),
+           cells=st.lists(st.tuples(CSV_TEXT, CSV_TEXT), max_size=2 * SMALL_CHUNK + 1))
+    def test_string_cells_are_quoted_as_csv_writer_quotes_them(self, lineterminator, cells):
+        """Whether a ``\\r`` is quoted depends on the line end."""
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator=lineterminator).writerows([("a\r", "b"), *cells])
+        columns = [[c[0] for c in cells], [c[1] for c in cells]]
+        with mock.patch.object(dataio, "CSV_CHUNK_ROWS", SMALL_CHUNK):
+            got = "".join(dataio.csv_lines(["a\r", "b"], columns, lineterminator))
+        assert got == buf.getvalue()
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["chunk-multiple", "one-past"])
+    def test_full_chunks(self, writer_dir, extra):
+        n = dataio.CSV_CHUNK_ROWS * 2 + extra
+        table = random_table(n, ["A", "B"], EDGE_FLOATS + [math.nan, math.inf])
+        buf = io.StringIO()
+        dataio.write_csv(table, buf)
+        assert buf.getvalue() == reference_table_csv(table)
+        columns = [table.timestamps.astype("datetime64[s]"), np.nan_to_num(table.columns["A"]),
+                   np.arange(n), [None, "x,y", 7, np.int64(-3)] * (n // 4) + [None] * (n % 4)]
+        rows = zip(timebase.format_instants(table.timestamps), *columns[1:])
+        assert (artifact_outcome(writer_dir, "a.csv", ["t", "a", "i", "o"], columns)
+                == reference_artifact_csv("a.csv", ["t", "a", "i", "o"], rows))
+
+    def test_a_lone_blank_cell_is_quoted(self, writer_dir):
+        """``csv.writer`` writes a row of one blank cell as ``""``."""
+        columns = [[None, "", "x", 1.5]]
+        assert artifact_outcome(writer_dir, "a.csv", [""], columns) == b'""\n""\n""\nx\n1.5\n'
+        assert reference_outcome("a.csv", [""], columns) == b'""\n""\n""\nx\n1.5\n'
+
+    def test_non_finite_cell_is_named_in_row_order(self, writer_dir):
+        columns = [[1.0, np.float64("nan")], np.array([-math.inf, 2.0])]
+        assert artifact_outcome(writer_dir, "a.csv", ["x", "y"], columns) == (
+            "artifact a.csv would hold a non-finite number -inf")
+
+    def test_column_count_must_match_the_header(self, writer_dir):
+        with pytest.raises(ValueError):
+            artifact_outcome(writer_dir, "a.csv", ["x"], [[1.0], [2.0]])
 
 
 class TestSplit:
