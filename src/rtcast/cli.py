@@ -431,19 +431,28 @@ def _check_forecast_keys(cfg: PipelineConfig, step: int) -> None:
         raise ConfigError(f"config {key} = {text[key]}: {reason}")
 
 
-def _check_sweep_keys(cfg: PipelineConfig, step: int) -> None:
-    """The values ``ablate``'s sweeps read, checked like the forecast keys:
-    each window width a multiple of the sampling interval ``step`` (s), 0
-    (no MVART) or more, and each predicting interval a multiple of at least
-    one step. A bad value exits before any model trains, naming its key."""
-    for key, values, least in (("ablate.window_widths_minutes", cfg.window_widths_seconds, 0),
-                               ("ablate.intervals_minutes", cfg.intervals_seconds, step)):
+def _check_sweep_keys(cfg: PipelineConfig, val: TimeTable) -> None:
+    """The values ``ablate``'s sweeps read, checked like the forecast keys
+    against the validation split ``val`` they run on: each window width a
+    multiple of its sampling interval and not negative (0 drops MVART), each
+    predicting interval a multiple of at least one step that the split can
+    hold. A bad value exits before any model trains, naming its key."""
+    step = val.interval_seconds
+    span = (len(val) - 1) * step
+    for key, values in (("ablate.window_widths_minutes", cfg.window_widths_seconds),
+                        ("ablate.intervals_minutes", cfg.intervals_seconds)):
         text = cfg.raw.get(key, ",".join(str(seconds // 60) for seconds in values))
         for seconds in values:
             if seconds % step:
                 reason = f"is not a multiple of the {step} s sampling interval"
-            elif seconds < least:
-                reason = f"covers less than one {step} s step" if least else "is negative"
+            elif key == "ablate.window_widths_minutes":
+                if seconds >= 0:
+                    continue
+                reason = "is negative"
+            elif seconds < step:
+                reason = f"covers less than one {step} s step"
+            elif seconds > span:
+                reason = f"is longer than the {span // 60} min validation split"
             else:
                 continue
             raise ConfigError(f"config {key} = {text}: {seconds // 60} {reason}")
@@ -566,15 +575,14 @@ def cmd_evaluate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
 def cmd_ablate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
     train_t, val_t, _ = _forecast_splits(cfg).values()
     if not args.skip_sweeps:
-        _check_sweep_keys(cfg, train_t.interval_seconds)
+        _check_sweep_keys(cfg, val_t)
 
     def fit(groups):
         return gbm.train(build_design_matrix(train_t, cfg.engineering, groups), cfg.params)
 
-    # The sweeps run first, so an interval that the validation split cannot
-    # hold exits after one model trains, not after the whole table: the
-    # horizon sweep re-scores the configured groups' model, which the
-    # combination table then reuses.
+    # The sweeps run first, so a sweep that fails on the data exits after one
+    # model trains, not after the whole table: the horizon sweep re-scores
+    # the configured groups' model, which the combination table then reuses.
     models = {}
     if not args.skip_sweeps:
         models[cfg.groups] = fit(cfg.groups)

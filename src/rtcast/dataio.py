@@ -1,8 +1,13 @@
-"""Ingest, synthesize, and chronologically split sensor tables.
+"""Ingest, synthesize, write and chronologically split sensor tables.
 
 The central type is :class:`TimeTable`: a uniformly sampled, timestamp-indexed
 table of named numeric columns plus the room-temperature target. Tables are
 immutable; every operation returns a new one.
+
+Every CSV the package writes is rendered by :func:`csv_lines`, a column at a
+time: ``write_csv`` writes tables with lines ending in ``\\r\\n``, and the
+CLI's artifact writer passes its columns with ``\\n``. Floats are written in
+shortest round-trip form, so ``ingest_csv`` reads back the same bits.
 """
 from __future__ import annotations
 
@@ -378,7 +383,7 @@ def csv_lines(header, columns, lineterminator: str = "\r\n"):
 
     Each column becomes strings once, by its kind: a float array by
     ``repr`` (shortest round-trip form, ``nan`` and ``inf`` as written), an
-    int or bool array by ``str``, a ``datetime64`` array by
+    int array by ``str``, a ``datetime64`` array by
     ``timebase.format_instants``. Any other sequence goes cell by cell: None
     is a blank cell, a float (numpy's too) is written by ``repr`` and other
     values by ``str``. The header and string cells keep ``csv.writer``'s
@@ -405,7 +410,7 @@ def csv_lines(header, columns, lineterminator: str = "\r\n"):
         kind = values.dtype.kind if isinstance(values, np.ndarray) else "O"
         if kind == "f":
             return map(repr, values.tolist())
-        if kind in "iub":
+        if kind in "iu":
             return map(str, values.tolist())
         if kind == "M":
             return timebase.format_instants(values.astype("datetime64[s]"))

@@ -1076,7 +1076,11 @@ class TestSweepKeysAfterIngest:
          "15 is not a multiple of the 600 s sampling interval"),
         ("ablate.intervals_minutes = -60",
          "config ablate.intervals_minutes = -60: -60 covers less than one 600 s step"),
-    ], ids=["width-negative", "width-7", "interval-0", "interval-15", "interval-negative"])
+        ("ablate.intervals_minutes = 60,10080",
+         "config ablate.intervals_minutes = 60,10080: "
+         "10080 is longer than the 5750 min validation split"),
+    ], ids=["width-negative", "width-7", "interval-0", "interval-15", "interval-negative",
+            "interval-past-split"])
     def test_exits_two_before_any_model(self, tmp_path, monkeypatch, capsys, line, message):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(CONFIG + line + "\n")
