@@ -389,6 +389,10 @@ def csv_lines(header, columns, lineterminator: str = "\r\n"):
     values by ``str``. The header and string cells keep ``csv.writer``'s
     quoting, which depends on the line end.
     """
+    n = len(columns[0]) if columns else 0
+    if len(columns) != len(header) or any(len(col) != n for col in columns):
+        raise ValueError(f"{len(header)} CSV column names for columns of lengths "
+                         f"{[len(col) for col in columns]}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator=lineterminator)
     writer.writerow(header)
@@ -416,10 +420,6 @@ def csv_lines(header, columns, lineterminator: str = "\r\n"):
             return timebase.format_instants(values.astype("datetime64[s]"))
         return map(text, values)
 
-    n = len(columns[0]) if columns else 0
-    if len(columns) != len(header) or any(len(col) != n for col in columns):
-        raise ValueError(f"{len(header)} CSV column names for columns of lengths "
-                         f"{[len(col) for col in columns]}")
     for start in range(0, n, CSV_CHUNK_ROWS):
         cells = [texts(col[start:start + CSV_CHUNK_ROWS]) for col in columns]
         if len(cells) == 1:  # csv.writer quotes a row's lone blank cell
@@ -440,8 +440,7 @@ def write_csv(table: TimeTable, dest) -> None:
         names = list(table.columns)
         columns = [table.timestamps.astype("datetime64[s]"),
                    *(table.columns[n] for n in names), table.target]
-        for text in csv_lines([TIMESTAMP_COLUMN, *names, TARGET_COLUMN], columns):
-            dest.write(text)
+        dest.writelines(csv_lines([TIMESTAMP_COLUMN, *names, TARGET_COLUMN], columns))
     finally:
         if close:
             dest.close()
