@@ -34,8 +34,9 @@ model.n_trees = 30
 """
 
 #: (output directory, argv) per command, in run order. The two ``explain
-#: pffra`` protocols write a manifest of the same name, so each has its own
-#: directory and reads the model from ``out``.
+#: pffra`` protocols write a manifest of the same name, and the two ``ablate``
+#: forms both write ``ablation.csv``, so each has its own directory; the
+#: ``explain pffra`` runs read the model from ``out``.
 COMMANDS = (
     ("out", ["synth"]),
     ("out", ["split"]),
@@ -55,6 +56,7 @@ COMMANDS = (
     ("out", ["diagnose", "pacf"]),
     ("out", ["diagnose", "hist"]),
     ("out", ["ablate", "--skip-sweeps"]),
+    ("ablate", ["ablate"]),
 )
 
 NUMPY_MAJOR = int(np.__version__.split(".")[0])
@@ -86,6 +88,15 @@ def write_table(path, digests: dict) -> None:
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
+def differences(want: dict, got: dict) -> dict:
+    """The names missing from ``got``, new in it, and with another digest."""
+    return {
+        "missing": sorted(want.keys() - got.keys()),
+        "new": sorted(got.keys() - want.keys()),
+        "changed": sorted(name for name in want.keys() & got.keys() if want[name] != got[name]),
+    }
+
+
 def test_every_artifact_matches_its_golden_digest(tmp_path):
     dump = os.environ.get("RTCAST_GOLDEN_OUT")
     if not TABLE.exists() and not dump:
@@ -98,15 +109,16 @@ def test_every_artifact_matches_its_golden_digest(tmp_path):
     if not TABLE.exists():
         pytest.skip(f"no golden digest table for numpy {NUMPY_MAJOR}.x ({TABLE.name}); "
                     f"the computed one is in {dump}")
-    want = json.loads(TABLE.read_text())["artifacts"]
-    changed = sorted(name for name in want.keys() & got.keys() if want[name] != got[name])
-    assert (sorted(want.keys() - got.keys()), sorted(got.keys() - want.keys()), changed) \
-        == ([], [], []), "(missing, new, changed) artifacts"
+    assert differences(json.loads(TABLE.read_text())["artifacts"], got) \
+        == {"missing": [], "new": [], "changed": []}
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as root:
         digests = run_commands(Path(root))
+    old = json.loads(TABLE.read_text())["artifacts"] if TABLE.exists() else {}
+    for kind, names in differences(old, digests).items():
+        print(f"{kind}: {', '.join(names) or '(none)'}", file=sys.stderr)
     TABLE.parent.mkdir(exist_ok=True)
     write_table(TABLE, digests)
     print(f"wrote {len(digests)} digests to {TABLE}", file=sys.stderr)
