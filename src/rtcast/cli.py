@@ -404,64 +404,34 @@ def _adf_doc(result: stats.AdfResult) -> dict:
 
 def _rolling(cfg: PipelineConfig, model: Ensemble, table: TimeTable):
     """The configured rolling forecast: every command re-anchors alike."""
-    return forecast.rolling_forecast(
-        model, table, cfg.engineering,
-        access_interval_seconds=cfg.access_seconds,
-        horizon_seconds=cfg.horizon_seconds,
-    )
+    return forecast.rolling_forecast(model, table, cfg.engineering,
+                                     cfg.access_seconds, cfg.horizon_seconds)
 
 
-def _check_forecast_keys(cfg: PipelineConfig, step: int) -> None:
-    """The checks of ``forecast.rolling_forecast`` on the configured access
-    interval and horizon, against the data's sampling interval ``step`` (s),
-    naming the key and its text. Commands that re-anchor run them right after
-    ingest, before a model loads or trains."""
-    keys = {"forecast.access_minutes": cfg.access_seconds,
-            "forecast.horizon_minutes": cfg.horizon_seconds}
-    text = {key: cfg.raw.get(key, str(seconds // 60)) for key, seconds in keys.items()}
-    for key, seconds in keys.items():
-        if seconds % step:
-            reason = f"not a multiple of the {step} s sampling interval"
-        elif seconds < step:
-            reason = f"covers less than one {step} s step"
-        elif key == "forecast.horizon_minutes" and seconds > cfg.access_seconds:
-            reason = f"exceeds forecast.access_minutes = {text['forecast.access_minutes']}"
-        else:
-            continue
-        raise ConfigError(f"config {key} = {text[key]}: {reason}")
+#: The key of each role that ``forecast.interval_fault`` names, and each split's name.
+_INTERVAL_KEYS = {"access interval": "forecast.access_minutes",
+                  "horizon": "forecast.horizon_minutes",
+                  "width": "ablate.window_widths_minutes",
+                  "interval": "ablate.intervals_minutes"}
+_SPLIT_NAMES = {"train": "training split", "val": "validation split", "test": "test split"}
 
 
-def _check_sweep_keys(cfg: PipelineConfig, val: TimeTable) -> None:
-    """The values ``ablate``'s sweeps read, checked like the forecast keys
-    against the validation split ``val`` they run on: each window width a
-    multiple of its sampling interval and not negative (0 drops MVART), each
-    predicting interval a multiple of at least one step that the split can
-    hold. A bad value exits before any model trains, naming its key."""
-    step = val.interval_seconds
-    span = (len(val) - 1) * step
-    for key, values in (("ablate.window_widths_minutes", cfg.window_widths_seconds),
-                        ("ablate.intervals_minutes", cfg.intervals_seconds)):
-        text = cfg.raw.get(key, ",".join(str(seconds // 60) for seconds in values))
-        for seconds in values:
-            if seconds % step:
-                reason = f"is not a multiple of the {step} s sampling interval"
-            elif key == "ablate.window_widths_minutes":
-                if seconds >= 0:
-                    continue
-                reason = "is negative"
-            elif seconds < step:
-                reason = f"covers less than one {step} s step"
-            elif seconds > span:
-                reason = f"is longer than the {span // 60} min validation split"
-            else:
-                continue
-            raise ConfigError(f"config {key} = {text}: {seconds // 60} {reason}")
-
-
-def _forecast_splits(cfg: PipelineConfig) -> dict:
-    """The splits, once the forecast keys pass ``_check_forecast_keys``."""
+def _forecast_splits(cfg: PipelineConfig, on=(), sweeps=False) -> dict:
+    """The splits, once ``forecast.interval_fault`` passes the forecast keys on
+    the splits ``on`` that forecasts run on and, with ``sweeps``, the ``ablate``
+    widths and intervals; else a ConfigError names the key, text and value."""
     parts = _load_splits(cfg)
-    _check_forecast_keys(cfg, parts["train"].interval_seconds)
+    sweep = dict(widths=cfg.window_widths_seconds, intervals=cfg.intervals_seconds,
+                 warmup={_SPLIT_NAMES["train"]: parts["train"]}) if sweeps else {}
+    fault = forecast.interval_fault(
+        parts["train"].interval_seconds, {_SPLIT_NAMES[name]: parts[name] for name in on},
+        cfg.access_seconds, cfg.horizon_seconds, **sweep)
+    if fault:
+        role, seconds, reason = fault
+        key = _INTERVAL_KEYS[role]
+        value = np.atleast_1d(getattr(cfg, _KEYS[key][1]))
+        text = cfg.raw.get(key, ",".join(str(s // 60) for s in value))
+        raise ConfigError(f"config {key} = {text}: {seconds // 60} {reason}")
     return parts
 
 
@@ -542,7 +512,7 @@ def cmd_train(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
 
 
 def cmd_evaluate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
-    parts = _forecast_splits(cfg)
+    parts = _forecast_splits(cfg, on=("train", "val", "test"))
     model = _require_model(cfg, args)
     runs = {name: _rolling(cfg, model, part) for name, part in parts.items()}
     for name, run in runs.items():
@@ -573,9 +543,7 @@ def cmd_evaluate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
 
 
 def cmd_ablate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
-    train_t, val_t, _ = _forecast_splits(cfg).values()
-    if not args.skip_sweeps:
-        _check_sweep_keys(cfg, val_t)
+    train_t, val_t, _ = _forecast_splits(cfg, on=("val",), sweeps=not args.skip_sweeps).values()
 
     def fit(groups):
         return gbm.train(build_design_matrix(train_t, cfg.engineering, groups), cfg.params)
@@ -638,13 +606,15 @@ def _force_rows(att: explain.Attribution, values: dict) -> list:
 
 
 def cmd_explain(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
-    parts = _forecast_splits(cfg)
+    method = args.method
+    rolling = method == "pffra" and args.protocol == "rolling"
+    selected = method in ("lime", "shap") and args.select
+    parts = _forecast_splits(cfg, (args.split,) if rolling else ("test",) if selected else ())
     model = _require_model(cfg, args)
     train_t, test_t = parts["train"], parts["test"]
     groups = groups_for_features(model.feature_names)
     x_train = build_design_matrix(train_t, cfg.engineering, groups)
     means = training_means(x_train)
-    method = args.method
 
     if method == "importance":
         out.write_json("importance.json", {

@@ -7,7 +7,8 @@ past the table's end; instants past the horizon but before the next anchor are
 not scored. Exogenous columns (weather, system states) are read from the table
 through the grid as a given scenario. Only MVART is a recurrence, stepped for
 all anchors at once: each window starts as the true RT up to its anchor and
-absorbs each prediction.
+absorbs each prediction. Whether a table can run the regime is decided by
+:func:`interval_fault` alone, which the sweeps and the command line ask too.
 """
 from __future__ import annotations
 
@@ -23,6 +24,41 @@ from .features import (
 )
 from .gbm import Ensemble, Hyperparams, train
 from .stats import MetricReport, metrics
+
+
+def interval_fault(step: int, tables: dict, access: int, horizon: int, widths=(),
+                   intervals=(), warmup: dict | None = None) -> tuple | None:
+    """The first rule of the rolling regime that a value (s) breaks, in
+    parameter order, as (role, seconds, reason), or None. Each value is a
+    multiple of ``step``; an interval or horizon covers a step; a width is not
+    negative (0 drops MVART); the horizon is within ``access``; no value is
+    longer than a table in ``tables`` (name -> table), those the forecast runs
+    on, nor a width than one in ``warmup``, those its model trains on, whose
+    MVART warm-up it must leave a row. A sweep interval is both access
+    interval and horizon."""
+    for role, seconds in [("access interval", access), ("horizon", horizon),
+                          *(("width", w) for w in widths), *(("interval", s) for s in intervals)]:
+        spans = {**((warmup or {}) if role == "width" else {}), **tables}
+        over = [f"is longer than the {_duration((len(t) - 1) * step)} {name}"
+                for name, t in spans.items() if seconds > (len(t) - 1) * step]
+        if seconds % step:
+            reason = f"is not a multiple of the {step} s sampling interval"
+        elif role == "width" and seconds < 0:
+            reason = "is negative"
+        elif role != "width" and seconds < step:
+            reason = f"covers less than one {step} s step"
+        elif role == "horizon" and seconds > access:
+            reason = f"exceeds the {_duration(access)} access interval"
+        elif over:
+            reason = over[0]
+        else:
+            continue
+        return role, seconds, reason
+    return None
+
+
+def _duration(seconds: int) -> str:
+    return f"{seconds // 60} min" if seconds % 60 == 0 else f"{seconds} s"
 
 
 @dataclass(frozen=True)
@@ -86,17 +122,9 @@ def rolling_forecast(
     ForecastRun
     """
     step = table.interval_seconds
-    if access_interval_seconds % step or horizon_seconds % step:
-        raise ConfigError("access interval and horizon must be multiples of the sampling interval")
-    if horizon_seconds < step:
-        raise ConfigError("horizon must cover at least one step")
-    if horizon_seconds > access_interval_seconds:
-        raise ConfigError(
-            f"horizon {horizon_seconds}s exceeds access interval {access_interval_seconds}s"
-        )
-    span = (len(table) - 1) * step
-    if span < access_interval_seconds:
-        raise ConfigError("table does not cover one access interval")
+    fault = interval_fault(step, {"table": table}, access_interval_seconds, horizon_seconds)
+    if fault:
+        raise ConfigError("{} {} s {}".format(*fault))
 
     names = model.feature_names
     groups = groups_for_features(names)
@@ -216,18 +244,18 @@ def window_sweep(
     if not widths:
         raise ConfigError("no widths to sweep")
     step = train_table.interval_seconds
-    # Every width is checked, its config built, before any model trains.
-    plan = []
-    for w_sec in widths:
-        if w_sec % step:
-            raise ConfigError(f"width {w_sec}s is not a multiple of the sampling interval")
-        if w_sec == 0:
-            plan.append((w_sec, frozenset({"IOTS", "Holiday"}), config))
-        else:
-            plan.append((w_sec, frozenset({"IOTS-MVA", "MVART", "Holiday"}),
-                         replace(config, mva_window=w_sec // step)))
+    # Every value is checked before any model trains.
+    fault = interval_fault(step, {"validation table": val_table}, access_interval_seconds,
+                           horizon_seconds, widths, warmup={"training table": train_table})
+    if fault:
+        raise ConfigError("{} {} s {}".format(*fault))
     out = []
-    for w_sec, groups, cfg in plan:
+    for w_sec in widths:
+        if w_sec == 0:
+            groups, cfg = frozenset({"IOTS", "Holiday"}), config
+        else:
+            groups = frozenset({"IOTS-MVA", "MVART", "Holiday"})
+            cfg = replace(config, mva_window=w_sec // step)
         model = train(build_design_matrix(train_table, cfg, groups), params)
         run = rolling_forecast(
             model, val_table, cfg,

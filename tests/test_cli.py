@@ -8,12 +8,15 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rtcast import cli, explain, forecast, gbm, pffra, stats
-from rtcast.errors import NumericError
+from rtcast.errors import ConfigError, DataError, NumericError
 
 CONFIG = """\
 data.source = synth
@@ -1019,15 +1022,16 @@ class TestForecastKeysAfterIngest:
 
     @pytest.mark.parametrize("line, message", [
         ("forecast.horizon_minutes = 7",
-         "config forecast.horizon_minutes = 7: not a multiple of the 600 s sampling interval"),
+         "config forecast.horizon_minutes = 7: 7 is not a multiple of the 600 s sampling interval"),
         ("forecast.access_minutes = 95",
-         "config forecast.access_minutes = 95: not a multiple of the 600 s sampling interval"),
+         "config forecast.access_minutes = 95: "
+         "95 is not a multiple of the 600 s sampling interval"),
         ("forecast.horizon_minutes = 0",
-         "config forecast.horizon_minutes = 0: covers less than one 600 s step"),
+         "config forecast.horizon_minutes = 0: 0 covers less than one 600 s step"),
         ("forecast.horizon_minutes = 1450",
-         "config forecast.horizon_minutes = 1450: exceeds forecast.access_minutes = 1440"),
+         "config forecast.horizon_minutes = 1450: 1450 exceeds the 1440 min access interval"),
         ("forecast.access_minutes = 60",
-         "config forecast.horizon_minutes = 480: exceeds forecast.access_minutes = 60"),
+         "config forecast.horizon_minutes = 480: 480 exceeds the 60 min access interval"),
     ], ids=["horizon-7", "access-95", "horizon-0", "horizon-past-access", "access-below-horizon"])
     @pytest.mark.parametrize("command", [
         ["evaluate", "--model", "MODEL"],
@@ -1095,3 +1099,93 @@ class TestSweepKeysAfterIngest:
         assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
         assert calls == []
         assert not dest.exists()
+
+
+class TestIntervalsFitTheirSplits:
+    """An access interval or window width that no split a command forecasts
+    or trains on can hold exits 2 naming its key, before any model loads or
+    trains."""
+
+    ACCESS = "forecast.access_minutes = 10080\nforecast.horizon_minutes = 60\n"
+
+    @pytest.mark.parametrize("lines, command, message", [
+        (ACCESS, ["evaluate", "--model", "MODEL"],
+         "config forecast.access_minutes = 10080: 10080 is longer than the 5750 min "
+         "validation split"),
+        (ACCESS, ["explain", "pffra", "--feature", "MVART", "--protocol", "rolling",
+                  "--model", "MODEL"],
+         "config forecast.access_minutes = 10080: 10080 is longer than the 5750 min "
+         "validation split"),
+        (ACCESS, ["explain", "shap", "--select", "accurate,deviated", "--model", "MODEL"],
+         "config forecast.access_minutes = 10080: 10080 is longer than the 5750 min test split"),
+        (ACCESS, ["ablate"],
+         "config forecast.access_minutes = 10080: 10080 is longer than the 5750 min "
+         "validation split"),
+        (ACCESS, ["ablate", "--skip-sweeps"],
+         "config forecast.access_minutes = 10080: 10080 is longer than the 5750 min "
+         "validation split"),
+        ("ablate.window_widths_minutes = 0,10080\n", ["ablate"],
+         "config ablate.window_widths_minutes = 0,10080: 10080 is longer than the 5750 min "
+         "validation split"),
+        ("ablate.window_widths_minutes = 0,20000\n", ["ablate"],
+         "config ablate.window_widths_minutes = 0,20000: 20000 is longer than the 17270 min "
+         "training split"),
+    ], ids=["evaluate", "explain-pffra-rolling", "explain-shap-select", "ablate",
+            "ablate-skip-sweeps", "width-past-validation", "width-past-training"])
+    def test_exits_two_before_any_model(self, pipeline, tmp_path, monkeypatch, capsys,
+                                        lines, command, message):
+        cfg, out = pipeline
+        bad = tmp_path / "bad.ini"
+        bad.write_text(cfg.read_text() + lines)
+        calls = []
+
+        def counting(real):
+            def call(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+            return call
+        monkeypatch.setattr(gbm, "train", counting(gbm.train))
+        monkeypatch.setattr(forecast, "train", counting(forecast.train))
+        monkeypatch.setattr(gbm, "load", counting(gbm.load))
+        dest = tmp_path / "x"
+        argv = [str(out / "model.json") if a == "MODEL" else a for a in command]
+        code = cli.main(["--config", str(bad), "--out", str(dest), "--quiet", *argv])
+        assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+        assert calls == []
+        assert not dest.exists()
+
+    MINUTES = st.one_of(st.integers(-3, 300).map(lambda steps: 10 * steps),
+                        st.integers(-30, 3000))
+
+    @settings(max_examples=80, deadline=None)
+    @given(access=MINUTES, horizon=MINUTES, rows=st.integers(1, 400))
+    @example(access=1440, horizon=480, rows=400)
+    @example(access=1440, horizon=480, rows=144)
+    @example(access=1440, horizon=480, rows=145)
+    @example(access=95, horizon=60, rows=400)
+    @example(access=1440, horizon=0, rows=400)
+    @example(access=-60, horizon=-60, rows=400)
+    @example(access=60, horizon=480, rows=400)
+    def test_cli_check_passes_exactly_when_the_forecast_does(self, small_model, synth_table,
+                                                           access, horizon, rows):
+        """One rule: the CLI's check on the forecast keys and a rolling
+        forecast over the split it names refuse the same values."""
+        split = synth_table.row_slice(0, rows)
+        cfg = cli.PipelineConfig(out_dir="unused", quiet=True,
+                                 access_seconds=access * 60, horizon_seconds=horizon * 60)
+        with mock.patch.object(cli, "_load_splits",
+                               return_value={"train": split, "val": split, "test": split}):
+            try:
+                cli._forecast_splits(cfg, on=("val",))
+                cli_passes = True
+            except ConfigError:
+                cli_passes = False
+        try:
+            forecast.rolling_forecast(dataclasses.replace(small_model, trees=()), split,
+                                      cfg.engineering, cfg.access_seconds, cfg.horizon_seconds)
+            forecast_passes = True
+        except ConfigError:
+            forecast_passes = False
+        except DataError:
+            forecast_passes = True
+        assert cli_passes == forecast_passes

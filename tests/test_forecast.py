@@ -90,7 +90,7 @@ class TestRollingForecast:
 
     def test_horizon_must_fit_access_interval(self, small_model, synth_splits,
                                               engineering):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^horizon 7200 s exceeds the 60 min access interval$"):
             forecast.rolling_forecast(
                 small_model, synth_splits[1], engineering,
                 access_interval_seconds=3600, horizon_seconds=7200,
@@ -98,7 +98,8 @@ class TestRollingForecast:
 
     def test_intervals_must_align_to_sampling(self, small_model, synth_splits,
                                               engineering):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError,
+                           match="^horizon 900 s is not a multiple of the 600 s sampling interval$"):
             forecast.rolling_forecast(
                 small_model, synth_splits[1], engineering,
                 access_interval_seconds=86400, horizon_seconds=900,
@@ -107,7 +108,8 @@ class TestRollingForecast:
     def test_table_must_span_one_interval(self, small_model, synth_splits,
                                           engineering):
         tiny = synth_splits[1].row_slice(0, 30)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError,
+                           match="^access interval 86400 s is longer than the 290 min table$"):
             forecast.rolling_forecast(small_model, tiny, engineering)
 
     def test_unrecognized_model_features(self, synth_splits, engineering):
@@ -406,11 +408,36 @@ class TestSweeps:
             assert {"width_seconds", "mse", "mae", "mape", "r2"} <= set(r)
         assert rows[0]["mae"] != rows[1]["mae"]
 
-    def test_window_sweep_rejects_misaligned_width(self, synth_splits, engineering):
+    @pytest.mark.parametrize("widths, message", [
+        ([700], "width 700 s is not a multiple of the 600 s sampling interval"),
+        ([0, -600], "width -600 s is negative"),
+    ], ids=["misaligned", "negative"])
+    def test_window_sweep_rejects_misaligned_width(self, synth_splits, engineering, monkeypatch,
+                                                   widths, message):
+        """A bad width names itself before any model trains."""
+        monkeypatch.setattr(forecast, "train", None)
         params = gbm.Hyperparams(max_depth=3, n_trees=5)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
             forecast.window_sweep(
-                synth_splits[0], synth_splits[1], [700], engineering, params,
+                synth_splits[0], synth_splits[1], widths, engineering, params,
+            )
+
+    @pytest.mark.parametrize("train_rows, val_rows, width, message", [
+        (300, 200, 120000, "width 120000 s is longer than the 1990 min validation table"),
+        (100, 200, 60000, "width 60000 s is longer than the 990 min training table"),
+        (200, 100, 7200, "access interval 86400 s is longer than the 990 min validation table"),
+    ], ids=["validation-warm-up", "training-warm-up", "access"])
+    def test_window_sweep_rejects_what_a_split_cannot_hold(
+            self, synth_splits, engineering, monkeypatch, train_rows, val_rows, width, message):
+        """A window longer than the training table leaves it no row after
+        MVART warm-up, and one longer than the validation table no anchor:
+        each names itself, as does an access interval past the validation
+        table, before any model trains."""
+        monkeypatch.setattr(forecast, "train", None)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            forecast.window_sweep(
+                synth_splits[0].row_slice(0, train_rows), synth_splits[1].row_slice(0, val_rows),
+                [0, width], engineering, gbm.Hyperparams(max_depth=3, n_trees=5),
             )
 
 
