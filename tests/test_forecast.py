@@ -90,7 +90,8 @@ class TestRollingForecast:
 
     def test_horizon_must_fit_access_interval(self, small_model, synth_splits,
                                               engineering):
-        with pytest.raises(ConfigError, match="^horizon 7200 s exceeds the 60 min access interval$"):
+        with pytest.raises(ConfigError,
+                           match="^horizon 7200 s exceeds the 60 min access interval$"):
             forecast.rolling_forecast(
                 small_model, synth_splits[1], engineering,
                 access_interval_seconds=3600, horizon_seconds=7200,
@@ -99,7 +100,8 @@ class TestRollingForecast:
     def test_intervals_must_align_to_sampling(self, small_model, synth_splits,
                                               engineering):
         with pytest.raises(ConfigError,
-                           match="^horizon 900 s is not a multiple of the 600 s sampling interval$"):
+                           match="^horizon 900 s is not a multiple of the 600 s "
+                                 "sampling interval$"):
             forecast.rolling_forecast(
                 small_model, synth_splits[1], engineering,
                 access_interval_seconds=86400, horizon_seconds=900,
@@ -426,7 +428,7 @@ class TestSweeps:
         (300, 200, 120000, "width 120000 s is longer than the 1990 min validation table"),
         (100, 200, 60000, "width 60000 s is longer than the 990 min training table"),
         (200, 100, 7200, "access interval 86400 s is longer than the 990 min validation table"),
-    ], ids=["validation-warm-up", "training-warm-up", "access"])
+    ], ids=["past-validation", "past-training", "access-past-validation"])
     def test_window_sweep_rejects_what_a_split_cannot_hold(
             self, synth_splits, engineering, monkeypatch, train_rows, val_rows, width, message):
         """A window longer than the training table leaves it no row after
