@@ -1015,6 +1015,21 @@ class TestExitCodes:
         assert proc.returncode == 2
 
 
+def count_model_calls(monkeypatch) -> list:
+    """The names of the ``gbm.load`` and ``gbm.train`` calls made from here on."""
+    calls = []
+
+    def counting(real):
+        def call(*args, **kwargs):
+            calls.append(real.__name__)
+            return real(*args, **kwargs)
+        return call
+    monkeypatch.setattr(gbm, "train", counting(gbm.train))
+    monkeypatch.setattr(forecast, "train", counting(forecast.train))
+    monkeypatch.setattr(gbm, "load", counting(gbm.load))
+    return calls
+
+
 class TestForecastKeysAfterIngest:
     """An access interval or horizon that the data's sampling interval cannot
     honour exits 2 naming its key and text, right after ingest: no model
@@ -1044,16 +1059,7 @@ class TestForecastKeysAfterIngest:
         cfg, out = pipeline
         bad = tmp_path / "bad.ini"
         bad.write_text(cfg.read_text() + line + "\n")
-        calls = []
-
-        def counting(real):
-            def call(*args, **kwargs):
-                calls.append(real.__name__)
-                return real(*args, **kwargs)
-            return call
-        monkeypatch.setattr(gbm, "train", counting(gbm.train))
-        monkeypatch.setattr(forecast, "train", counting(forecast.train))
-        monkeypatch.setattr(gbm, "load", counting(gbm.load))
+        calls = count_model_calls(monkeypatch)
         dest = tmp_path / "x"
         argv = [str(out / "model.json") if a == "MODEL" else a for a in command]
         code = cli.main(["--config", str(bad), "--out", str(dest), "--quiet", *argv])
@@ -1137,16 +1143,7 @@ class TestIntervalsFitTheirSplits:
         cfg, out = pipeline
         bad = tmp_path / "bad.ini"
         bad.write_text(cfg.read_text() + lines)
-        calls = []
-
-        def counting(real):
-            def call(*args, **kwargs):
-                calls.append(real.__name__)
-                return real(*args, **kwargs)
-            return call
-        monkeypatch.setattr(gbm, "train", counting(gbm.train))
-        monkeypatch.setattr(forecast, "train", counting(forecast.train))
-        monkeypatch.setattr(gbm, "load", counting(gbm.load))
+        calls = count_model_calls(monkeypatch)
         dest = tmp_path / "x"
         argv = [str(out / "model.json") if a == "MODEL" else a for a in command]
         code = cli.main(["--config", str(bad), "--out", str(dest), "--quiet", *argv])
