@@ -3,9 +3,13 @@ import gc
 import hashlib
 import json
 import math
+import os
+import pickle
 import tracemalloc
+import warnings
 from collections import defaultdict
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -476,6 +480,152 @@ class TestGridSearch:
         with pytest.raises(NumericError) as err:
             gbm.grid_search(bad, V, grid)
         assert "grid combination" in str(err.value)
+
+
+def train_both_ways(X, params) -> tuple:
+    """``model.json`` of ``train`` growing alone, then with a worker from the
+    first row on, and the number of trees the worker shared."""
+    shared = []
+    grow = gbm._Worker.grow
+
+    def counting(self, *args):
+        shared.append(None)
+        return grow(self, *args)
+
+    with mock.patch.object(gbm, "PARALLEL_ROWS", 10**12):
+        alone = gbm.dumps(gbm.train(X, params))
+    with mock.patch.object(gbm, "PARALLEL_ROWS", 0), mock.patch.object(gbm, "_cpus", lambda: 2), \
+            mock.patch.object(gbm._Worker, "grow", counting):
+        both = gbm.dumps(gbm.train(X, params))
+    return alone, both, len(shared)
+
+
+def assert_no_child_process():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+#: Tied fixtures whose targets, scaled by 1e153, overflow in the split search
+#: of a subtree that the worker grows, in the second tree.
+WORKER_OVERFLOW_SEEDS = (22, 61, 68, 74)
+
+
+class TestTwoProcesses:
+    """``train`` sharing each tree with a forked worker writes the bytes that
+    growing alone writes, raises its errors and leaves no process behind."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 39), depth=st.sampled_from([1, 2, 3, 6, 15]),
+           lam=st.sampled_from([0.0, 1.0]), gamma=st.sampled_from([0.0, 0.5]),
+           n_trees=st.sampled_from([0, 1, 3]))
+    @example(seed=3, depth=6, lam=0.0, gamma=0.5, n_trees=3)
+    def test_model_bytes_equal_growing_alone(self, seed, depth, lam, gamma, n_trees):
+        rows, y = tied_fixture(seed)
+        X = make_matrix(rows, [f"f{i}" for i in range(rows.shape[1])], target=y)
+        params = Hyperparams(max_depth=depth, n_trees=n_trees, gamma=gamma, lambda_=lam)
+        alone, both, shared = train_both_ways(X, params)
+        assert both == alone
+        assert shared == (n_trees if depth > 2 else 0)
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("params, digest", [
+        (Hyperparams(), MODEL_SHA256),
+        (Hyperparams(max_depth=15, n_trees=20, gamma=0.05), DEEP_MODEL_SHA256),
+    ], ids=["default", "depth15"])
+    def test_thirty_day_model_bytes_are_the_pinned_ones(self, params, digest):
+        """The pinned 30-day models of ``test_thirty_day_model_bytes_are_pinned``,
+        whose 2,592 rows grow alone by default, with the worker."""
+        table = dataio.synthesize(dataio.SynthConfig(seed=42, n_days=30))
+        X = features.build_design_matrix(
+            table.row_slice(0, 2592), features.EngineeringConfig(), FULL_GROUPS
+        )
+        if hashlib.sha256(X.rows.tobytes() + X.target.tobytes()).hexdigest() != INPUTS_SHA256:
+            pytest.skip("synthetic inputs differ from the pinned ones on this numpy build")
+        alone, both, shared = train_both_ways(X, params)
+        assert shared == params.n_trees
+        assert hashlib.sha256(both.encode()).hexdigest() == digest
+
+    def test_overflow_in_a_worker_subtree_raises_the_serial_error(self, monkeypatch):
+        raised = []
+        load = pickle.load
+
+        def reading(file):
+            reply = load(file)
+            if isinstance(reply, Exception):
+                raised.append(reply)
+            return reply
+
+        monkeypatch.setattr(pickle, "load", reading)
+        for seed in WORKER_OVERFLOW_SEEDS:
+            raised.clear()
+            rows, y = tied_fixture(seed)
+            X = make_matrix(rows, [f"f{i}" for i in range(rows.shape[1])], target=y * 1e153)
+            params = Hyperparams(max_depth=4, n_trees=2)
+            messages = []
+            for limit in (10**12, 0):
+                with mock.patch.object(gbm, "PARALLEL_ROWS", limit), \
+                        mock.patch.object(gbm, "_cpus", lambda: 2), \
+                        pytest.raises(NumericError) as exc:
+                    gbm.train(X, params)
+                messages.append(str(exc.value))
+                assert_no_child_process()
+            assert messages[1] == messages[0], seed
+            assert messages[0].startswith("training arithmetic left the float range: ")
+            # The worker met the overflow, and sent it back.
+            assert [type(e) for e in raised] == [FloatingPointError], seed
+
+    def test_a_lost_worker_leaves_the_trees_unchanged(self, monkeypatch):
+        """A worker that exits at once: each tree is grown again alone."""
+        rows, y = tied_fixture(7)
+        X = make_matrix(rows, [f"f{i}" for i in range(rows.shape[1])], target=y)
+        monkeypatch.setattr(gbm, "_serve", lambda *args: None)
+        alone, both, shared = train_both_ways(X, Hyperparams(max_depth=5, n_trees=4))
+        assert (both, shared) == (alone, 4)
+        assert_no_child_process()
+
+    def test_the_fork_warning_of_threaded_processes_is_handled(self, monkeypatch):
+        """Python 3.12+ warns at each fork of a process with threads, as
+        numpy's are; ``gbm`` ignores exactly that warning, which pyproject's
+        filters would otherwise turn into an error in ``rtcast``."""
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                          "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        rows, y = tied_fixture(5)
+        X = make_matrix(rows, [f"f{i}" for i in range(rows.shape[1])], target=y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone, both, shared = train_both_ways(X, Hyperparams(max_depth=4, n_trees=2))
+        assert (both, shared) == (alone, 2)
+        assert_no_child_process()
+
+    @pytest.mark.parametrize("platform", ["no-fork", "one-cpu", "one-cpu-no-affinity"])
+    def test_no_process_without_fork_or_a_second_cpu(self, monkeypatch, platform):
+        forks = []
+        if platform == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            fork = os.fork
+            monkeypatch.setattr(os, "fork", lambda: forks.append(None) or fork())
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+            if platform == "one-cpu":
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            else:
+                monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        rows, y = tied_fixture(9)
+        X = make_matrix(rows, [f"f{i}" for i in range(rows.shape[1])], target=y)
+        params = Hyperparams(max_depth=6, n_trees=3)
+        with mock.patch.object(gbm, "PARALLEL_ROWS", 10**12):
+            alone = gbm.dumps(gbm.train(X, params))
+        with mock.patch.object(gbm, "PARALLEL_ROWS", 0):
+            assert gbm.dumps(gbm.train(X, params)) == alone
+        assert forks == []
+        assert_no_child_process()
 
 
 class TestImportanceAndSerialization:
