@@ -408,12 +408,19 @@ def _rolling(cfg: PipelineConfig, model: Ensemble, table: TimeTable):
                                      cfg.access_seconds, cfg.horizon_seconds)
 
 
-#: The key of each role that ``forecast.interval_fault`` names, and each split's name.
-_INTERVAL_KEYS = {"access interval": "forecast.access_minutes",
-                  "horizon": "forecast.horizon_minutes",
-                  "width": "ablate.window_widths_minutes",
-                  "interval": "ablate.intervals_minutes"}
+#: The key of each role that ``forecast.interval_fault`` names, with the
+#: seconds in one unit of the key, and each split's name.
+_INTERVAL_KEYS = {"access interval": ("forecast.access_minutes", 60),
+                  "horizon": ("forecast.horizon_minutes", 60),
+                  "width": ("ablate.window_widths_minutes", 60),
+                  "interval": ("ablate.intervals_minutes", 60),
+                  "UTC offset": ("features.utc_offset_hours", 3600)}
 _SPLIT_NAMES = {"train": "training split", "val": "validation split", "test": "test split"}
+
+
+def _in_unit(seconds: int, unit: int) -> str:
+    """``seconds`` in a key's unit, as the key's text would write it."""
+    return str(seconds // unit) if seconds % unit == 0 else repr(seconds / unit)
 
 
 def _forecast_splits(cfg: PipelineConfig, on=(), sweeps=False) -> dict:
@@ -425,13 +432,18 @@ def _forecast_splits(cfg: PipelineConfig, on=(), sweeps=False) -> dict:
                  warmup={_SPLIT_NAMES["train"]: parts["train"]}) if sweeps else {}
     fault = forecast.interval_fault(
         parts["train"].interval_seconds, {_SPLIT_NAMES[name]: parts[name] for name in on},
-        cfg.access_seconds, cfg.horizon_seconds, **sweep)
+        cfg.access_seconds, cfg.horizon_seconds, **sweep,
+        offset=timebase.offset_seconds(cfg.engineering.utc_offset_hours))
     if fault:
         role, seconds, reason = fault
-        key = _INTERVAL_KEYS[role]
-        value = np.atleast_1d(getattr(cfg, _KEYS[key][1]))
-        text = cfg.raw.get(key, ",".join(str(s // 60) for s in value))
-        raise ConfigError(f"config {key} = {text}: {seconds // 60} {reason}")
+        key, unit = _INTERVAL_KEYS[role]
+        target, name, _ = _KEYS[key]
+        if key in cfg.raw:
+            text = cfg.raw[key]
+        else:  # the default
+            value = getattr(cfg if target == "pipeline" else getattr(cfg, target), name)
+            text = ",".join(_in_unit(s, unit) for s in np.atleast_1d(value))
+        raise ConfigError(f"config {key} = {text}: {_in_unit(seconds, unit)} {reason}")
     return parts
 
 
@@ -551,16 +563,25 @@ def cmd_ablate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
     # The sweeps run first, so a sweep that fails on the data exits after one
     # model trains, not after the whole table: the horizon sweep re-scores
     # the configured groups' model, which the combination table then reuses.
+    # The window sweep's width 0 and configured window are the models of
+    # their groups with the configured engineering: a combination's model
+    # that is trained anyway, or the configured groups', serves there too.
     models = {}
     if not args.skip_sweeps:
         models[cfg.groups] = fit(cfg.groups)
         hsweep = forecast.horizon_sweep(
             models[cfg.groups], val_t, cfg.engineering, cfg.intervals_seconds
         )
+        same = {0: forecast.NO_WINDOW_GROUPS,
+                cfg.engineering.mva_window * train_t.interval_seconds: forecast.WINDOW_GROUPS}
+        for groups in same.values():
+            if groups in cfg.ablate_combos and groups not in models:
+                models[groups] = fit(groups)
         sweep = forecast.window_sweep(
             train_t, val_t, cfg.window_widths_seconds, cfg.engineering, cfg.params,
             access_interval_seconds=cfg.access_seconds,
             horizon_seconds=cfg.horizon_seconds,
+            models={w: models[groups] for w, groups in same.items() if groups in models},
         )
 
     rows = []

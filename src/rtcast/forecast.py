@@ -27,7 +27,7 @@ from .stats import MetricReport, metrics
 
 
 def interval_fault(step: int, tables: dict, access: int, horizon: int, widths=(),
-                   intervals=(), warmup: dict | None = None) -> tuple | None:
+                   intervals=(), warmup: dict | None = None, offset: int = 0) -> tuple | None:
     """The first rule of the rolling regime that a value (s) breaks, in
     parameter order, as (role, seconds, reason), or None. Each value is a
     multiple of ``step``; an interval or horizon covers a step; a width is not
@@ -35,7 +35,9 @@ def interval_fault(step: int, tables: dict, access: int, horizon: int, widths=()
     longer than a table in ``tables`` (name -> table), those the forecast runs
     on, nor a width than one in ``warmup``, those its model trains on, whose
     MVART warm-up it must leave a row. A sweep interval is both access
-    interval and horizon."""
+    interval and horizon. The UTC ``offset`` is a multiple of ``step`` too:
+    anchors are the instants whose local time is a multiple of the access
+    interval, and an offset off the sampling grid leaves no instant there."""
     for role, seconds in [("access interval", access), ("horizon", horizon),
                           *(("width", w) for w in widths), *(("interval", s) for s in intervals)]:
         spans = {**((warmup or {}) if role == "width" else {}), **tables}
@@ -54,6 +56,8 @@ def interval_fault(step: int, tables: dict, access: int, horizon: int, widths=()
         else:
             continue
         return role, seconds, reason
+    if offset % step:
+        return "UTC offset", offset, f"is not a multiple of the {step} s sampling interval"
     return None
 
 
@@ -122,7 +126,8 @@ def rolling_forecast(
     ForecastRun
     """
     step = table.interval_seconds
-    fault = interval_fault(step, {"table": table}, access_interval_seconds, horizon_seconds)
+    fault = interval_fault(step, {"table": table}, access_interval_seconds, horizon_seconds,
+                           offset=timebase.offset_seconds(config.utc_offset_hours))
     if fault:
         raise ConfigError("{} {} s {}".format(*fault))
 
@@ -221,6 +226,11 @@ def horizon_sweep(
     return out
 
 
+#: The groups of ``window_sweep``'s width-0 model, and of every other width's.
+NO_WINDOW_GROUPS = frozenset({"IOTS", "Holiday"})
+WINDOW_GROUPS = frozenset({"IOTS-MVA", "MVART", "Holiday"})
+
+
 def window_sweep(
     train_table: TimeTable,
     val_table: TimeTable,
@@ -229,14 +239,16 @@ def window_sweep(
     params: Hyperparams,
     access_interval_seconds: int = 86400,
     horizon_seconds: int = 28800,
+    models: dict | None = None,
 ) -> list:
     """Train and evaluate one model per moving-average window width.
 
-    Width 0 drops MVART and smoothing entirely ({IOTS, Holiday}); any other
-    width uses the full pipeline ({IOTS-MVA, MVART, Holiday}) with that
-    window for both the smoother and MVART. Models are evaluated with a
-    rolling forecast on the validation table at the fixed horizon, each
-    trained with ``params``.
+    Width 0 drops MVART and smoothing entirely (``NO_WINDOW_GROUPS``); any
+    other width uses the full pipeline (``WINDOW_GROUPS``) with that window
+    for both the smoother and MVART. Models are evaluated with a rolling
+    forecast on the validation table at the fixed horizon, each trained with
+    ``params``. ``models`` maps a width to its model where the caller has
+    one already, trained so on ``train_table``; that width trains nothing.
 
     Returns a list of dicts: width_seconds, mse, mae, mape, r2.
     """
@@ -246,17 +258,19 @@ def window_sweep(
     step = train_table.interval_seconds
     # Every value is checked before any model trains.
     fault = interval_fault(step, {"validation table": val_table}, access_interval_seconds,
-                           horizon_seconds, widths, warmup={"training table": train_table})
+                           horizon_seconds, widths, warmup={"training table": train_table},
+                           offset=timebase.offset_seconds(config.utc_offset_hours))
     if fault:
         raise ConfigError("{} {} s {}".format(*fault))
+    models = models or {}
     out = []
     for w_sec in widths:
         if w_sec == 0:
-            groups, cfg = frozenset({"IOTS", "Holiday"}), config
+            groups, cfg = NO_WINDOW_GROUPS, config
         else:
-            groups = frozenset({"IOTS-MVA", "MVART", "Holiday"})
-            cfg = replace(config, mva_window=w_sec // step)
-        model = train(build_design_matrix(train_table, cfg, groups), params)
+            groups, cfg = WINDOW_GROUPS, replace(config, mva_window=w_sec // step)
+        model = models[w_sec] if w_sec in models else train(
+            build_design_matrix(train_table, cfg, groups), params)
         run = rolling_forecast(
             model, val_table, cfg,
             access_interval_seconds=access_interval_seconds,

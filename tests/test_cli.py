@@ -227,13 +227,14 @@ class TestExplainCommands:
 
 class TestAblate:
     @pytest.mark.parametrize("combos,trained", [
-        ("IOTS-MVA+MVART+Holiday;IOTS+Holiday", 4),
-        ("IOTS+Holiday", 4),
+        ("IOTS-MVA+MVART+Holiday;IOTS+Holiday", 2),
+        ("IOTS+Holiday", 2),
     ], ids=["default-groups-listed", "default-groups-not-listed"])
     def test_each_model_is_trained_once(self, tmp_path, monkeypatch, combos, trained):
-        """Two combinations and two window widths train four models; the
-        horizon sweep trains the configured groups only when no combination
-        already did."""
+        """Two combinations and two window widths are two models: the
+        horizon sweep's model, of the configured groups, is the window
+        sweep's 60-minute one and, when listed, a combination's; the
+        ``IOTS+Holiday`` combination is width 0."""
         cfg = tmp_path / "ablate.ini"
         cfg.write_text(CONFIG.replace("model.n_trees = 8", "model.n_trees = 5") + (
             f"ablate.combos = {combos}\n"
@@ -252,6 +253,18 @@ class TestAblate:
         assert cli.main(["--config", str(cfg), "--out", str(out), "--quiet", "ablate"]) == 0
         assert len(calls) == trained
         assert len(read_csv(out / "horizon_sweep.csv")) == 2
+
+    def test_default_ablate_trains_eleven_models(self, tmp_path, monkeypatch):
+        """Eight combinations and five widths: width 0 is the ``IOTS+Holiday``
+        combination's model and width 60 minutes the default groups'."""
+        cfg = tmp_path / "ablate.ini"
+        cfg.write_text(CONFIG)
+        calls = count_model_calls(monkeypatch)
+        out = tmp_path / "out"
+        assert cli.main(["--config", str(cfg), "--out", str(out), "--quiet", "ablate"]) == 0
+        assert calls == ["train"] * 11
+        assert len(read_csv(out / "ablation.csv")) == 1 + 8
+        assert len(read_csv(out / "window_sweep.csv")) == 1 + 5
 
     @pytest.mark.parametrize("line", [
         "ablate.intervals_minutes = 10,7",
@@ -1047,7 +1060,14 @@ class TestForecastKeysAfterIngest:
          "config forecast.horizon_minutes = 1450: 1450 exceeds the 1440 min access interval"),
         ("forecast.access_minutes = 60",
          "config forecast.horizon_minutes = 480: 480 exceeds the 60 min access interval"),
-    ], ids=["horizon-7", "access-95", "horizon-0", "horizon-past-access", "access-below-horizon"])
+        ("features.utc_offset_hours = 0.1",
+         "config features.utc_offset_hours = 0.1: "
+         "0.1 is not a multiple of the 600 s sampling interval"),
+        ("features.utc_offset_hours = -5.75",
+         "config features.utc_offset_hours = -5.75: "
+         "-5.75 is not a multiple of the 600 s sampling interval"),
+    ], ids=["horizon-7", "access-95", "horizon-0", "horizon-past-access", "access-below-horizon",
+            "offset-0.1", "offset-minus-5.75"])
     @pytest.mark.parametrize("command", [
         ["evaluate", "--model", "MODEL"],
         ["explain", "importance", "--model", "MODEL"],

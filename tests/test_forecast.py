@@ -107,6 +107,16 @@ class TestRollingForecast:
                 access_interval_seconds=86400, horizon_seconds=900,
             )
 
+    @pytest.mark.parametrize("hours, seconds", [(0.1, 360), (-5.75, -20700)])
+    def test_utc_offset_must_align_to_sampling(self, small_model, synth_splits, hours,
+                                               seconds):
+        """No local instant of a table on a 600 s grid is a multiple of the
+        access interval under an offset off that grid: no anchor."""
+        with pytest.raises(ConfigError, match=f"^UTC offset {seconds} s is not a multiple "
+                                              "of the 600 s sampling interval$"):
+            forecast.rolling_forecast(small_model, synth_splits[1],
+                                      EngineeringConfig(utc_offset_hours=hours))
+
     def test_table_must_span_one_interval(self, small_model, synth_splits,
                                           engineering):
         tiny = synth_splits[1].row_slice(0, 30)
@@ -423,6 +433,14 @@ class TestSweeps:
             forecast.window_sweep(
                 synth_splits[0], synth_splits[1], widths, engineering, params,
             )
+
+    def test_window_sweep_rejects_an_offset_off_the_grid(self, synth_splits, monkeypatch):
+        monkeypatch.setattr(forecast, "train", None)
+        with pytest.raises(ConfigError, match="^UTC offset 360 s is not a multiple of the 600 s "
+                                              "sampling interval$"):
+            forecast.window_sweep(synth_splits[0], synth_splits[1], [0, 3600],
+                                  EngineeringConfig(utc_offset_hours=0.1),
+                                  gbm.Hyperparams(max_depth=3, n_trees=5))
 
     @pytest.mark.parametrize("train_rows, val_rows, width, message", [
         (300, 200, 120000, "width 120000 s is longer than the 1990 min validation table"),
