@@ -789,8 +789,8 @@ def _grow(cols, grad, block, lo, hi, live, depth, max_depth, lambda_, gamma,
 #: Training sets of at least this many rows share each tree with a second
 #: process (see the module docstring). On 365 synthetic days (2 cores, depth
 #: 6), the second process paid for its fork and its messages from ~3,000 rows
-#: on: 4,000 rows took 8.1 ms a tree alone and 7.2 ms shared, 2,000 rows 4.3
-#: and 4.6 ms.
+#: on: 4,000 rows took 6.2 ms a tree alone and 5.5 ms shared, 2,000 rows 4.4
+#: and 4.7 ms.
 PARALLEL_ROWS = 4096
 
 
@@ -820,7 +820,7 @@ def _shared(shape, dtype=np.float64) -> np.ndarray:
 
 #: The fixed work of a node, in the units of ``_weight``: the per-call cost
 #: of the split search and partition, fitted with the per-row cost to the
-#: times of ~50k subtrees of a depth-6 train (365 days, 2 cores).
+#: times of the 1,246 subtrees of 20 depth-6 trees (365 days, 2 cores).
 _NODE_WORK = 1850
 
 

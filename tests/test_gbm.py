@@ -507,7 +507,7 @@ def assert_no_child_process():
 
 
 #: Tied fixtures whose targets, scaled by 1e153, overflow in the split search
-#: of a subtree that the worker grows, in the second tree.
+#: of a subtree that the worker grows, below a root that searches in range.
 WORKER_OVERFLOW_SEEDS = (22, 61, 68, 74)
 
 
