@@ -896,7 +896,7 @@ class _Worker:
                 # may deadlock the child, and importing numpy starts OpenBLAS
                 # threads. This child calls no BLAS routine, so it takes none
                 # of their locks, and it leaves by os._exit, running no
-                # interpreter shutdown; tier-1 fails on any other such warning.
+                # interpreter shutdown. Only this warning is ignored.
                 warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
                                         DeprecationWarning)
                 pid = os.fork()
