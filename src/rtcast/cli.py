@@ -426,13 +426,16 @@ def _in_unit(seconds: int, unit: int) -> str:
 def _forecast_splits(cfg: PipelineConfig, on=(), sweeps=False) -> dict:
     """The splits, once ``forecast.interval_fault`` passes the forecast keys on
     the splits ``on`` that forecasts run on and, with ``sweeps``, the ``ablate``
-    widths and intervals; else a ConfigError names the key, text and value."""
+    widths and intervals; else a ConfigError names the key, text and value.
+    The training split, which every model trains on, is the widths' warm-up,
+    and the UTC offset is checked on it even where no forecast runs."""
     parts = _load_splits(cfg)
-    sweep = dict(widths=cfg.window_widths_seconds, intervals=cfg.intervals_seconds,
-                 warmup={_SPLIT_NAMES["train"]: parts["train"]}) if sweeps else {}
+    sweep = dict(widths=cfg.window_widths_seconds,
+                 intervals=cfg.intervals_seconds) if sweeps else {}
     fault = forecast.interval_fault(
         parts["train"].interval_seconds, {_SPLIT_NAMES[name]: parts[name] for name in on},
         cfg.access_seconds, cfg.horizon_seconds, **sweep,
+        warmup={_SPLIT_NAMES["train"]: parts["train"]},
         offset=timebase.offset_seconds(cfg.engineering.utc_offset_hours))
     if fault:
         role, seconds, reason = fault
@@ -560,12 +563,12 @@ def cmd_ablate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
     def fit(groups):
         return gbm.train(build_design_matrix(train_t, cfg.engineering, groups), cfg.params)
 
-    # The sweeps run first, so a sweep that fails on the data exits after one
-    # model trains, not after the whole table: the horizon sweep re-scores
-    # the configured groups' model, which the combination table then reuses.
+    # The sweeps run first, so a sweep that fails on the data exits before
+    # the combination table trains: the horizon sweep re-scores the
+    # configured groups' model, which the combination table then reuses.
     # The window sweep's width 0 and configured window are the models of
-    # their groups with the configured engineering: a combination's model
-    # that is trained anyway, or the configured groups', serves there too.
+    # their groups with the configured engineering: the configured groups'
+    # model serves its width, and the sweep's own serve those combinations.
     models = {}
     if not args.skip_sweeps:
         models[cfg.groups] = fit(cfg.groups)
@@ -574,15 +577,13 @@ def cmd_ablate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
         )
         same = {0: forecast.NO_WINDOW_GROUPS,
                 cfg.engineering.mva_window * train_t.interval_seconds: forecast.WINDOW_GROUPS}
-        for groups in same.values():
-            if groups in cfg.ablate_combos and groups not in models:
-                models[groups] = fit(groups)
+        by_width = {w: models[groups] for w, groups in same.items() if groups in models}
         sweep = forecast.window_sweep(
             train_t, val_t, cfg.window_widths_seconds, cfg.engineering, cfg.params,
             access_interval_seconds=cfg.access_seconds,
-            horizon_seconds=cfg.horizon_seconds,
-            models={w: models[groups] for w, groups in same.items() if groups in models},
+            horizon_seconds=cfg.horizon_seconds, models=by_width,
         )
+        models.update((groups, by_width[w]) for w, groups in same.items() if w in by_width)
 
     rows = []
     for combo in cfg.ablate_combos:

@@ -35,9 +35,11 @@ def interval_fault(step: int, tables: dict, access: int, horizon: int, widths=()
     longer than a table in ``tables`` (name -> table), those the forecast runs
     on, nor a width than one in ``warmup``, those its model trains on, whose
     MVART warm-up it must leave a row. A sweep interval is both access
-    interval and horizon. The UTC ``offset`` is a multiple of ``step`` too:
-    anchors are the instants whose local time is a multiple of the access
-    interval, and an offset off the sampling grid leaves no instant there."""
+    interval and horizon. The UTC ``offset`` puts the local time of each
+    table in ``warmup`` and ``tables`` on a multiple of ``step``: anchors are
+    the instants whose local time is a multiple of the access interval, and a
+    table whose local instants are off that grid has none. Every instant of
+    a table is off the grid by as much as its first."""
     for role, seconds in [("access interval", access), ("horizon", horizon),
                           *(("width", w) for w in widths), *(("interval", s) for s in intervals)]:
         spans = {**((warmup or {}) if role == "width" else {}), **tables}
@@ -56,8 +58,10 @@ def interval_fault(step: int, tables: dict, access: int, horizon: int, widths=()
         else:
             continue
         return role, seconds, reason
-    if offset % step:
-        return "UTC offset", offset, f"is not a multiple of the {step} s sampling interval"
+    for name, t in {**(warmup or {}), **tables}.items():
+        if phase := (int(t.timestamps[0]) + offset) % step:
+            return ("UTC offset", offset, f"puts the {name}'s instants {phase} s past a local "
+                    f"multiple of the {step} s sampling interval")
     return None
 
 
@@ -248,7 +252,8 @@ def window_sweep(
     for both the smoother and MVART. Models are evaluated with a rolling
     forecast on the validation table at the fixed horizon, each trained with
     ``params``. ``models`` maps a width to its model where the caller has
-    one already, trained so on ``train_table``; that width trains nothing.
+    one already, trained so on ``train_table``; that width trains nothing,
+    and each model the sweep trains is added to it, for the caller to reuse.
 
     Returns a list of dicts: width_seconds, mse, mae, mape, r2.
     """
@@ -262,17 +267,17 @@ def window_sweep(
                            offset=timebase.offset_seconds(config.utc_offset_hours))
     if fault:
         raise ConfigError("{} {} s {}".format(*fault))
-    models = models or {}
+    models = {} if models is None else models
     out = []
     for w_sec in widths:
         if w_sec == 0:
             groups, cfg = NO_WINDOW_GROUPS, config
         else:
             groups, cfg = WINDOW_GROUPS, replace(config, mva_window=w_sec // step)
-        model = models[w_sec] if w_sec in models else train(
-            build_design_matrix(train_table, cfg, groups), params)
+        if w_sec not in models:
+            models[w_sec] = train(build_design_matrix(train_table, cfg, groups), params)
         run = rolling_forecast(
-            model, val_table, cfg,
+            models[w_sec], val_table, cfg,
             access_interval_seconds=access_interval_seconds,
             horizon_seconds=horizon_seconds,
         )

@@ -37,8 +37,9 @@ Each leaf writes its weight into the rows of its slice, which is the tree's
 output on its training rows.
 
 ``train`` shares each tree with one forked worker process when the set has
-at least ``PARALLEL_ROWS`` rows, ``max_depth > 2``, ``os.fork`` exists and
-the process may run on two CPUs or more. The working block, the gradient and
+at least ``PARALLEL_ROWS`` rows, ``max_depth > 1``, ``os.fork`` exists and
+the process may run on two CPUs or more (its affinity mask, capped by a
+cgroup v2 CPU quota). The working block, the gradient and
 the fitted values live in anonymous shared memory (``mmap``); the sorted
 block and the columns are only read, and the fork shares them too. A job is
 a subtree to grow, ``(lo, hi, live, depth)``, and ``_weight`` estimates its
@@ -58,7 +59,7 @@ parent. On that error, or when the worker is lost, the parent grows the tree
 again alone, so the error raised is the one that growing alone meets first.
 The worker leaves by ``os._exit`` on the stop message, or at the end of its
 pipe if the parent dies; ``train`` stops it and waits for it in a
-``finally``. The tree surrogate, small sets, shallow trees, one CPU and a
+``finally``. The tree surrogate, small sets, depth-1 trees, one CPU and a
 platform without ``fork`` grow alone.
 
 Every prediction reads one compiled form of the ensemble, built on first
@@ -794,19 +795,33 @@ def _grow(cols, grad, block, lo, hi, live, depth, max_depth, lambda_, gamma,
 PARALLEL_ROWS = 4096
 
 
+#: The cgroup v2 file with this process's CPU quota and period, where one is set.
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+
+
 def _cpus() -> int:
-    """The CPUs this process may run on."""
+    """The CPUs this process may run on: those of its affinity mask, or of
+    the machine, capped by its cgroup's CPU quota in whole CPUs, rounded down."""
     try:
-        return len(os.sched_getaffinity(0))
+        n = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call, as on macOS
-        return os.cpu_count() or 1
+        n = os.cpu_count() or 1
+    try:
+        with open(_CPU_MAX, encoding="ascii") as f:
+            quota, period = f.read().split()
+        n = min(n, int(quota) // int(period))
+    except (OSError, ValueError):  # no such file, or no quota ("max")
+        pass
+    return n
 
 
 def _two_processes(n_rows: int, params: Hyperparams) -> bool:
-    """Whether ``train`` forks a worker to share its trees. A tree of depth
-    2 or less has at most three split searches, too few to share: on 31,530
-    rows a depth-2 tree took 8.6 ms alone and 8.3 ms shared."""
-    return (n_rows >= PARALLEL_ROWS and params.max_depth > 2 and params.n_trees > 0
+    """Whether ``train`` forks a worker to share its trees. Below a depth-1
+    tree's root are only leaves, no subtree worth a message: on 31,524 rows
+    (365 days, 2 cores, 6 runs a side) a depth-1 tree took 4.2 ms alone and
+    4.8 ms shared, a depth-2 tree 8.5 and 8.6 ms (each side faster in 3 of
+    6 runs), a depth-3 tree 13.0 and 11.5 ms."""
+    return (n_rows >= PARALLEL_ROWS and params.max_depth > 1 and params.n_trees > 0
             and hasattr(os, "fork") and _cpus() >= 2)
 
 

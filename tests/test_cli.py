@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from rtcast import cli, explain, forecast, gbm, pffra, stats
 from rtcast.errors import ConfigError, DataError, NumericError
+from rtcast.features import EngineeringConfig
 
 CONFIG = """\
 data.source = synth
@@ -226,18 +227,22 @@ class TestExplainCommands:
 
 
 class TestAblate:
-    @pytest.mark.parametrize("combos,trained", [
-        ("IOTS-MVA+MVART+Holiday;IOTS+Holiday", 2),
-        ("IOTS+Holiday", 2),
-    ], ids=["default-groups-listed", "default-groups-not-listed"])
-    def test_each_model_is_trained_once(self, tmp_path, monkeypatch, combos, trained):
+    @pytest.mark.parametrize("combos,groups,trained", [
+        ("IOTS-MVA+MVART+Holiday;IOTS+Holiday", "IOTS-MVA+MVART+Holiday", 2),
+        ("IOTS+Holiday", "IOTS-MVA+MVART+Holiday", 2),
+        ("IOTS-MVA+MVART+Holiday;IOTS+Holiday", "IOTS+MVART+Holiday", 3),
+    ], ids=["default-groups-listed", "default-groups-not-listed", "other-groups"])
+    def test_each_model_is_trained_once(self, tmp_path, monkeypatch, combos, groups, trained):
         """Two combinations and two window widths are two models: the
         horizon sweep's model, of the configured groups, is the window
         sweep's 60-minute one and, when listed, a combination's; the
-        ``IOTS+Holiday`` combination is width 0."""
+        ``IOTS+Holiday`` combination is width 0. Other configured groups
+        are a third model, and the window sweep's two serve both
+        combinations."""
         cfg = tmp_path / "ablate.ini"
         cfg.write_text(CONFIG.replace("model.n_trees = 8", "model.n_trees = 5") + (
             f"ablate.combos = {combos}\n"
+            f"features.groups = {groups}\n"
             "ablate.window_widths_minutes = 0,60\n"
             "ablate.intervals_minutes = 60\n"
         ))
@@ -1061,11 +1066,11 @@ class TestForecastKeysAfterIngest:
         ("forecast.access_minutes = 60",
          "config forecast.horizon_minutes = 480: 480 exceeds the 60 min access interval"),
         ("features.utc_offset_hours = 0.1",
-         "config features.utc_offset_hours = 0.1: "
-         "0.1 is not a multiple of the 600 s sampling interval"),
+         "config features.utc_offset_hours = 0.1: 0.1 puts the training split's instants "
+         "360 s past a local multiple of the 600 s sampling interval"),
         ("features.utc_offset_hours = -5.75",
-         "config features.utc_offset_hours = -5.75: "
-         "-5.75 is not a multiple of the 600 s sampling interval"),
+         "config features.utc_offset_hours = -5.75: -5.75 puts the training split's instants "
+         "300 s past a local multiple of the 600 s sampling interval"),
     ], ids=["horizon-7", "access-95", "horizon-0", "horizon-past-access", "access-below-horizon",
             "offset-0.1", "offset-minus-5.75"])
     @pytest.mark.parametrize("command", [
@@ -1174,21 +1179,33 @@ class TestIntervalsFitTheirSplits:
     MINUTES = st.one_of(st.integers(-3, 300).map(lambda steps: 10 * steps),
                         st.integers(-30, 3000))
 
+    #: UTC offsets (s): on the 600 s grid, off it by 300 s (as +5.75 h) and by 360 s.
+    OFFSETS = st.one_of(st.integers(-144, 144).map(lambda k: 600 * k),
+                        st.sampled_from([20700, -20700, 360]))
+
     @settings(max_examples=80, deadline=None)
-    @given(access=MINUTES, horizon=MINUTES, rows=st.integers(1, 400))
-    @example(access=1440, horizon=480, rows=400)
-    @example(access=1440, horizon=480, rows=144)
-    @example(access=1440, horizon=480, rows=145)
-    @example(access=95, horizon=60, rows=400)
-    @example(access=1440, horizon=0, rows=400)
-    @example(access=-60, horizon=-60, rows=400)
-    @example(access=60, horizon=480, rows=400)
+    @given(access=MINUTES, horizon=MINUTES, rows=st.integers(1, 400), offset=OFFSETS,
+           shift=st.sampled_from([0, 300, 360]))
+    @example(access=1440, horizon=480, rows=400, offset=7200, shift=0)
+    @example(access=1440, horizon=480, rows=144, offset=7200, shift=0)
+    @example(access=1440, horizon=480, rows=145, offset=7200, shift=0)
+    @example(access=95, horizon=60, rows=400, offset=7200, shift=0)
+    @example(access=1440, horizon=0, rows=400, offset=7200, shift=0)
+    @example(access=-60, horizon=-60, rows=400, offset=7200, shift=0)
+    @example(access=60, horizon=480, rows=400, offset=7200, shift=0)
+    @example(access=1440, horizon=480, rows=400, offset=20700, shift=300)
+    @example(access=1440, horizon=480, rows=400, offset=0, shift=300)
+    @example(access=1440, horizon=480, rows=400, offset=360, shift=0)
     def test_cli_check_passes_exactly_when_the_forecast_does(self, small_model, synth_table,
-                                                           access, horizon, rows):
+                                                           access, horizon, rows, offset,
+                                                           shift):
         """One rule: the CLI's check on the forecast keys and a rolling
-        forecast over the split it names refuse the same values."""
+        forecast over the split it names refuse the same values, on stamps
+        ``shift`` s past the UTC grid."""
         split = synth_table.row_slice(0, rows)
-        cfg = cli.PipelineConfig(out_dir="unused", quiet=True,
+        split = dataclasses.replace(split, timestamps=split.timestamps + shift)
+        engineering = EngineeringConfig(utc_offset_hours=offset / 3600)
+        cfg = cli.PipelineConfig(out_dir="unused", quiet=True, engineering=engineering,
                                  access_seconds=access * 60, horizon_seconds=horizon * 60)
         with mock.patch.object(cli, "_load_splits",
                                return_value={"train": split, "val": split, "test": split}):

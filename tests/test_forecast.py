@@ -1,4 +1,5 @@
 """Rolling re-anchored forecasting and the window/horizon sweeps."""
+import dataclasses
 import itertools
 
 import numpy as np
@@ -107,15 +108,31 @@ class TestRollingForecast:
                 access_interval_seconds=86400, horizon_seconds=900,
             )
 
-    @pytest.mark.parametrize("hours, seconds", [(0.1, 360), (-5.75, -20700)])
+    @pytest.mark.parametrize("hours, shift, seconds, phase", [
+        (0.1, 0, 360, 360), (-5.75, 0, -20700, 300), (0.0, 300, 0, 300),
+    ], ids=["0.1-h-utc-stamps", "minus-5.75-h-utc-stamps", "0-h-stamps-off-utc"])
     def test_utc_offset_must_align_to_sampling(self, small_model, synth_splits, hours,
-                                               seconds):
-        """No local instant of a table on a 600 s grid is a multiple of the
-        access interval under an offset off that grid: no anchor."""
-        with pytest.raises(ConfigError, match=f"^UTC offset {seconds} s is not a multiple "
-                                              "of the 600 s sampling interval$"):
-            forecast.rolling_forecast(small_model, synth_splits[1],
+                                               shift, seconds, phase):
+        """No local instant of a table is a multiple of the access interval
+        when the offset leaves its stamps off the local sampling grid: no
+        anchor. The stamps' own phase counts, not the offset alone."""
+        table = dataclasses.replace(synth_splits[1], timestamps=synth_splits[1].timestamps + shift)
+        with pytest.raises(ConfigError, match=f"^UTC offset {seconds} s puts the table's instants "
+                                              f"{phase} s past a local multiple of the 600 s "
+                                              "sampling interval$"):
+            forecast.rolling_forecast(small_model, table,
                                       EngineeringConfig(utc_offset_hours=hours))
+
+    def test_stamps_logged_on_local_time_anchor_at_local_midnight(self, small_model,
+                                                                  synth_splits):
+        """10-minute data logged on local :00, :10, ... at +5.75 h (Nepal):
+        its UTC stamps are 300 s past the UTC grid, and the offset puts
+        them back on the local one."""
+        table = dataclasses.replace(synth_splits[1], timestamps=synth_splits[1].timestamps + 300)
+        config = EngineeringConfig(utc_offset_hours=5.75)
+        run = forecast.rolling_forecast(small_model, table, config)
+        assert len(run.anchors) > 0
+        assert ((run.anchors + timebase.offset_seconds(5.75)) % 86400 == 0).all()
 
     def test_table_must_span_one_interval(self, small_model, synth_splits,
                                           engineering):
@@ -434,12 +451,19 @@ class TestSweeps:
                 synth_splits[0], synth_splits[1], widths, engineering, params,
             )
 
-    def test_window_sweep_rejects_an_offset_off_the_grid(self, synth_splits, monkeypatch):
+    @pytest.mark.parametrize("hours, val_shift, message", [
+        (0.1, 0, "UTC offset 360 s puts the training table's instants 360 s past"),
+        (0.0, 300, "UTC offset 0 s puts the validation table's instants 300 s past"),
+    ], ids=["offset-off-the-grid", "validation-stamps-off-the-grid"])
+    def test_window_sweep_rejects_an_offset_off_the_grid(self, synth_splits, monkeypatch,
+                                                         hours, val_shift, message):
         monkeypatch.setattr(forecast, "train", None)
-        with pytest.raises(ConfigError, match="^UTC offset 360 s is not a multiple of the 600 s "
+        val = dataclasses.replace(synth_splits[1],
+                                  timestamps=synth_splits[1].timestamps + val_shift)
+        with pytest.raises(ConfigError, match=f"^{message} a local multiple of the 600 s "
                                               "sampling interval$"):
-            forecast.window_sweep(synth_splits[0], synth_splits[1], [0, 3600],
-                                  EngineeringConfig(utc_offset_hours=0.1),
+            forecast.window_sweep(synth_splits[0], val, [0, 3600],
+                                  EngineeringConfig(utc_offset_hours=hours),
                                   gbm.Hyperparams(max_depth=3, n_trees=5))
 
     @pytest.mark.parametrize("train_rows, val_rows, width, message", [

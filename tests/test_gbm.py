@@ -528,7 +528,7 @@ class TestTwoProcesses:
         params = Hyperparams(max_depth=depth, n_trees=n_trees, gamma=gamma, lambda_=lam)
         alone, both, shared = train_both_ways(X, params)
         assert both == alone
-        assert shared == (n_trees if depth > 2 else 0)
+        assert shared == (n_trees if depth > 1 else 0)
         assert_no_child_process()
 
     @pytest.mark.parametrize("params, digest", [
@@ -619,8 +619,9 @@ class TestTwoProcesses:
         assert (both, shared) == (alone, 2)
         assert_no_child_process()
 
-    @pytest.mark.parametrize("platform", ["no-fork", "one-cpu", "one-cpu-no-affinity"])
-    def test_no_process_without_fork_or_a_second_cpu(self, monkeypatch, platform):
+    @pytest.mark.parametrize("platform", ["no-fork", "one-cpu", "one-cpu-no-affinity",
+                                          "one-cpu-quota"])
+    def test_no_process_without_fork_or_a_second_cpu(self, monkeypatch, tmp_path, platform):
         forks = []
         if platform == "no-fork":
             monkeypatch.delattr(os, "fork")
@@ -630,8 +631,12 @@ class TestTwoProcesses:
             monkeypatch.setattr(os, "cpu_count", lambda: 1)
             if platform == "one-cpu":
                 monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-            else:
+            elif platform == "one-cpu-no-affinity":
                 monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            else:  # two CPUs in the mask, one and a half of quota
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+                (tmp_path / "cpu.max").write_text("150000 100000\n")
+                monkeypatch.setattr(gbm, "_CPU_MAX", str(tmp_path / "cpu.max"))
         rows, y = tied_fixture(9)
         X = make_matrix(rows, [f"f{i}" for i in range(rows.shape[1])], target=y)
         params = Hyperparams(max_depth=6, n_trees=3)
@@ -641,6 +646,20 @@ class TestTwoProcesses:
             assert gbm.dumps(gbm.train(X, params)) == alone
         assert forks == []
         assert_no_child_process()
+
+    @pytest.mark.parametrize("cpu_max, cpus", [
+        (None, 4), ("max 100000\n", 4), ("200000 100000\n", 2), ("50000 100000\n", 0),
+        ("1000000 100000\n", 4), ("", 4),
+    ], ids=["no-cgroup-file", "no-quota", "two-cpus-of-quota", "half-a-cpu", "quota-past-mask",
+            "unreadable"])
+    def test_cpus_is_the_affinity_mask_capped_by_the_cgroup_quota(self, monkeypatch, tmp_path,
+                                                                  cpu_max, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        path = tmp_path / "cpu.max"
+        if cpu_max is not None:
+            path.write_text(cpu_max)
+        monkeypatch.setattr(gbm, "_CPU_MAX", str(path))
+        assert gbm._cpus() == cpus
 
 
 class TestImportanceAndSerialization:
