@@ -273,6 +273,8 @@ def _build_config(args) -> PipelineConfig:
     )
     if cfg.source == "csv" and not cfg.csv_path:
         raise ConfigError(f"{_SOURCE_KEY}=csv needs {_CSV_KEY}=<path>")
+    if cfg.grid is not None:
+        cfg.grid.combos()  # each combination's Hyperparams checks its values
     return cfg
 
 
@@ -560,36 +562,32 @@ def cmd_evaluate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
 def cmd_ablate(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
     train_t, val_t, _ = _forecast_splits(cfg, on=("val",), sweeps=not args.skip_sweeps).values()
 
-    def fit(groups):
-        return gbm.train(build_design_matrix(train_t, cfg.engineering, groups), cfg.params)
-
-    # The sweeps run first, so a sweep that fails on the data exits before
-    # the combination table trains: the horizon sweep re-scores the
-    # configured groups' model, which the combination table then reuses.
-    # The window sweep's width 0 and configured window are the models of
-    # their groups with the configured engineering: the configured groups'
-    # model serves its width, and the sweep's own serve those combinations.
+    # Every model trained on train_t with cfg.params, by (groups, engineering):
+    # the horizon sweep, the window sweep and the combination table train
+    # each one once. The sweeps run first, so a sweep that fails on the data
+    # exits before the combination table trains.
     models = {}
+
+    def fit(groups):
+        key = (groups, cfg.engineering)
+        if key not in models:
+            models[key] = gbm.train(build_design_matrix(train_t, cfg.engineering, groups),
+                                    cfg.params)
+        return models[key]
+
     if not args.skip_sweeps:
-        models[cfg.groups] = fit(cfg.groups)
         hsweep = forecast.horizon_sweep(
-            models[cfg.groups], val_t, cfg.engineering, cfg.intervals_seconds
+            fit(cfg.groups), val_t, cfg.engineering, cfg.intervals_seconds
         )
-        same = {0: forecast.NO_WINDOW_GROUPS,
-                cfg.engineering.mva_window * train_t.interval_seconds: forecast.WINDOW_GROUPS}
-        by_width = {w: models[groups] for w, groups in same.items() if groups in models}
         sweep = forecast.window_sweep(
             train_t, val_t, cfg.window_widths_seconds, cfg.engineering, cfg.params,
             access_interval_seconds=cfg.access_seconds,
-            horizon_seconds=cfg.horizon_seconds, models=by_width,
+            horizon_seconds=cfg.horizon_seconds, models=models,
         )
-        models.update((groups, by_width[w]) for w, groups in same.items() if w in by_width)
 
     rows = []
     for combo in cfg.ablate_combos:
-        if combo not in models:
-            models[combo] = fit(combo)
-        report = _rolling(cfg, models[combo], val_t).report()
+        report = _rolling(cfg, fit(combo), val_t).report()
         rows.append(["+".join(sorted(combo)), *report.as_dict().values()])
     out.write_csv("ablation.csv", ["group", *_METRICS], list(zip(*rows)))
     if not args.skip_sweeps:
@@ -662,7 +660,7 @@ def cmd_explain(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
                        _doc(explain.fit_surrogate_ridge(model, x_train, cfg.explain_lambda)))
         tree, fidelity = explain.fit_surrogate_tree(model, x_train, cfg.explain_tree_depth)
         out.write_json("surrogate_tree.json", {
-            "tree": gbm._node_to_dict(tree),
+            "tree": gbm.tree_to_dict(tree),
             "fidelity_r2": fidelity,
             "importance": gbm.feature_importance_gain((tree,), x_train.feature_names),
             "max_depth": cfg.explain_tree_depth,

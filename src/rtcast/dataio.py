@@ -130,7 +130,7 @@ class SplitSpec:
     def __post_init__(self):
         order = (self.data_start, self.train_end, self.val_end, self.data_cutoff)
         if not (order[0] < order[1] < order[2] < order[3]):
-            raise SplitError(
+            raise ConfigError(
                 "split dates must be strictly increasing "
                 f"(got {', '.join(d.isoformat() for d in order)})"
             )

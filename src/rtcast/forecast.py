@@ -251,9 +251,9 @@ def window_sweep(
     other width uses the full pipeline (``WINDOW_GROUPS``) with that window
     for both the smoother and MVART. Models are evaluated with a rolling
     forecast on the validation table at the fixed horizon, each trained with
-    ``params``. ``models`` maps a width to its model where the caller has
-    one already, trained so on ``train_table``; that width trains nothing,
-    and each model the sweep trains is added to it, for the caller to reuse.
+    ``params``. ``models`` maps ``(groups, engineering)`` to a model trained
+    from them on ``train_table`` with ``params``: a width whose model is there
+    trains nothing, and the sweep adds each model it trains, for reuse.
 
     Returns a list of dicts: width_seconds, mse, mae, mape, r2.
     """
@@ -274,10 +274,10 @@ def window_sweep(
             groups, cfg = NO_WINDOW_GROUPS, config
         else:
             groups, cfg = WINDOW_GROUPS, replace(config, mva_window=w_sec // step)
-        if w_sec not in models:
-            models[w_sec] = train(build_design_matrix(train_table, cfg, groups), params)
+        if (groups, cfg) not in models:
+            models[groups, cfg] = train(build_design_matrix(train_table, cfg, groups), params)
         run = rolling_forecast(
-            models[w_sec], val_table, cfg,
+            models[groups, cfg], val_table, cfg,
             access_interval_seconds=access_interval_seconds,
             horizon_seconds=horizon_seconds,
         )

@@ -39,28 +39,32 @@ output on its training rows.
 ``train`` shares each tree with one forked worker process when the set has
 at least ``PARALLEL_ROWS`` rows, ``max_depth > 1``, ``os.fork`` exists and
 the process may run on two CPUs or more (its affinity mask, capped by a
-cgroup v2 CPU quota). The working block, the gradient and
-the fitted values live in anonymous shared memory (``mmap``); the sorted
-block and the columns are only read, and the fork shares them too. A job is
-a subtree to grow, ``(lo, hi, live, depth)``, and ``_weight`` estimates its
-work; the worker adds the weight of each job it finishes to a shared
-counter. The parent holds the whole tree as one job. Before each of its
-jobs, it compares the work it holds with the work the worker has left (sent
-and not yet finished). While it holds more, it grows the root of its
-heaviest job and sends the lighter child to the worker, if the worker then
-still has less; when it holds no more, it grows the job whole. Then it reads
-the worker's subtrees back in one reply, as model document nodes. A subtree
-touches only its block slice ``[lo, hi)`` and its own rows of the fitted
-values, and each process has its own ``goes_left``, so every node is the
-same code on the same data in either process: the trees are the same bit
-for bit as growing alone, whichever process grows which node. An exception in the
-worker, such as a ``FloatingPointError``, is pickled back and raised in the
-parent. On that error, or when the worker is lost, the parent grows the tree
-again alone, so the error raised is the one that growing alone meets first.
-The worker leaves by ``os._exit`` on the stop message, or at the end of its
-pipe if the parent dies; ``train`` stops it and waits for it in a
-``finally``. The tree surrogate, small sets, depth-1 trees, one CPU and a
-platform without ``fork`` grow alone.
+cgroup v2 CPU quota). The working block, the gradient and the fitted values
+live in anonymous shared memory (``mmap``); the sorted block and the columns
+are only read, and the fork shares them too. A job is a subtree to grow,
+``(lo, hi, live, depth)``, and ``_weight`` estimates its work; the worker
+adds the weight of each job it finishes to a shared counter. The parent
+holds the whole tree as one job. Before each of its jobs, it compares the
+work it holds with the work the worker has left (sent and not yet finished).
+While it holds more, it grows the root of its heaviest job and sends the
+lighter child to the worker, if the worker then still has less; when it
+holds no more, it grows the job whole. A child not grown yet is a
+placeholder leaf, which the subtree grown for it overwrites in place; the
+worker replies once per tree, with the ``TreeNode`` subtrees it grew. A
+subtree touches only its block slice ``[lo, hi)`` and its own rows of the
+fitted values, and each process has its own ``goes_left``, so every node is
+the same code on the same data in either process: the trees are the same bit
+for bit as growing alone, whichever process grows which node.
+
+Any exception in the worker, such as a ``FloatingPointError``, ends it, and
+the parent finds its reply pipe closed, as when the worker is lost in any
+other way. The parent then grows the tree again alone, as on a
+``FloatingPointError`` of its own, so the error raised is the one that
+growing alone meets first. The worker leaves by ``os._exit`` on the stop
+message, on an exception, or at the end of its pipe if the parent dies;
+``train`` stops it and waits for it in a ``finally``. The tree surrogate,
+small sets, depth-1 trees, one CPU and a platform without ``fork`` grow
+alone.
 
 Every prediction reads one compiled form of the ensemble, built on first
 use: flat arrays over the nodes of all trees, numbered breadth first, node 0
@@ -139,6 +143,7 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -148,7 +153,9 @@ from .features import FeatureMatrix, check_finite
 from .stats import metrics
 
 
-@dataclass
+# Slots: a node holds no dict of its own, which unpickling a worker's subtrees
+# would build; a 100-tree model of 120 days holds 1.1 MB, not 2.0 MB.
+@dataclass(slots=True)
 class TreeNode:
     """Branch (feature_index/threshold/left/right) or leaf (weight)."""
 
@@ -750,12 +757,12 @@ def _grow(cols, grad, block, lo, hi, live, depth, max_depth, lambda_, gamma,
           goes_left, out, jobs=None, stop=None):
     """Grow the subtree of the block slice ``[lo, hi)``, partitioning it in
     place; ``live`` lists the features that may still have a cut there. With
-    a ``jobs`` list, a node at depth ``stop`` is not grown: its arguments
-    ``(lo, hi, live, depth)`` are appended to ``jobs``, and the tree holds the
-    job's number in its place."""
+    a ``jobs`` list, a node at depth ``stop`` is not grown: the tree holds a
+    placeholder leaf in its place, for the subtree grown later to overwrite,
+    and ``(placeholder, (lo, hi, live, depth))`` is appended to ``jobs``."""
     if depth == stop:
-        jobs.append((lo, hi, live, depth))
-        return len(jobs) - 1
+        jobs.append((TreeNode(weight=0.0), (lo, hi, live, depth)))
+        return jobs[-1][0]
     node = block[:, lo:hi]
     idx = node[-1]
     split = None
@@ -849,44 +856,37 @@ def _weight(job: tuple, max_depth: int) -> int:
     return (hi - lo) * (len(live) + 1) * levels + _NODE_WORK * nodes
 
 
-def _assemble(k: int, parts: dict, split: set) -> TreeNode:
-    """The subtree of job ``k``: its grown part, in which a job that was
-    split holds the job numbers of its two children."""
-    node = parts[k]
-    if k in split:
-        node.left = _assemble(node.left, parts, split)
-        node.right = _assemble(node.right, parts, split)
-    return node
+def _fill(placeholder: TreeNode, grown: TreeNode) -> None:
+    """Make a placeholder leaf the root of the subtree grown for it."""
+    for name in TreeNode.__slots__:
+        setattr(placeholder, name, getattr(grown, name))
 
 
 def _serve(request_fd: int, reply_fd: int, cols, block, grad, out, done) -> None:
     """The worker's loop: grow the jobs of each request on the shared arrays,
     adding each job's weight to ``done[0]`` as it finishes, and, when a
-    request asks for it, reply with the subtrees grown since the last reply
-    (``_node_to_dict`` documents), or with the exception that stopped them;
-    until a stop message (None) or the end of the pipe."""
+    request asks for it, reply with the ``TreeNode`` subtrees grown since the
+    last reply; until a stop message (None), the end of the pipe, or an
+    exception, which ends the worker and so closes its reply pipe."""
     # A Ctrl-C stops the parent, which still reads this worker's reply.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     goes_left = np.zeros(block.shape[1], dtype=bool)
-    grown, error = [], None
-    with open(request_fd, "rb") as requests, open(reply_fd, "wb") as replies:
+    grown = []
+    with open(request_fd, "rb") as requests, open(reply_fd, "wb") as replies, \
+            np.errstate(over="raise", invalid="raise"):
         while (request := pickle.load(requests)) is not None:
             (max_depth, lambda_, gamma), jobs, reply = request
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    for job in jobs if error is None else ():
-                        grown.append(_node_to_dict(_grow(cols, grad, block, *job, max_depth,
-                                                         lambda_, gamma, goes_left, out)))
-                        done[0] += _weight(job, max_depth)
-            except Exception as exc:  # the parent raises it
-                error = exc
+            for job in jobs:
+                grown.append(_grow(cols, grad, block, *job, max_depth, lambda_, gamma,
+                                   goes_left, out))
+                done[0] += _weight(job, max_depth)
             if reply:
-                pickle.dump(grown if error is None else error, replies)
+                pickle.dump(grown, replies)
                 replies.flush()
-                grown, error = [], None
+                grown = []
 
 
-#: What a broken pipe to the worker raises: the parent then grows the tree alone.
+#: What reading a lost worker's reply raises: the parent then grows the tree alone.
 _LOST = (EOFError, OSError, pickle.UnpicklingError)
 
 
@@ -931,61 +931,57 @@ class _Worker:
         return cls(pid, open(request_w, "wb"), open(reply_r, "rb"), done)
 
     def _send(self, message) -> None:
-        pickle.dump(message, self._requests)
-        self._requests.flush()
+        with contextlib.suppress(OSError):  # a lost worker is found at its reply
+            pickle.dump(message, self._requests)
+            self._requests.flush()
 
     def grow(self, cols, grad, block, max_depth, lambda_, gamma, out) -> TreeNode:
         """One tree, shared with the worker (see the module docstring)."""
         n = block.shape[1]
         goes_left = np.zeros(n, dtype=bool)
         params = (max_depth, lambda_, gamma)
-        jobs = [(0, n, range(len(cols)), 0)]
-        weight = [_weight(jobs[0], max_depth)]
-        mine, parts, split, sent = [0], {}, set(), []
-        held = weight[0]  # the weight of the jobs held here
+        root = TreeNode(weight=0.0)
+        job = (0, n, range(len(cols)), 0)
+        # (weight, placeholder, job) of each job held here, heaviest first.
+        mine = [(_weight(job, max_depth), root, job)]
+        sent, reply = [], []  # the placeholders sent, and the worker's subtrees
+        held = mine[0][0]  # the weight of the jobs held here
         try:
             while mine:
-                k = mine.pop(0)
+                weight, node, job = mine.pop(0)
                 left = self._sent - int(self._done[0])  # the worker's work left
-                if held <= left:
-                    parts[k] = _grow(cols, grad, block, *jobs[k], max_depth, lambda_, gamma,
-                                     goes_left, out)
-                    held -= weight[k]
+                # Whole, or only its root while it holds more than the worker.
+                stop = None if held <= left else job[3] + 1
+                kids = []
+                grown = _grow(cols, grad, block, *job, max_depth, lambda_, gamma, goes_left,
+                              out, kids, stop)
+                _fill(node, grown)
+                held -= weight
+                if not kids:  # grown whole, or a leaf
                     continue
-                parts[k] = _grow(cols, grad, block, *jobs[k], max_depth, lambda_, gamma,
-                                 goes_left, out, jobs, jobs[k][3] + 1)
-                held -= weight[k]
-                kids = list(range(len(weight), len(jobs)))
-                if not kids:  # a leaf
-                    continue
-                split.add(k)
-                weight += [_weight(jobs[j], max_depth) for j in kids]
-                held += weight[kids[0]] + weight[kids[1]]
-                light = min(kids, key=weight.__getitem__)
-                if left + weight[light] < held:
-                    self._send((params, [jobs[light]], False))
-                    sent.append(light)
+                kids = [(_weight(job, max_depth), node, job) for node, job in kids]
+                held += kids[0][0] + kids[1][0]
+                light = min(kids, key=itemgetter(0))
+                if left + light[0] < held:
+                    self._send((params, [light[2]], False))
+                    sent.append(light[1])
                     kids.remove(light)
-                    held -= weight[light]
-                    self._sent += weight[light]
-                mine = sorted(mine + kids, key=weight.__getitem__, reverse=True)
+                    held -= light[0]
+                    self._sent += light[0]
+                mine = sorted(mine + kids, key=itemgetter(0), reverse=True)
         finally:
             # Always read the reply, so the worker is idle when this returns.
             if sent:
                 self._send((params, [], True))
                 reply = pickle.load(self._replies)
-        if sent:
-            if isinstance(reply, Exception):
-                raise reply
-            parts.update((k, _node_from_dict(doc, len(cols))[0]) for k, doc in zip(sent, reply))
-        return _assemble(0, parts, split)
+        for node, grown in zip(sent, reply):
+            _fill(node, grown)
+        return root
 
     def close(self) -> None:
         """Stop the worker and wait for it to exit."""
         try:
             self._send(None)
-        except OSError:  # the worker has exited already
-            pass
         finally:
             with contextlib.suppress(OSError):
                 self._requests.close()
@@ -1032,10 +1028,10 @@ def grow_tree(rows, grad, max_depth: int, lambda_: float, gamma: float,
             try:
                 return worker.grow(cols, grad, block, max_depth, lambda_, gamma, out)
             except (FloatingPointError, *_LOST):
-                # Which error comes first depends on the order of the work,
-                # and a lost worker may leave its slices half partitioned:
-                # the tree is grown again alone, which raises the error
-                # that a serial run raises.
+                # Any error ends the worker, which is then lost and may leave
+                # its slices half partitioned, and which error comes first
+                # depends on the order of the work: the tree is grown again
+                # alone, which raises the error that a serial run raises.
                 block[...] = start
         return _grow(cols, grad, block, 0, n, range(len(cols)), 0, max_depth, lambda_,
                      gamma, np.zeros(n, dtype=bool), out)
@@ -1167,15 +1163,16 @@ def feature_importance_gain(trees, feature_names) -> dict:
     return totals
 
 
-def _node_to_dict(node: TreeNode) -> dict:
+def tree_to_dict(node: TreeNode) -> dict:
+    """A tree as the nested dict of a model document, one of ``to_dict``'s trees."""
     if node.is_leaf:
         return {"weight": node.weight}
     return {
         "feature_index": node.feature_index,
         "threshold": node.threshold,
         "gain": node.gain,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
+        "left": tree_to_dict(node.left),
+        "right": tree_to_dict(node.right),
     }
 
 
@@ -1241,7 +1238,7 @@ def to_dict(model: Ensemble) -> dict:
         "lambda": model.lambda_,
         "gamma": model.gamma,
         "feature_names": list(model.feature_names),
-        "trees": [_node_to_dict(t) for t in model.trees],
+        "trees": [tree_to_dict(t) for t in model.trees],
     }
 
 

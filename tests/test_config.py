@@ -208,6 +208,30 @@ def test_non_finite_empty_or_out_of_range_value_exits_two(tmp_path, capsys, text
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+MISORDERED_SPLIT = """\
+split.data_start = 2024-06-01
+split.train_end = 2024-01-01
+split.val_end = 2024-09-01
+split.data_cutoff = 2024-12-31
+"""
+
+
+@pytest.mark.parametrize("text, message", [
+    (MISORDERED_SPLIT, "split dates must be strictly increasing "
+                       "(got 2024-06-01, 2024-01-01, 2024-09-01, 2024-12-31)"),
+    ("grid.max_depth = 0,3\n", "max_depth must be >= 1, got 0"),
+], ids=["misordered-split-dates", "grid-depth-zero"])
+def test_bad_value_exits_two_before_any_input_is_read(tmp_path, capsys, text, message):
+    """The CSV the config names does not exist, and the config error is the
+    one reported."""
+    path = tmp_path / "bad.ini"
+    path.write_text(f"data.source = csv\ndata.csv = {tmp_path / 'missing.csv'}\n{text}")
+    code = cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet", "train"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_unreadable_holiday_file_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError, match="features.holiday_file"):
         resolve(tmp_path, f"features.holiday_file = {tmp_path / 'missing.txt'}\n")

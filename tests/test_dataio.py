@@ -605,7 +605,7 @@ class TestCsvLines:
 class TestSplit:
     def test_spec_must_be_strictly_increasing(self):
         d = timebase.parse_day
-        with pytest.raises(SplitError):
+        with pytest.raises(ConfigError):
             SplitSpec(d("2020-01-01"), d("2020-01-01"), d("2020-02-01"), d("2020-03-01"))
 
     def test_partitions_are_contiguous_and_exhaustive(self, synth_table):

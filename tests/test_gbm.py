@@ -553,10 +553,11 @@ class TestTwoProcesses:
         load = pickle.load
 
         def reading(file):
-            reply = load(file)
-            if isinstance(reply, Exception):
-                raised.append(reply)
-            return reply
+            try:
+                return load(file)
+            except Exception as exc:
+                raised.append(exc)
+                raise
 
         monkeypatch.setattr(pickle, "load", reading)
         for seed in WORKER_OVERFLOW_SEEDS:
@@ -574,14 +575,32 @@ class TestTwoProcesses:
                 assert_no_child_process()
             assert messages[1] == messages[0], seed
             assert messages[0].startswith("training arithmetic left the float range: ")
-            # The worker met the overflow, and sent it back.
-            assert [type(e) for e in raised] == [FloatingPointError], seed
+            # The worker met the overflow, which ended it: the reply read
+            # found its pipe closed.
+            assert [type(e) for e in raised] == [EOFError], seed
 
     def test_a_lost_worker_leaves_the_trees_unchanged(self, monkeypatch):
         """A worker that exits at once: each tree is grown again alone."""
         rows, y = tied_fixture(7)
         X = make_matrix(rows, [f"f{i}" for i in range(rows.shape[1])], target=y)
         monkeypatch.setattr(gbm, "_serve", lambda *args: None)
+        alone, both, shared = train_both_ways(X, Hyperparams(max_depth=5, n_trees=4))
+        assert (both, shared) == (alone, 4)
+        assert_no_child_process()
+
+    def test_an_error_only_the_worker_meets_leaves_the_trees_unchanged(self, monkeypatch):
+        """Any exception ends the worker, which is then lost: each tree it
+        shared is grown again alone, and no error reaches the caller."""
+        rows, y = tied_fixture(7)
+        X = make_matrix(rows, [f"f{i}" for i in range(rows.shape[1])], target=y)
+        parent, weight = os.getpid(), gbm._weight
+
+        def weight_in_the_parent(job, max_depth):
+            if os.getpid() != parent:
+                raise RuntimeError("only the worker meets this")
+            return weight(job, max_depth)
+
+        monkeypatch.setattr(gbm, "_weight", weight_in_the_parent)
         alone, both, shared = train_both_ways(X, Hyperparams(max_depth=5, n_trees=4))
         assert (both, shared) == (alone, 4)
         assert_no_child_process()

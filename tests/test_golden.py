@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rtcast import cli
+from rtcast import cli, gbm
 
 CONFIG = """\
 data.source = synth
@@ -109,6 +109,24 @@ def test_every_artifact_matches_its_golden_digest(tmp_path):
     if not TABLE.exists():
         pytest.skip(f"no golden digest table for numpy {NUMPY_MAJOR}.x ({TABLE.name}); "
                     f"the computed one is in {dump}")
+    assert differences(json.loads(TABLE.read_text())["artifacts"], got) \
+        == {"missing": [], "new": [], "changed": []}
+
+
+def test_every_artifact_matches_its_golden_digest_on_two_processes(tmp_path, monkeypatch):
+    """The golden run trains on fewer rows than ``gbm.PARALLEL_ROWS``, so the
+    test above grows every tree alone. Here every ``train`` shares its trees
+    with a forked worker, and every artifact keeps its digest."""
+    if not TABLE.exists():
+        pytest.skip(f"no golden digest table for numpy {NUMPY_MAJOR}.x ({TABLE.name})")
+    forks = []
+    fork = gbm._Worker.fork
+    monkeypatch.setattr(gbm._Worker, "fork",
+                        classmethod(lambda cls, *arrays: forks.append(None) or fork(*arrays)))
+    monkeypatch.setattr(gbm, "PARALLEL_ROWS", 0)
+    monkeypatch.setattr(gbm, "_cpus", lambda: 2)
+    got = run_commands(tmp_path)
+    assert forks
     assert differences(json.loads(TABLE.read_text())["artifacts"], got) \
         == {"missing": [], "new": [], "changed": []}
 

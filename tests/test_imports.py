@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and no
+package module reads another one's private (``_``-prefixed) names."""
 import ast
 import pathlib
 
@@ -28,3 +29,33 @@ def test_every_import_is_used(path):
     unused = [f"{name} (line {line})" for name, line in imported_names(tree)
               if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_reads(tree):
+    """(``module.name``, line) for each private name of another package module
+    that this module imports (``from .module import _name``) or reads as an
+    attribute of a module it imports (``from . import module``)."""
+    modules, out = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                modules.update(alias.asname or alias.name for alias in node.names)
+            else:
+                out += [(f"{node.module}.{alias.name}", node.lineno)
+                        for alias in node.names if is_private(alias.name)]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and is_private(node.attr)):
+            out.append((f"{node.value.id}.{node.attr}", node.lineno))
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_reads_another_modules_private_names(path):
+    reads = [f"{name} (line {line})"
+             for name, line in private_reads(ast.parse(path.read_text(encoding="utf-8")))]
+    assert not reads, f"{path.name} reads private names of other modules: {reads}"
