@@ -19,13 +19,14 @@ import math
 import os
 import sys
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import dataio, explain, forecast, gbm, pffra, stats, timebase
 from .dataio import SplitSpec, SynthConfig, TimeTable
-from .errors import ConfigError, DataError, NumericError, ParseError, SelectionError, ToolkitError
+from .errors import ConfigError, DataError, NumericError, ToolkitError
 from .features import (EngineeringConfig, build_design_matrix, check_finite, feature_order,
                        groups_for_features, training_means)
 from .gbm import Ensemble, HyperparamGrid, Hyperparams
@@ -99,182 +100,161 @@ class PipelineConfig:
         return self.synth.seed
 
 
-# Value parsers: (key, text) -> value, raising a ConfigError that names the key.
+# Value parsers: text -> value. Each raises ValueError with a short reason, or
+# lets a ToolkitError through; ``_as_config_error`` reports either with the
+# key and its text.
 
-def _text(key, text):
-    return text
-
-
-def _int(key, text):
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"config {key} must be an integer, got {text!r}") from None
-
-
-def _float(key, text):
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"config {key} must be a number, got {text!r}") from None
+def _float(text):
+    value = float(text)
     if not math.isfinite(value):
-        raise ConfigError(f"config {key} must be a finite number, got {text!r}")
+        raise ValueError(f"not a finite number: {text!r}")
     return value
 
 
-def _minutes(key, text):
-    return _int(key, text) * 60
+def _minutes(text):
+    return int(text) * 60
 
 
-def _bool(key, text):
+def _bool(text):
     if text.lower() not in ("true", "false"):
-        raise ConfigError(f"config {key} must be true or false, got {text!r}")
+        raise ValueError("must be true or false")
     return text.lower() == "true"
 
 
-def _nonempty(key, text, parts):
+def _nonempty(parts):
     if not parts:
-        raise ConfigError(f"config {key} needs at least one value, got {text!r}")
+        raise ValueError("needs at least one value")
     return parts
 
 
-def _list(parse):
-    def parse_list(key, text):
-        parts = [part.strip() for part in text.split(",") if part.strip()]
-        try:
-            values = tuple(parse(key, part) for part in parts)
-        except ConfigError:
-            raise ConfigError(f"config {key} has a malformed list: {text!r}") from None
-        return _nonempty(key, text, values)
+def _list(parse, sep=","):
+    def parse_list(text):
+        return _nonempty(tuple(parse(part.strip()) for part in text.split(sep) if part.strip()))
     return parse_list
 
 
-def _groups(key, text):
-    groups = _nonempty(key, text, _groups_from(text))
-    try:
-        feature_order(groups)
-    except SelectionError as exc:
-        raise ConfigError(f"config {key}: {exc}") from None
+def _groups(text):
+    groups = _nonempty(_groups_from(text))
+    feature_order(groups)  # a SelectionError says what the selection lacks
     return groups
 
 
-def _combos(key, text):
-    return _nonempty(
-        key, text, tuple(_groups(key, part) for part in text.split(";") if part.strip())
-    )
-
-
-def _day(key, text):
-    try:
-        return timebase.parse_day(text)
-    except ParseError as exc:
-        raise ConfigError(f"config {key}: {exc}") from None
-
-
-def _source(key, text):
+def _source(text):
     if text not in ("synth", "csv"):
-        raise ConfigError(f"{key} must be synth or csv, got {text!r}")
+        raise ValueError("must be synth or csv")
     return text
 
 
-def _holidays(key, text):
-    try:
-        return HolidayCalendar.from_file(text).dates
-    except (OSError, ValueError, ParseError) as exc:
-        raise ConfigError(f"config {key}: cannot read {text!r}: {exc}") from None
+def _holidays(text):
+    return HolidayCalendar.from_file(text).dates
 
 
 _SOURCE_KEY, _CSV_KEY = "data.source", "data.csv"
 
 #: One entry per config key: the object it configures, the field it sets and
 #: the parser of its value. Only keys present in the file are passed on, so
-#: every default lives in its dataclass. ``split`` fields become a SplitSpec
-#: (all four or none) and ``calendar`` fields replace those of the packaged
-#: holiday calendar.
+#: every default lives in its dataclass. A target other than ``pipeline`` and
+#: ``calendar`` is the PipelineConfig field that its keys build; ``split_spec``
+#: takes all four keys or none, and ``calendar`` fields replace those of the
+#: packaged holiday calendar.
 _KEYS = {
     _SOURCE_KEY: ("pipeline", "source", _source),
-    _CSV_KEY: ("pipeline", "csv_path", _text),
-    "data.schema": ("pipeline", "schema_path", _text),
-    "synth.seed": ("synth", "seed", _int),
-    "synth.days": ("synth", "n_days", _int),
+    _CSV_KEY: ("pipeline", "csv_path", str),
+    "data.schema": ("pipeline", "schema_path", str),
+    "synth.seed": ("synth", "seed", int),
+    "synth.days": ("synth", "n_days", int),
     "synth.rt_base": ("synth", "rt_base", _float),
     "synth.seasonal_amp": ("synth", "seasonal_amp", _float),
     "synth.daily_amp": ("synth", "daily_amp", _float),
     "synth.holiday_shift": ("synth", "holiday_shift", _float),
     "synth.noise_sd": ("synth", "noise_sd", _float),
     "synth.quantization": ("synth", "quantization", _float),
-    "split.data_start": ("split", "data_start", _day),
-    "split.train_end": ("split", "train_end", _day),
-    "split.val_end": ("split", "val_end", _day),
-    "split.data_cutoff": ("split", "data_cutoff", _day),
+    "split.data_start": ("split_spec", "data_start", timebase.parse_day),
+    "split.train_end": ("split_spec", "train_end", timebase.parse_day),
+    "split.val_end": ("split_spec", "val_end", timebase.parse_day),
+    "split.data_cutoff": ("split_spec", "data_cutoff", timebase.parse_day),
     "features.groups": ("pipeline", "groups", _groups),
-    "features.mva_window": ("engineering", "mva_window", _int),
+    "features.mva_window": ("engineering", "mva_window", int),
     "features.utc_offset_hours": ("engineering", "utc_offset_hours", _float),
-    "features.work_start": ("engineering", "work_start_hour", _int),
-    "features.work_end": ("engineering", "work_end_hour", _int),
+    "features.work_start": ("engineering", "work_start_hour", int),
+    "features.work_end": ("engineering", "work_end_hour", int),
     "features.holiday_file": ("calendar", "dates", _holidays),
     "features.weekends_are_holidays": ("calendar", "include_weekends", _bool),
-    "model.max_depth": ("params", "max_depth", _int),
-    "model.n_trees": ("params", "n_trees", _int),
+    "model.max_depth": ("params", "max_depth", int),
+    "model.n_trees": ("params", "n_trees", int),
     "model.gamma": ("params", "gamma", _float),
     "model.lambda": ("params", "lambda_", _float),
     "model.learning_rate": ("params", "learning_rate", _float),
-    "grid.max_depth": ("grid", "max_depth", _list(_int)),
-    "grid.n_trees": ("grid", "n_trees", _list(_int)),
+    "grid.max_depth": ("grid", "max_depth", _list(int)),
+    "grid.n_trees": ("grid", "n_trees", _list(int)),
     "grid.gamma": ("grid", "gamma", _list(_float)),
     "grid.lambda": ("grid", "lambda_", _list(_float)),
     "grid.learning_rate": ("grid", "learning_rate", _list(_float)),
     "forecast.access_minutes": ("pipeline", "access_seconds", _minutes),
     "forecast.horizon_minutes": ("pipeline", "horizon_seconds", _minutes),
-    "ablate.combos": ("pipeline", "ablate_combos", _combos),
+    "ablate.combos": ("pipeline", "ablate_combos", _list(_groups, ";")),
     "ablate.window_widths_minutes": ("pipeline", "window_widths_seconds", _list(_minutes)),
     "ablate.intervals_minutes": ("pipeline", "intervals_seconds", _list(_minutes)),
     "explain.lambda": ("pipeline", "explain_lambda", _float),
-    "explain.tree_depth": ("pipeline", "explain_tree_depth", _int),
-    "explain.lime_samples": ("pipeline", "lime_samples", _int),
-    "diagnose.max_lag": ("pipeline", "max_lag", _int),
+    "explain.tree_depth": ("pipeline", "explain_tree_depth", int),
+    "explain.lime_samples": ("pipeline", "lime_samples", int),
+    "diagnose.max_lag": ("pipeline", "max_lag", int),
     "diagnose.bin_width": ("pipeline", "bin_width", _float),
 }
 
 
+def _config_error(texts: dict, reason) -> ConfigError:
+    """The one form of every config error: each key with its text, and why."""
+    named = ", ".join(f"{key} = {text}" for key, text in texts.items())
+    return ConfigError(f"config {named}: {reason}")
+
+
+@contextmanager
+def _as_config_error(texts: dict):
+    """Raise what fails in the block, a parser's ValueError, a ToolkitError or
+    an unreadable file, as the ``_config_error`` of the keys in ``texts``."""
+    try:
+        yield
+    except (ValueError, OSError, ToolkitError) as exc:
+        raise _config_error(texts, exc) from None
+
+
 def _build_config(args) -> PipelineConfig:
     kv = _parse_kv_file(args.config) if args.config else {}
-    unknown = set(kv) - set(_KEYS)
+    unknown = {key: text for key, text in kv.items() if key not in _KEYS}
     if unknown:
-        raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
+        raise _config_error(unknown, "unknown key")
     # A flag that overrides a key has that key as its argparse destination; its
     # text is parsed and recorded like a file entry.
     for key, text in vars(args).items():
         if key in _KEYS and text is not None:
             kv[key] = text
 
+    texts = defaultdict(dict)  # target -> key -> text
     kw = defaultdict(dict)  # target -> field -> value
     for key, text in kv.items():
         target, name, parse = _KEYS[key]
-        kw[target][name] = parse(key, text)
+        texts[target][key] = text
+        with _as_config_error({key: text}):
+            kw[target][name] = parse(text)
 
-    split = kw["split"]
-    if split and len(split) != 4:
-        raise ConfigError("either give all four split.* dates or none")
+    if texts["split_spec"] and len(texts["split_spec"]) != 4:
+        raise _config_error(texts["split_spec"], "give all four split.* dates or none")
     if kw["calendar"]:
         kw["engineering"]["holiday_calendar"] = replace(
             HolidayCalendar.default(), **kw["calendar"]
         )
-    cfg = PipelineConfig(
-        out_dir=args.out,
-        quiet=args.quiet,
-        synth=SynthConfig(**kw["synth"]),
-        split_spec=SplitSpec(**split) if split else None,
-        engineering=EngineeringConfig(**kw["engineering"]),
-        params=Hyperparams(**kw["params"]),
-        grid=HyperparamGrid(**kw["grid"]) if kw["grid"] else None,
-        raw=dict(kv),
-        **kw["pipeline"],
-    )
+    # Each object is built from the keys set for it, and checks their values;
+    # an object with no key set keeps its PipelineConfig default.
+    for target, build in (("synth", SynthConfig), ("split_spec", SplitSpec),
+                          ("engineering", EngineeringConfig), ("params", Hyperparams),
+                          ("grid", HyperparamGrid)):
+        if kw[target]:
+            with _as_config_error(texts[target]):
+                kw["pipeline"][target] = build(**kw[target])
+    cfg = PipelineConfig(out_dir=args.out, quiet=args.quiet, raw=dict(kv), **kw["pipeline"])
     if cfg.source == "csv" and not cfg.csv_path:
-        raise ConfigError(f"{_SOURCE_KEY}=csv needs {_CSV_KEY}=<path>")
-    if cfg.grid is not None:
-        cfg.grid.combos()  # each combination's Hyperparams checks its values
+        raise _config_error({_SOURCE_KEY: kv[_SOURCE_KEY]}, f"needs {_CSV_KEY}")
     return cfg
 
 
@@ -448,7 +428,7 @@ def _forecast_splits(cfg: PipelineConfig, on=(), sweeps=False) -> dict:
         else:  # the default
             value = getattr(cfg if target == "pipeline" else getattr(cfg, target), name)
             text = ",".join(_in_unit(s, unit) for s in np.atleast_1d(value))
-        raise ConfigError(f"config {key} = {text}: {_in_unit(seconds, unit)} {reason}")
+        raise _config_error({key: text}, f"{_in_unit(seconds, unit)} {reason}")
     return parts
 
 

@@ -171,7 +171,7 @@ def _check_groups(feature_selection) -> frozenset:
     if "IOTS" in groups and "IOTS-MVA" in groups:
         raise SelectionError("IOTS and IOTS-MVA are mutually exclusive")
     if "IOTS" not in groups and "IOTS-MVA" not in groups:
-        raise SelectionError("selection needs one of IOTS or IOTS-MVA")
+        raise SelectionError(f"selection {sorted(groups)} needs one of IOTS or IOTS-MVA")
     return groups
 
 

@@ -60,11 +60,12 @@ Any exception in the worker, such as a ``FloatingPointError``, ends it, and
 the parent finds its reply pipe closed, as when the worker is lost in any
 other way. The parent then grows the tree again alone, as on a
 ``FloatingPointError`` of its own, so the error raised is the one that
-growing alone meets first. The worker leaves by ``os._exit`` on the stop
-message, on an exception, or at the end of its pipe if the parent dies;
-``train`` stops it and waits for it in a ``finally``. The tree surrogate,
-small sets, depth-1 trees, one CPU and a platform without ``fork`` grow
-alone.
+growing alone meets first. The worker leaves by ``os._exit``: with status 0
+on the stop message, at the end of its request pipe or on a broken reply
+pipe, which mean the parent stopped it; on any other exception it first
+writes one line to stderr and exits with status 1. ``train`` stops it and
+waits for it in a ``finally``. The tree surrogate, small sets, depth-1
+trees, one CPU and a platform without ``fork`` grow alone.
 
 Every prediction reads one compiled form of the ensemble, built on first
 use: flat arrays over the nodes of all trees, numbered breadth first, node 0
@@ -195,8 +196,10 @@ class Hyperparams:
             raise ConfigError(f"n_trees must be >= 0, got {self.n_trees}")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ConfigError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
-        if self.gamma < 0 or self.lambda_ < 0:
-            raise ConfigError("gamma and lambda must be >= 0")
+        if self.lambda_ < 0:
+            raise ConfigError(f"lambda must be >= 0, got {self.lambda_}")
+        if self.gamma < 0:
+            raise ConfigError(f"gamma must be >= 0, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -208,6 +211,9 @@ class HyperparamGrid:
     gamma: tuple = (0.05, 0.5, 1.0, 2.0)
     lambda_: tuple = (1.0,)
     learning_rate: tuple = (0.3,)
+
+    def __post_init__(self):
+        self.combos()  # each combination's Hyperparams checks its values
 
     def combos(self) -> list:
         seen, out = set(), []
@@ -920,12 +926,20 @@ class _Worker:
                 os.close(fd)
             return None
         if pid == 0:
+            status = 0
             try:
                 os.close(request_w)
                 os.close(reply_r)
                 _serve(request_r, reply_w, cols, block, grad, out, done)
+            except (EOFError, BrokenPipeError):  # the parent stopped this worker
+                pass
+            except Exception as exc:
+                # os._exit flushes nothing, so the line is written to fd 2 at once.
+                os.write(2, f"rtcast: training worker failed ({type(exc).__name__}: {exc}); "
+                            "its trees are grown in one process\n".encode())
+                status = 1
             finally:
-                os._exit(0)
+                os._exit(status)
         os.close(request_r)
         os.close(reply_w)
         return cls(pid, open(request_w, "wb"), open(reply_r, "rb"), done)
@@ -978,8 +992,8 @@ class _Worker:
             _fill(node, grown)
         return root
 
-    def close(self) -> None:
-        """Stop the worker and wait for it to exit."""
+    def close(self) -> int:
+        """Stop the worker, wait for it to exit and return its exit code."""
         try:
             self._send(None)
         finally:
@@ -987,7 +1001,8 @@ class _Worker:
                 self._requests.close()
             # A worker still writing a reply sees its pipe break, and exits.
             self._replies.close()
-            os.waitpid(self.pid, 0)
+            _, status = os.waitpid(self.pid, 0)
+        return os.waitstatus_to_exitcode(status)
 
 
 def _sort_block(rows) -> tuple:
@@ -1256,14 +1271,10 @@ def from_dict(doc: dict) -> Ensemble:
         if not isinstance(doc["trees"], list):
             raise _malformed(f"trees must be a list, got {reprlib.repr(doc['trees'])}")
         base_score = _finite("base_score", doc["base_score"])
-        learning_rate = _finite("learning_rate", doc["learning_rate"])
-        if not 0.0 < learning_rate <= 1.0:
-            raise _malformed(f"learning_rate must be in (0, 1], got {learning_rate}")
-        lambda_ = _finite("lambda", doc["lambda"])
-        gamma = _finite("gamma", doc["gamma"])
-        for field, value in (("lambda", lambda_), ("gamma", gamma)):
-            if value < 0:
-                raise _malformed(f"{field} must be >= 0, got {value}")
+        # The learning rate, lambda and gamma take the values Hyperparams does.
+        params = Hyperparams(learning_rate=_finite("learning_rate", doc["learning_rate"]),
+                             lambda_=_finite("lambda", doc["lambda"]),
+                             gamma=_finite("gamma", doc["gamma"]))
         # A prediction adds learning_rate * weight per tree to base_score, so
         # its magnitude is at most this bound, summed in the same order (float
         # rounding is monotonic): a finite bound means finite predictions.
@@ -1271,18 +1282,18 @@ def from_dict(doc: dict) -> Ensemble:
         for doc_tree in doc["trees"]:
             tree, peak = _node_from_dict(doc_tree, len(names))
             trees.append(tree)
-            bound += learning_rate * peak
+            bound += params.learning_rate * peak
         if not math.isfinite(bound):
             raise _malformed("base_score and leaf weights can add up past the float range")
         return Ensemble(
             base_score=base_score,
-            learning_rate=learning_rate,
+            learning_rate=params.learning_rate,
             trees=tuple(trees),
             feature_names=tuple(names),
-            lambda_=lambda_,
-            gamma=gamma,
+            lambda_=params.lambda_,
+            gamma=params.gamma,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise _malformed(str(exc)) from exc
 
 

@@ -1,4 +1,5 @@
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,34 @@ if os.environ.get("CI"):
     settings.load_profile("ci")
 
 FULL_GROUPS = frozenset({"IOTS-MVA", "MVART", "Holiday"})
+
+
+@pytest.fixture
+def worker_may_fail():
+    """Lets this test's training workers exit nonzero. The list of their exit
+    codes, in the order ``train`` reaps them."""
+    return []
+
+
+@pytest.fixture(autouse=True)
+def _training_workers_exit_cleanly(request):
+    """A training worker that exits nonzero fails the test, unless the test
+    requests ``worker_may_fail``: the parent grows a failed worker's trees
+    alone, so the model is right and nothing else shows the failure."""
+    codes = (request.getfixturevalue("worker_may_fail")
+             if "worker_may_fail" in request.fixturenames else None)
+    close = gbm._Worker.close
+
+    def checked(self):
+        code = close(self)
+        if codes is not None:
+            codes.append(code)
+        elif code:
+            pytest.fail(f"a training worker exited with status {code}")
+        return code
+
+    with mock.patch.object(gbm._Worker, "close", checked):
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -508,7 +508,7 @@ class TestSplitAndIngest:
                        "split", check=False)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == \
-            "error: config split.train_end: unparseable date '2018-13-40'\n"
+            "error: config split.train_end = 2018-13-40: unparseable date '2018-13-40'\n"
         assert not (tmp_path / "x").exists()
 
     def test_ingest_round_trip(self, pipeline, tmp_path):
@@ -607,7 +607,7 @@ class TestExitCodes:
                        check=False)
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr == (
-            f"error: config features.holiday_file: cannot read {str(holidays)!r}: "
+            f"error: config features.holiday_file = {holidays}: "
             f"{holidays}: line 2: unparseable date 'not-a-date'\n")
         assert not dest.exists()
 
@@ -696,7 +696,7 @@ class TestExitCodes:
                        "--quiet", *command, check=False)
         assert proc.returncode == 2, proc.stderr
         key, value = line.split(" = ")
-        assert proc.stderr == f"error: config {key} must be a finite number, got {value!r}\n"
+        assert proc.stderr == f"error: config {key} = {value}: not a finite number: {value!r}\n"
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("line, command, key", [
@@ -711,7 +711,7 @@ class TestExitCodes:
         proc = run_cli("--config", str(cfg), "--out", str(tmp_path / "x"),
                        "--quiet", *command, check=False)
         assert proc.returncode == 2, proc.stderr
-        assert proc.stderr.startswith(f"error: config {key}: ")
+        assert proc.stderr.startswith(f"error: config {key} = ")
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("field, value", [
@@ -1046,6 +1046,98 @@ def count_model_calls(monkeypatch) -> list:
     monkeypatch.setattr(forecast, "train", counting(forecast.train))
     monkeypatch.setattr(gbm, "load", counting(gbm.load))
     return calls
+
+
+#: Each config key with one text outside its domain, and where the rule that
+#: refuses it runs. When the config resolves, before any input is read: the
+#: key's value parser ("parser"), or the object the key sets or a rule that
+#: joins keys ("object"). Right after ingest, ``forecast.interval_fault``
+#: ("ingest"). A library function that the command calls ("command"). A key
+#: whose parser takes any text has no domain ("any"): it names a file that
+#: the command reads. A new key must declare its domain here.
+KEY_DOMAINS = {
+    "data.source": ("db", "parser"),
+    "data.csv": (None, "any"),
+    "data.schema": (None, "any"),
+    "synth.seed": ("-1", "object"),
+    "synth.days": ("0", "object"),
+    "synth.rt_base": ("nan", "parser"),
+    "synth.seasonal_amp": ("inf", "parser"),
+    "synth.daily_amp": ("warm", "parser"),
+    "synth.holiday_shift": ("1e999", "parser"),
+    "synth.noise_sd": ("-0.1", "object"),
+    "synth.quantization": ("0", "object"),
+    "split.data_start": ("2024-02-30", "parser"),
+    "split.train_end": ("2024-13-01", "parser"),
+    "split.val_end": ("June", "parser"),
+    "split.data_cutoff": ("2024-06-01", "object"),  # alone: all four dates or none
+    "features.groups": ("IOTS-MVA+Foo", "parser"),
+    "features.mva_window": ("0", "object"),
+    "features.utc_offset_hours": ("25", "object"),
+    "features.work_start": ("18", "object"),
+    "features.work_end": ("25", "object"),
+    "features.holiday_file": ("no-such-holidays.txt", "parser"),
+    "features.weekends_are_holidays": ("yes", "parser"),
+    "model.max_depth": ("0", "object"),
+    "model.n_trees": ("-1", "object"),
+    "model.gamma": ("-1", "object"),
+    "model.lambda": ("-0.5", "object"),
+    "model.learning_rate": ("0", "object"),
+    "grid.max_depth": ("0,3", "object"),
+    "grid.n_trees": ("10,-1", "object"),
+    "grid.gamma": ("-1", "object"),
+    "grid.lambda": ("1,-1", "object"),
+    "grid.learning_rate": ("1.5", "object"),
+    "forecast.access_minutes": ("95", "ingest"),
+    "forecast.horizon_minutes": ("7", "ingest"),
+    "ablate.combos": ("IOTS;MVART", "parser"),
+    "ablate.window_widths_minutes": ("7", "ingest"),
+    "ablate.intervals_minutes": ("15", "ingest"),
+    "explain.lambda": ("-1", "command"),
+    "explain.tree_depth": ("0", "command"),
+    "explain.lime_samples": ("10", "command"),
+    "diagnose.max_lag": ("-1", "command"),
+    "diagnose.bin_width": ("0", "command"),
+}
+
+#: The command that reads each "command" key; "ablate" checks every "ingest"
+#: key, and "train" stands for any command at resolution.
+LIBRARY_COMMANDS = {
+    "explain.lambda": ["explain", "surrogate", "--model", "MODEL"],
+    "explain.tree_depth": ["explain", "surrogate", "--model", "MODEL"],
+    "explain.lime_samples": ["explain", "lime", "--model", "MODEL"],
+    "diagnose.max_lag": ["diagnose", "acf"],
+    "diagnose.bin_width": ["diagnose", "hist"],
+}
+
+
+@pytest.mark.parametrize("key", sorted(cli._KEYS))
+def test_each_key_outside_its_domain_exits_two(pipeline, tmp_path, monkeypatch, capsys, key):
+    """One line naming the key and its text, no model trained and nothing
+    written; a library key's own check exits 2 with the library's message."""
+    text, where = KEY_DOMAINS[key]
+    cfg, out = pipeline
+    bad = tmp_path / "bad.ini"
+    if where == "any":
+        bad.write_text(f"{key} = any text\n")
+        args = cli._build_parser().parse_args(["--config", str(bad), "synth"])
+        assert cli._build_config(args).raw == {key: "any text"}
+        return
+    # The pipeline's data for the rules that read data or a model; alone, a
+    # key resolves without naming the pipeline's synth.* and model.* keys.
+    bad.write_text((cfg.read_text() if where in ("ingest", "command") else "")
+                   + f"{key} = {text}\n")
+    command = LIBRARY_COMMANDS.get(key, ["ablate"] if where == "ingest" else ["train"])
+    calls = count_model_calls(monkeypatch)
+    dest = tmp_path / "x"
+    argv = [str(out / "model.json") if a == "MODEL" else a for a in command]
+    code = cli.main(["--config", str(bad), "--out", str(dest), "--quiet", *argv])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert not dest.exists()
+    if where != "command":
+        assert err.startswith(f"error: config {key} = {text}: ") and err.count("\n") == 1, err
+        assert calls == []
 
 
 class TestForecastKeysAfterIngest:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rtcast import cli, timebase
 from rtcast.dataio import SplitSpec, SynthConfig
-from rtcast.errors import ConfigError, DataError
+from rtcast.errors import ConfigError
 from rtcast.features import EngineeringConfig
 from rtcast.gbm import HyperparamGrid, Hyperparams
 
@@ -162,22 +162,27 @@ def test_one_grid_key_keeps_the_other_grid_defaults(tmp_path):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("synth.days = ten\n", "config synth.days must be an integer, got 'ten'"),
+    ("synth.days = ten\n",
+     "config synth.days = ten: invalid literal for int() with base 10: 'ten'"),
     ("forecast.access_minutes = 1.5\n",
-     "config forecast.access_minutes must be an integer, got '1.5'"),
-    ("model.gamma = abc\n", "config model.gamma must be a number, got 'abc'"),
-    ("grid.n_trees = 1,x\n", "config grid.n_trees has a malformed list: '1,x'"),
+     "config forecast.access_minutes = 1.5: invalid literal for int() with base 10: '1.5'"),
+    ("model.gamma = abc\n", "config model.gamma = abc: could not convert string to float: 'abc'"),
+    ("grid.n_trees = 1,x\n",
+     "config grid.n_trees = 1,x: invalid literal for int() with base 10: 'x'"),
     ("ablate.window_widths_minutes = 0,1.5\n",
-     "config ablate.window_widths_minutes has a malformed list: '0,1.5'"),
-    ("data.source = db\n", "data.source must be synth or csv, got 'db'"),
-    ("data.source = csv\n", "data.source=csv needs data.csv=<path>"),
-    ("split.train_end = 2024-06-01\n", "either give all four split.* dates or none"),
-    ("no.such.key = 1\n", "unknown config key(s): ['no.such.key']"),
-    ("features.mva_window = 0\n", "mva_window must be >= 1, got 0"),
-    ("model.learning_rate = 2\n", "learning_rate must be in (0, 1], got 2.0"),
-    ("synth.noise_sd = -1\n", "noise_sd must be >= 0, got -1.0"),
+     "config ablate.window_widths_minutes = 0,1.5: invalid literal for int() with base 10: '1.5'"),
+    ("data.source = db\n", "config data.source = db: must be synth or csv"),
+    ("data.source = csv\n", "config data.source = csv: needs data.csv"),
+    ("split.train_end = 2024-06-01\n",
+     "config split.train_end = 2024-06-01: give all four split.* dates or none"),
+    ("no.such.key = 1\n", "config no.such.key = 1: unknown key"),
+    ("features.mva_window = 0\n",
+     "config features.mva_window = 0: mva_window must be >= 1, got 0"),
+    ("model.learning_rate = 2\n",
+     "config model.learning_rate = 2: learning_rate must be in (0, 1], got 2.0"),
+    ("synth.noise_sd = -1\n", "config synth.noise_sd = -1: noise_sd must be >= 0, got -1.0"),
     ("features.groups = IOTS-MVA+Foo\n",
-     "config features.groups: unknown feature group(s) ['Foo']; "
+     "config features.groups = IOTS-MVA+Foo: unknown feature group(s) ['Foo']; "
      "known: ['IOTS', 'IOTS-MVA', 'MVART', 'Holiday']"),
 ])
 def test_malformed_value_exits_two(tmp_path, capsys, text, message):
@@ -190,15 +195,16 @@ def test_malformed_value_exits_two(tmp_path, capsys, text, message):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("model.gamma = nan\n", "config model.gamma must be a finite number, got 'nan'"),
-    ("grid.gamma = 0.5,inf\n", "config grid.gamma has a malformed list: '0.5,inf'"),
-    ("grid.n_trees = ,\n", "config grid.n_trees needs at least one value, got ','"),
-    ("features.groups = +\n", "config features.groups needs at least one value, got '+'"),
+    ("model.gamma = nan\n", "config model.gamma = nan: not a finite number: 'nan'"),
+    ("grid.gamma = 0.5,inf\n", "config grid.gamma = 0.5,inf: not a finite number: 'inf'"),
+    ("grid.n_trees = ,\n", "config grid.n_trees = ,: needs at least one value"),
+    ("features.groups = +\n", "config features.groups = +: needs at least one value"),
     ("features.weekends_are_holidays = no\n",
-     "config features.weekends_are_holidays must be true or false, got 'no'"),
+     "config features.weekends_are_holidays = no: must be true or false"),
     ("features.utc_offset_hours = 1e300\n",
-     "utc_offset_hours must be within -24..24, got 1e+300"),
-    ("synth.seed = -1\n", "seed must be >= 0, got -1"),
+     "config features.utc_offset_hours = 1e300: utc_offset_hours must be within -24..24, "
+     "got 1e+300"),
+    ("synth.seed = -1\n", "config synth.seed = -1: seed must be >= 0, got -1"),
 ])
 def test_non_finite_empty_or_out_of_range_value_exits_two(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ini"
@@ -217,9 +223,11 @@ split.data_cutoff = 2024-12-31
 
 
 @pytest.mark.parametrize("text, message", [
-    (MISORDERED_SPLIT, "split dates must be strictly increasing "
+    (MISORDERED_SPLIT, "config split.data_start = 2024-06-01, split.train_end = 2024-01-01, "
+                       "split.val_end = 2024-09-01, split.data_cutoff = 2024-12-31: "
+                       "split dates must be strictly increasing "
                        "(got 2024-06-01, 2024-01-01, 2024-09-01, 2024-12-31)"),
-    ("grid.max_depth = 0,3\n", "max_depth must be >= 1, got 0"),
+    ("grid.max_depth = 0,3\n", "config grid.max_depth = 0,3: max_depth must be >= 1, got 0"),
 ], ids=["misordered-split-dates", "grid-depth-zero"])
 def test_bad_value_exits_two_before_any_input_is_read(tmp_path, capsys, text, message):
     """The CSV the config names does not exist, and the config error is the
@@ -265,9 +273,10 @@ def fuzz_dir(tmp_path_factory):
                                 blacklist_characters="\n\r#"), max_size=12),
 )
 def test_any_value_resolves_or_is_a_config_or_data_error(fuzz_dir, key, value):
+    """Every failure to resolve a value is a ConfigError, not a DataError."""
     try:
         resolve(fuzz_dir, f"{key} = {value}\n")
-    except (ConfigError, DataError):
+    except ConfigError:
         pass
 
 
@@ -277,3 +286,21 @@ def test_readme_configuration_block_resolves(tmp_path):
     cfg = resolve(tmp_path, block)
     assert set(cfg.raw) <= set(cli._KEYS)
     assert len(cfg.raw) == block.count("=")
+
+
+def test_readme_config_error_examples_are_what_the_cli_prints(tmp_path, capsys):
+    """Each `config <key> = <text>: <reason>` example of README's
+    Configuration section, on 20 synthetic days: ``evaluate`` checks the
+    forecast keys before it loads a model."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Configuration", 1)[1].split("\n### ", 1)[0]
+    examples = [" ".join(m.split()) for m in
+                re.findall(r"`(config [\w.]+ = [^`]*?:\s[^`]*)`", section)]
+    assert len(examples) >= 3
+    for example in examples:
+        key, text = re.match(r"config ([\w.]+) = (\S*): ", example).groups()
+        path = tmp_path / "example.ini"
+        path.write_text(f"synth.days = 20\n{key} = {text}\n")
+        code = cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet",
+                         "evaluate"])
+        assert (code, capsys.readouterr().err) == (2, f"error: {example}\n")

@@ -548,7 +548,8 @@ class TestTwoProcesses:
         assert shared == params.n_trees
         assert hashlib.sha256(both.encode()).hexdigest() == digest
 
-    def test_overflow_in_a_worker_subtree_raises_the_serial_error(self, monkeypatch):
+    def test_overflow_in_a_worker_subtree_raises_the_serial_error(self, monkeypatch,
+                                                                  worker_may_fail):
         raised = []
         load = pickle.load
 
@@ -588,9 +589,11 @@ class TestTwoProcesses:
         assert (both, shared) == (alone, 4)
         assert_no_child_process()
 
-    def test_an_error_only_the_worker_meets_leaves_the_trees_unchanged(self, monkeypatch):
+    def test_an_error_only_the_worker_meets_leaves_the_trees_unchanged(self, monkeypatch, capfd,
+                                                                        worker_may_fail):
         """Any exception ends the worker, which is then lost: each tree it
-        shared is grown again alone, and no error reaches the caller."""
+        shared is grown again alone, and no error reaches the caller. The
+        worker says so in one stderr line and exits nonzero."""
         rows, y = tied_fixture(7)
         X = make_matrix(rows, [f"f{i}" for i in range(rows.shape[1])], target=y)
         parent, weight = os.getpid(), gbm._weight
@@ -604,6 +607,17 @@ class TestTwoProcesses:
         alone, both, shared = train_both_ways(X, Hyperparams(max_depth=5, n_trees=4))
         assert (both, shared) == (alone, 4)
         assert_no_child_process()
+        assert capfd.readouterr().err == (
+            "rtcast: training worker failed (RuntimeError: only the worker meets this); "
+            "its trees are grown in one process\n")
+        assert worker_may_fail == [1]
+
+    def test_a_shared_train_writes_nothing_to_stderr(self, capfd):
+        rows, y = tied_fixture(7)
+        X = make_matrix(rows, [f"f{i}" for i in range(rows.shape[1])], target=y)
+        alone, both, shared = train_both_ways(X, Hyperparams(max_depth=5, n_trees=4))
+        assert (both, shared) == (alone, 4)
+        assert capfd.readouterr().err == ""
 
     def test_a_fork_beside_threads_leaves_no_warning(self, monkeypatch):
         """Python 3.12+ warns at each fork of a process with threads, as
