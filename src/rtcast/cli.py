@@ -149,7 +149,7 @@ def _holidays(text):
     return HolidayCalendar.from_file(text).dates
 
 
-_SOURCE_KEY, _CSV_KEY = "data.source", "data.csv"
+_SOURCE_KEY, _CSV_KEY, _SCHEMA_KEY = "data.source", "data.csv", "data.schema"
 
 #: One entry per config key: the object it configures, the field it sets and
 #: the parser of its value. Only keys present in the file are passed on, so
@@ -160,7 +160,7 @@ _SOURCE_KEY, _CSV_KEY = "data.source", "data.csv"
 _KEYS = {
     _SOURCE_KEY: ("pipeline", "source", _source),
     _CSV_KEY: ("pipeline", "csv_path", str),
-    "data.schema": ("pipeline", "schema_path", str),
+    _SCHEMA_KEY: ("pipeline", "schema_path", str),
     "synth.seed": ("synth", "seed", int),
     "synth.days": ("synth", "n_days", int),
     "synth.rt_base": ("synth", "rt_base", _float),
@@ -340,13 +340,26 @@ def _json_bytes(name: str, doc) -> bytes:
         raise NumericError(f"artifact {name} would hold a non-finite number") from exc
 
 
+def _read_table(cfg: PipelineConfig) -> dataio.TimeTable:
+    """The table at ``data.csv``, its columns' roles read from ``data.schema``
+    if set. A file that cannot be read, or a malformed schema file, is the
+    config error of its key; a bad cell in the table is a data error."""
+    schema = None
+    if cfg.schema_path:
+        with _as_config_error({_SCHEMA_KEY: cfg.raw[_SCHEMA_KEY]}):
+            schema = _parse_kv_file(cfg.schema_path)
+    try:
+        return dataio.ingest_csv(cfg.csv_path, schema)
+    except OSError as exc:
+        raise _config_error({_CSV_KEY: cfg.raw[_CSV_KEY]}, exc) from None
+
+
 def _load_splits(cfg: PipelineConfig) -> dict:
     """The configured table split into ``train``, ``val`` and ``test``."""
     if cfg.source == "synth":
         table = dataio.synthesize(cfg.synth)
     else:
-        schema = _parse_kv_file(cfg.schema_path) if cfg.schema_path else None
-        table = dataio.ingest_csv(cfg.csv_path, schema)
+        table = _read_table(cfg)
     if cfg.split_spec is not None:
         parts = dataio.split(table, cfg.split_spec, cfg.engineering.utc_offset_hours)
     else:
@@ -449,8 +462,7 @@ def cmd_synth(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
 def cmd_ingest(cfg: PipelineConfig, args, out: ArtifactWriter) -> None:
     if not cfg.csv_path:
         raise ConfigError(f"ingest needs --csv PATH or {_CSV_KEY} in the config")
-    schema = _parse_kv_file(cfg.schema_path) if cfg.schema_path else None
-    table = dataio.ingest_csv(cfg.csv_path, schema)
+    table = _read_table(cfg)
     out.write_table("normalized.csv", table)
     out.write_json(
         "ingest_report.json",
@@ -748,7 +760,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="validate and normalize a CSV dataset")
     p.add_argument("--csv", dest=_CSV_KEY, metavar="PATH")
-    p.add_argument("--schema", dest="data.schema", metavar="PATH",
+    p.add_argument("--schema", dest=_SCHEMA_KEY, metavar="PATH",
                    help="column role map (name=role lines)")
 
     sub.add_parser("split", help="write train/validation/test tables")

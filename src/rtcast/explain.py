@@ -58,16 +58,6 @@ class PdpCurve:
     mean_response: np.ndarray
     constant: bool = False
 
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=np.float64)
-        r = np.asarray(self.mean_response, dtype=np.float64)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "mean_response", r)
-        if g.shape != r.shape or g.ndim != 1:
-            raise DataError("grid and mean_response must be equal-length vectors")
-        if len(g) > 1 and not np.all(np.diff(g) > 0):
-            raise DataError("grid must be sorted ascending")
-
 
 def _predictor(model):
     return model.predict_batch if hasattr(model, "predict_batch") else model
@@ -121,7 +111,8 @@ def permutation_importance(
 def pdp(model, X: FeatureMatrix, feature: str) -> PdpCurve:
     """Partial dependence: mean prediction as one feature sweeps its range.
 
-    Continuous features get 20 equispaced points from observed min to max;
+    Continuous features get 20 equispaced points from observed min to max
+    (fewer where the range holds fewer distinct floats);
     integer-valued features with at most 24 levels (hour of day) are treated
     as categorical and evaluated at each observed level. A constant feature
     yields a single-point curve flagged ``constant=True``.
@@ -144,7 +135,8 @@ def pdp(model, X: FeatureMatrix, feature: str) -> PdpCurve:
         if math.isfinite(lo) and math.isfinite(hi) and not math.isfinite(hi - lo):
             raise DataError(f"feature {feature!r} spans {lo!r} to {hi!r}, a range wider "
                             "than the float range: no grid can be built")
-        grid = np.linspace(lo, hi, 20)
+        # A range of a few ULPs holds fewer than 20 distinct floats.
+        grid = np.unique(np.linspace(lo, hi, 20))
 
     if isinstance(model, Ensemble):
         swept = predict_sweep(model, X.rows, j, grid)

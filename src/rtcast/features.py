@@ -268,7 +268,5 @@ def build_design_matrix(
     ts = work.timestamps[start:]
 
     check_finite(rows, names, ts)
-    if not np.isfinite(target).all():
-        i = int(np.flatnonzero(~np.isfinite(target))[0])
-        raise DataError(f"missing target value at {timebase.format_instant(ts[i])}")
+    check_finite(target[:, None], ["RT"], ts)
     return FeatureMatrix(names, rows, target, ts)

@@ -167,15 +167,6 @@ class TreeNode:
     weight: float | None = None
     gain: float = 0.0
 
-    def __post_init__(self):
-        if self.weight is None:
-            if self.left is None or self.right is None or self.threshold is None:
-                raise ConfigError("branch nodes need threshold and both children")
-            if not np.isfinite(self.threshold):
-                raise ConfigError("non-finite threshold")
-        elif not np.isfinite(self.weight):
-            raise ConfigError("non-finite leaf weight")
-
     @property
     def is_leaf(self) -> bool:
         return self.weight is not None

@@ -51,18 +51,6 @@ class Spectrum:
     n: int
     sample_interval_seconds: int
 
-    def __post_init__(self):
-        f = np.asarray(self.frequencies, dtype=np.float64)
-        m = np.asarray(self.magnitudes, dtype=np.float64)
-        object.__setattr__(self, "frequencies", f)
-        object.__setattr__(self, "magnitudes", m)
-        if f.shape != m.shape or f.ndim != 1:
-            raise DataError("frequencies and magnitudes must be equal-length vectors")
-        if len(f) and not np.all(np.diff(f) > 0):
-            raise DataError("frequencies must be strictly increasing")
-        if np.any(m < 0):
-            raise DataError("magnitudes must be nonnegative")
-
     @property
     def has_nyquist_bin(self) -> bool:
         return self.n % 2 == 0

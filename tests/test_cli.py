@@ -647,6 +647,35 @@ class TestExitCodes:
         assert str(bad) in proc.stderr or what == "model", proc.stderr
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("key", ["data.csv", "data.schema"])
+    @pytest.mark.parametrize("fault", ["missing", "directory"])
+    @pytest.mark.parametrize("where", ["config-train", "config-ingest", "flag-ingest"])
+    def test_unreadable_table_file_names_its_key(self, tmp_path, capsys, key, fault, where):
+        """A data file that cannot be opened is the config error of the key
+        that names it, set in the config or by ``ingest``'s flag."""
+        table = tmp_path / "t.csv"
+        table.write_text("timestamp,RT\n2020-01-01T00:00:00Z,20.0\n")
+        bad = tmp_path / "d" if fault == "directory" else tmp_path / "nope"
+        if fault == "directory":
+            bad.mkdir()
+        paths = {"data.csv": str(table), key: str(bad)}
+        argv = ["--out", str(tmp_path / "x"), "--quiet"]
+        if where == "flag-ingest":
+            argv += ["ingest", "--csv", paths["data.csv"]]
+            if "data.schema" in paths:
+                argv += ["--schema", paths["data.schema"]]
+        else:
+            cfg = tmp_path / "c.ini"
+            cfg.write_text("data.source = csv\n"
+                           + "".join(f"{k} = {v}\n" for k, v in paths.items()))
+            argv = ["--config", str(cfg), *argv, where.split("-")[1]]
+        with pytest.raises(OSError) as reason:
+            open(bad, encoding="utf-8")
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config {key} = {bad}: {reason.value}\n"
+        assert not (tmp_path / "x").exists()
+
     def test_quote_that_runs_past_the_field_size_limit_is_exit_three(self, pipeline, tmp_path):
         """A stray quote at the start of a row-1 cell makes the rest of the
         202 KB file one field, past csv's 131,072-character limit."""

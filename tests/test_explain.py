@@ -141,6 +141,20 @@ class TestPdp:
         assert got.constant and want.constant
         assert got.mean_response.tobytes() == want.mean_response.tobytes()
 
+    def test_a_one_ulp_range_gives_one_point_per_float(self, small_model, train_matrix):
+        """Two non-integer levels one ULP apart: 20 equispaced points hold
+        only those two floats, so the curve has two points."""
+        X = make_matrix(train_matrix.rows[:40].copy(), train_matrix.feature_names)
+        j = 4
+        X.rows[:, j] = np.where(np.arange(40) % 2, 0.1, np.nextafter(0.1, 1.0))
+        curve = explain.pdp(small_model, X, X.feature_names[j])
+        assert curve.grid.tolist() == [0.1, np.nextafter(0.1, 1.0)]
+        assert not curve.constant
+        for value, response in zip(curve.grid, curve.mean_response):
+            rows = X.rows.copy()
+            rows[:, j] = value
+            assert response == float(np.mean(small_model.predict_batch(rows)))
+
     @pytest.mark.parametrize("case", ["other-column", "grid-overflow"])
     def test_ensemble_errors_equal_the_loop(self, small_model, train_matrix, case):
         rows = train_matrix.rows[:60].copy()

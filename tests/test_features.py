@@ -285,6 +285,18 @@ class TestBuildDesignMatrix:
             features.build_design_matrix(bad, engineering, FULL)
         assert "OutTempMVA" in str(err.value)
 
+    def test_non_finite_target_is_named_as_the_forecast_names_it(self, synth_splits,
+                                                                  engineering):
+        """The message of ``check_finite``, which the rolling forecast and the
+        artifact writer give for the same cell."""
+        part = synth_splits[0]
+        target = np.where(np.arange(len(part)) == 100, np.inf, part.target)
+        bad = dataio.TimeTable(part.timestamps, part.columns, target, part.interval_seconds)
+        with pytest.raises(DataError) as err:
+            features.build_design_matrix(bad, engineering, frozenset({"IOTS", "Holiday"}))
+        assert str(err.value) == (
+            f"non-finite value in column 'RT' at {timebase.format_instant(part.timestamps[100])}")
+
     def test_banned_names_rejected(self):
         with pytest.raises(DataError):
             FeatureMatrix(

@@ -774,6 +774,19 @@ class TestImportanceAndSerialization:
         with pytest.raises(DataError):
             gbm.load(str(p2))
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["weight", "threshold", "gain"])
+    def test_load_rejects_a_non_finite_node_number(self, tmp_path, field, literal):
+        """``json`` reads these literals as floats; the document's checks are
+        the only ones a loaded tree node passes."""
+        doc = one_split_doc(0.0, 1.0)
+        tree = doc["trees"][0]
+        (tree["right"] if field == "weight" else tree)[field] = "@"
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps(doc).replace('"@"', literal))
+        with pytest.raises(DataError, match=f"{field} must be a finite number"):
+            gbm.load(str(p))
+
     def test_load_rejects_bytes_json_cannot_read(self, tmp_path):
         p = tmp_path / "binary.json"
         p.write_bytes(b"\xff\xfe{}")

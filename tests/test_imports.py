@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and no
-package module reads another one's private (``_``-prefixed) names."""
+"""Every name a package module imports is used in that module, no package
+module reads another one's private (``_``-prefixed) names, and only the
+entry-point types check their values in ``__post_init__``."""
 import ast
 import pathlib
 
@@ -59,3 +60,22 @@ def test_no_module_reads_another_modules_private_names(path):
     reads = [f"{name} (line {line})"
              for name, line in private_reads(ast.parse(path.read_text(encoding="utf-8")))]
     assert not reads, f"{path.name} reads private names of other modules: {reads}"
+
+
+#: The types a value enters the program through, each checking its fields in
+#: ``__post_init__``. Every other type holds what these, or a function that
+#: checks its arguments, produced; a new type that must check its input is
+#: added here on purpose.
+CHECKED_TYPES = {"TimeTable", "SplitSpec", "SynthConfig", "EngineeringConfig",
+                 "FeatureMatrix", "Hyperparams", "HyperparamGrid"}
+
+
+def test_only_the_entry_point_types_check_their_fields():
+    checked = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(item, ast.FunctionDef) and item.name == "__post_init__"
+                    for item in node.body):
+                checked.add(node.name)
+    assert checked == CHECKED_TYPES

@@ -5,7 +5,7 @@ import pytest
 from rtcast import forecast, gbm, pffra
 from rtcast.errors import ConfigError, DataError, NumericError, SelectionError
 from rtcast.features import training_means
-from rtcast.pffra import DEFAULT_BANDS, Spectrum
+from rtcast.pffra import DEFAULT_BANDS
 
 from conftest import make_matrix
 
@@ -106,14 +106,6 @@ class TestSpectrum:
         spec = pffra.dft(x, 600)
         assert spec.magnitudes[-1] == pytest.approx(2 * 1.3, abs=1e-9)
         assert spec.bin_powers()[-1] == pytest.approx(1.3 ** 2, abs=1e-9)
-
-    def test_validation(self):
-        with pytest.raises(DataError):
-            Spectrum(
-                frequencies=np.array([2.0, 1.0]),
-                magnitudes=np.array([1.0, 1.0]),
-                dc=0.0, n=4, sample_interval_seconds=600,
-            )
 
 
 class TestBandEnergy:
