@@ -47,20 +47,25 @@ _DEFAULT_ABLATE_COMBOS = (
 
 
 def _parse_kv_file(path: str) -> dict:
+    """The ``key = value`` lines of a config or schema file; a key may be set once."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    out = {}
+    out, set_on = {}, {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}: line {lineno}: expected key=value")
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in set_on:
+            raise ConfigError(
+                f"{path}: line {lineno}: {key} is already set on line {set_on[key]}")
+        set_on[key] = lineno
+        out[key] = val
     return out
 
 
@@ -135,7 +140,7 @@ def _list(parse, sep=","):
 
 def _groups(text):
     groups = _nonempty(_groups_from(text))
-    feature_order(groups)  # a SelectionError says what the selection lacks
+    feature_order(groups)  # a DataError says what the selection lacks
     return groups
 
 
@@ -706,18 +711,14 @@ def cmd_explain(cfg: PipelineConfig, args, out: ArtifactWriter) -> dict:
             )
 
         tag = f"{args.feature}_{args.split}"
-        spectra = {
-            f.name.removeprefix("spectrum_"): getattr(report, f.name)
-            for f in fields(report) if f.name.startswith("spectrum_")
-        }
         out.write_json(f"pffra_{tag}.json", {
             "feature": report.feature,
             "protocol": args.protocol,
             "split": args.split,
-            "dc": {variant: spec.dc for variant, spec in spectra.items()},
+            "dc": {variant: spec.dc for variant, spec in report.spectra.items()},
             "band_energies": report.band_energies,
         })
-        for variant, spec in spectra.items():
+        for variant, spec in report.spectra.items():
             out.write_csv(
                 f"spectrum_{variant}_{tag}.csv",
                 ["frequency", "magnitude"],

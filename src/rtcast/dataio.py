@@ -20,15 +20,7 @@ from datetime import date
 import numpy as np
 
 from . import timebase
-from .errors import (
-    ConfigError,
-    DataError,
-    IntegrityError,
-    ParseError,
-    SchemaError,
-    SplitError,
-    float_range,
-)
+from .errors import ConfigError, DataError, float_range
 from .timebase import HolidayCalendar
 
 #: Canonical name of the target column in CSV files.
@@ -87,7 +79,7 @@ class TimeTable:
             diffs = np.diff(ts)
             if not np.all(diffs == self.interval_seconds):
                 bad = int(np.flatnonzero(diffs != self.interval_seconds)[0])
-                raise IntegrityError(
+                raise DataError(
                     "non-uniform sampling between "
                     f"{timebase.format_instant(ts[bad])} and "
                     f"{timebase.format_instant(ts[bad + 1])}"
@@ -165,7 +157,7 @@ _DEFAULT_SCHEMA = {TIMESTAMP_COLUMN: "timestamp", TARGET_COLUMN: "target"}
 
 
 def _resolve_roles(header: list, schema: dict | None) -> dict:
-    """Map header columns to roles; raise SchemaError on missing requirements.
+    """Map header columns to roles; raise DataError on missing requirements.
     Columns a schema leaves out are ignored; without a schema they are features."""
     unlisted = "feature" if schema is None else "ignore"
     roles = {}
@@ -173,14 +165,14 @@ def _resolve_roles(header: list, schema: dict | None) -> dict:
         if role not in ("timestamp", "target", "feature", "ignore"):
             raise ConfigError(f"unknown role {role!r} for column {name!r}")
         if role != "ignore" and name not in header:
-            raise SchemaError(f"missing required column {name!r}")
+            raise DataError(f"missing required column {name!r}")
         roles[name] = role
     for name in header:
         roles.setdefault(name, unlisted)
     for required in ("timestamp", "target"):
         found = [n for n, r in roles.items() if r == required]
         if len(found) != 1:
-            raise SchemaError(
+            raise DataError(
                 f"schema must declare exactly one {required} column, found {found}"
             )
     return roles
@@ -192,9 +184,10 @@ def ingest_csv(source, schema: dict | None = None) -> TimeTable:
     Parameters
     ----------
     source : str, Path, or text file object
-        CSV with a header row. The timestamp column must parse as ISO-8601;
-        every other declared column must be numeric (empty cells become NaN
-        and are rejected later, by the feature builder).
+        UTF-8 CSV with a header row (a leading byte-order mark is skipped).
+        The timestamp column must parse as ISO-8601; every other declared
+        column must be numeric (empty cells become NaN and are rejected
+        later, by the feature builder).
     schema : dict, optional
         Column-name -> role map with roles ``timestamp``, ``target``,
         ``feature``, ``ignore``. Default: column ``timestamp`` is the
@@ -202,15 +195,15 @@ def ingest_csv(source, schema: dict | None = None) -> TimeTable:
 
     Raises
     ------
-    SchemaError, ParseError, IntegrityError, DataError
+    DataError
     """
     if hasattr(source, "read"):
         return _ingest_stream(source, schema)
     try:
-        with open(source, newline="", encoding="utf-8") as fh:
+        with open(source, newline="", encoding="utf-8-sig") as fh:
             return _ingest_stream(fh, schema)
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{source}: not UTF-8 text ({exc.reason})") from None
+        raise DataError(f"{source}: not UTF-8 text ({exc.reason})") from None
 
 
 def _ingest_stream(fh, schema) -> TimeTable:
@@ -221,7 +214,7 @@ def _ingest_stream(fh, schema) -> TimeTable:
     except StopIteration:
         raise DataError("empty file: no header row") from None
     except csv.Error as exc:
-        raise ParseError(f"header row: {exc}") from None
+        raise DataError(f"header row: {exc}") from None
     header = [h.strip() for h in header]
     roles = _resolve_roles(header, schema)
 
@@ -244,9 +237,7 @@ def _ingest_stream(fh, schema) -> TimeTable:
 
     dup = np.flatnonzero(np.diff(ts) == 0)
     if dup.size:
-        raise IntegrityError(
-            f"duplicate timestamp {timebase.format_instant(ts[dup[0]])}"
-        )
+        raise DataError(f"duplicate timestamp {timebase.format_instant(ts[dup[0]])}")
     interval = int(ts[1] - ts[0])
 
     columns, target = {}, None
@@ -329,7 +320,7 @@ def _parse_fixed_form(lines, n_cells, ts_idx, numeric_cols):
 
 def _parse_rows(reader, header, ts_idx, numeric_idx):
     """Epoch seconds and numeric cells of the remaining CSV rows, one row at
-    a time; raises ParseError naming the first bad row."""
+    a time; raises DataError naming the first bad row."""
     stamps, rows = [], []
     rownum = 0
     try:
@@ -337,13 +328,13 @@ def _parse_rows(reader, header, ts_idx, numeric_idx):
             if not row:
                 continue
             if len(row) != len(header):
-                raise ParseError(
+                raise DataError(
                     f"row {rownum}: expected {len(header)} cells, got {len(row)}"
                 )
             try:
                 stamps.append(timebase.parse_instant(row[ts_idx]))
-            except ParseError as exc:
-                raise ParseError(f"row {rownum}: {exc}") from None
+            except DataError as exc:
+                raise DataError(f"row {rownum}: {exc}") from None
             # float() also reads PEP 515 underscores, non-ASCII digits and
             # non-ASCII spaces ("1_5", "１５"); a CSV number is plain ASCII. Rows
             # are checked whole, and the cells of a row that fails one by one.
@@ -360,12 +351,12 @@ def _parse_rows(reader, header, ts_idx, numeric_idx):
                         raise ValueError(cell)
                     vals.append(float(cell))
                 except ValueError:
-                    raise ParseError(
+                    raise DataError(
                         f"row {rownum}: non-numeric value {cell!r} in column {name!r}"
                     ) from None
             rows.append(vals)
     except csv.Error as exc:  # e.g. a stray quote that runs on past the field size limit
-        raise ParseError(f"row {rownum + 1}: {exc}") from None
+        raise DataError(f"row {rownum + 1}: {exc}") from None
     return np.array(stamps, dtype=np.int64), np.array(rows, dtype=np.float64)
 
 
@@ -472,7 +463,7 @@ def split(
     parts = []
     for name, lo, hi in (("train", i0, i1), ("validation", i1, i2), ("test", i2, i3)):
         if hi <= lo:
-            raise SplitError(f"{name} partition is empty for the given dates")
+            raise DataError(f"{name} partition is empty for the given dates")
         parts.append(table.row_slice(lo, hi))
     return tuple(parts)
 

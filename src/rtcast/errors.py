@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the toolkit.
 
-Three top-level families map onto the CLI exit codes: configuration/usage
-problems (exit 2), data problems (exit 3), numerical failures (exit 4).
+One class per CLI exit code, each a :class:`ToolkitError`: ``ConfigError``
+for configuration and usage problems (exit 2), ``DataError`` for problems
+with the content of input data (exit 3) and ``NumericError`` for numerical
+failures (exit 4). The message, not a subclass, says what went wrong.
 """
 from contextlib import contextmanager
 
@@ -18,30 +20,6 @@ class ConfigError(ToolkitError):
 
 class DataError(ToolkitError):
     """Problem with the content of input data."""
-
-
-class SchemaError(DataError):
-    """A required column is missing or declared with the wrong role."""
-
-
-class IntegrityError(DataError):
-    """Duplicate timestamps or a broken sampling grid."""
-
-
-class ParseError(DataError):
-    """A cell or line could not be parsed."""
-
-
-class SplitError(DataError):
-    """A chronological split produced an empty partition."""
-
-
-class SelectionError(DataError):
-    """Unknown feature or feature-group name."""
-
-
-class PipelineError(DataError):
-    """A processing step is missing one of its input columns."""
 
 
 class NumericError(ToolkitError):

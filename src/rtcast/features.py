@@ -30,7 +30,7 @@ import numpy as np
 
 from . import timebase
 from .dataio import TimeTable
-from .errors import ConfigError, DataError, PipelineError, SelectionError, float_range
+from .errors import ConfigError, DataError, float_range
 from .timebase import HolidayCalendar
 
 GROUPS = ("IOTS", "IOTS-MVA", "MVART", "Holiday")
@@ -97,7 +97,7 @@ class FeatureMatrix:
         try:
             return self.feature_names.index(name)
         except ValueError:
-            raise SelectionError(f"unknown feature {name!r}") from None
+            raise DataError(f"unknown feature {name!r}") from None
 
     def column(self, name: str) -> np.ndarray:
         return self.rows[:, self.index(name)]
@@ -165,13 +165,13 @@ def _check_groups(feature_selection) -> frozenset:
     groups = frozenset(feature_selection)
     unknown = groups - set(GROUPS)
     if unknown:
-        raise SelectionError(
+        raise DataError(
             f"unknown feature group(s) {sorted(unknown)}; known: {list(GROUPS)}"
         )
     if "IOTS" in groups and "IOTS-MVA" in groups:
-        raise SelectionError("IOTS and IOTS-MVA are mutually exclusive")
+        raise DataError("IOTS and IOTS-MVA are mutually exclusive")
     if "IOTS" not in groups and "IOTS-MVA" not in groups:
-        raise SelectionError(f"selection {sorted(groups)} needs one of IOTS or IOTS-MVA")
+        raise DataError(f"selection {sorted(groups)} needs one of IOTS or IOTS-MVA")
     return groups
 
 
@@ -192,7 +192,7 @@ def engineered_table(
     cols = table.columns
     for dep in ("OnOffState", "OpMode", "OutTemp", "OutHumid"):
         if dep not in cols:
-            raise PipelineError(f"input table is missing column {dep!r}")
+            raise DataError(f"input table is missing column {dep!r}")
 
     f = timebase.local_fields(table.timestamps, config.utc_offset_hours)
     holiday = config.holiday_calendar.mask(f["day"])

@@ -149,7 +149,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DataError, NumericError, ToolkitError, float_range
+from .errors import ConfigError, DataError, ToolkitError, float_range
 from .features import FeatureMatrix, check_finite
 from .stats import metrics
 
@@ -1060,8 +1060,8 @@ def train(X: FeatureMatrix, params: Hyperparams) -> Ensemble:
     """
     if len(X) < 2:
         raise DataError(f"training needs at least 2 rows, got {len(X)}")
-    if not (np.isfinite(X.rows).all() and np.isfinite(X.target).all()):
-        raise NumericError("training data contains non-finite values")
+    check_finite(X.rows, X.feature_names, X.row_timestamps)
+    check_finite(X.target[:, None], ["RT"], X.row_timestamps)
 
     y = X.target
     n = len(y)

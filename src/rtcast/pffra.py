@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import TimeTable
-from .errors import ConfigError, DataError, NumericError, SelectionError, float_range
+from .errors import ConfigError, DataError, NumericError, float_range
 from .features import EngineeringConfig, FeatureMatrix, training_means
 from .forecast import rolling_forecast
 from .gbm import Ensemble, predict_sweep
@@ -70,13 +70,14 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class PffraReport:
-    """Spectra of the four prediction/truth variants plus band energies."""
+    """Spectra of the four prediction/truth variants plus band energies.
+
+    ``spectra`` maps each variant (``original``, ``feature_permuted``,
+    ``feature_only``, ``truth``) to its :class:`Spectrum`.
+    """
 
     feature: str
-    spectrum_feature_only: Spectrum
-    spectrum_feature_permuted: Spectrum
-    spectrum_original: Spectrum
-    spectrum_truth: Spectrum
+    spectra: dict
     band_energies: dict
 
 
@@ -132,7 +133,7 @@ def mean_substitute(X: FeatureMatrix, features_to_permute, means: dict) -> Featu
     """
     rows = X.rows.copy()
     for name in features_to_permute:
-        j = X.index(name)  # raises SelectionError on unknown names
+        j = X.index(name)  # raises DataError on unknown names
         rows[:, j] = _training_mean(means, name)
     return FeatureMatrix(X.feature_names, rows, X.target, X.row_timestamps)
 
@@ -147,7 +148,7 @@ def variants(feature_names, feature: str) -> dict:
     """The features each prediction variant mean-substitutes, in model order;
     both protocols predict these."""
     if feature not in feature_names:
-        raise SelectionError(f"unknown feature {feature!r}")
+        raise DataError(f"unknown feature {feature!r}")
     others = [n for n in feature_names if n != feature]
     return {"original": [], "feature_permuted": [feature], "feature_only": others}
 
@@ -284,9 +285,6 @@ def report_from_series(feature: str, series: dict, step: int) -> PffraReport:
     energies = {k: band_energy(spec, DEFAULT_BANDS) for k, spec in spectra.items()}
     return PffraReport(
         feature=feature,
-        spectrum_feature_only=spectra["feature_only"],
-        spectrum_feature_permuted=spectra["feature_permuted"],
-        spectrum_original=spectra["original"],
-        spectrum_truth=spectra["truth"],
+        spectra=spectra,
         band_energies={b: {k: energies[k][b] for k in spectra} for b in DEFAULT_BANDS},
     )

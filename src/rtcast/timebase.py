@@ -12,7 +12,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DataError
 
 #: Default sampling interval of the sensor grid (10 minutes).
 SAMPLE_INTERVAL_SECONDS = 600
@@ -35,7 +35,7 @@ def parse_instant(text: str) -> int:
     try:
         dt = datetime.fromisoformat(s)
     except ValueError as exc:
-        raise ParseError(f"unparseable timestamp {text!r}") from exc
+        raise DataError(f"unparseable timestamp {text!r}") from exc
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return int(dt.timestamp())
@@ -58,7 +58,7 @@ def parse_day(text: str) -> date:
     try:
         return date.fromisoformat(text.strip())
     except ValueError as exc:
-        raise ParseError(f"unparseable date {text!r}") from exc
+        raise DataError(f"unparseable date {text!r}") from exc
 
 
 def day_number(d: date) -> int:
@@ -128,7 +128,7 @@ class HolidayCalendar:
     def from_file(cls, path) -> "HolidayCalendar":
         """Load one ISO date per line; ``#`` starts a comment."""
         dates = set()
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -136,7 +136,7 @@ class HolidayCalendar:
                 try:
                     dates.add(date.fromisoformat(line))
                 except ValueError as exc:
-                    raise ParseError(
+                    raise DataError(
                         f"{path}: line {lineno}: unparseable date {line!r}"
                     ) from exc
         return cls(dates=frozenset(dates))

@@ -128,9 +128,9 @@ def test_criterion_05_frequency_response_of_the_lag_feature(pipeline):
     ratio = low["feature_only"] / low["original"]
     assert ratio >= 0.6, f"low-band energy ratio {ratio:.3f} < 0.6"
 
-    dc_orig = rep.spectrum_original.dc
-    gap_without_lag = abs(rep.spectrum_feature_permuted.dc - dc_orig)
-    gap_lag_alone = abs(rep.spectrum_feature_only.dc - dc_orig)
+    dc_orig = rep.spectra["original"].dc
+    gap_without_lag = abs(rep.spectra["feature_permuted"].dc - dc_orig)
+    gap_lag_alone = abs(rep.spectra["feature_only"].dc - dc_orig)
     assert gap_without_lag < gap_lag_alone
     announce(5, f"low-band ratio {ratio:.2f}; DC gaps "
                 f"{gap_without_lag:.3f} < {gap_lag_alone:.3f}")

@@ -181,8 +181,7 @@ class TestExplainCommands:
                 "--feature", "MVART")
         doc = json.loads((dest / "pffra_MVART_val.json").read_text())
         assert set(doc["band_energies"]) == {"dc", "low", "mid", "high"}
-        variants = {name.removeprefix("spectrum_") for name in names(pffra.PffraReport)
-                    if name.startswith("spectrum_")}
+        variants = {"feature_only", "feature_permuted", "original", "truth"}
         assert set(doc["dc"]) == variants
         assert {p.name for p in dest.glob("spectrum_*.csv")} == {
             f"spectrum_{v}_MVART_val.csv" for v in variants}
@@ -674,6 +673,19 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err == f"error: config {key} = {bad}: {reason.value}\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_a_column_named_twice_in_a_schema_file_names_its_key(self, tmp_path, capsys):
+        table = tmp_path / "t.csv"
+        table.write_text("timestamp,RT\n2020-01-01T00:00:00Z,20.0\n2020-01-01T00:10:00Z,20.5\n")
+        schema = tmp_path / "roles.txt"
+        schema.write_text("timestamp = timestamp\nRT = target\nRT = feature\n")
+        argv = ["--out", str(tmp_path / "x"), "--quiet", "ingest", "--csv", str(table),
+                "--schema", str(schema)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: config data.schema = {schema}: {schema}: line 3: "
+            "RT is already set on line 2\n")
         assert not (tmp_path / "x").exists()
 
     def test_quote_that_runs_past_the_field_size_limit_is_exit_three(self, pipeline, tmp_path):

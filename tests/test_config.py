@@ -245,6 +245,25 @@ def test_unreadable_holiday_file_is_a_config_error(tmp_path):
         resolve(tmp_path, f"features.holiday_file = {tmp_path / 'missing.txt'}\n")
 
 
+def test_a_byte_order_mark_is_read_as_the_encoding_mark(tmp_path):
+    """Spreadsheet and building-management exports often start with EF BB BF."""
+    path = tmp_path / "marked.ini"
+    path.write_bytes(b"\xef\xbb\xbfsynth.days = 3\n")
+    args = cli._build_parser().parse_args(
+        ["--config", str(path), "--out", str(tmp_path / "out"), "synth"])
+    assert cli._build_config(args).synth.n_days == 3
+
+
+def test_a_key_set_twice_in_one_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "twice.ini"
+    path.write_text("synth.days = 3\n# a later line is no override\nsynth.days=4\n")
+    code = cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet", "synth"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 3: synth.days is already set on line 1\n")
+    assert not (tmp_path / "out").exists()
+
+
 FLOAT_KEYS = (
     "synth.rt_base", "synth.seasonal_amp", "synth.daily_amp", "synth.holiday_shift",
     "synth.noise_sd", "synth.quantization", "features.utc_offset_hours",
@@ -300,7 +319,8 @@ def test_readme_config_error_examples_are_what_the_cli_prints(tmp_path, capsys):
     for example in examples:
         key, text = re.match(r"config ([\w.]+) = (\S*): ", example).groups()
         path = tmp_path / "example.ini"
-        path.write_text(f"synth.days = 20\n{key} = {text}\n")
+        days = "" if key == "synth.days" else "synth.days = 20\n"  # a key is set once
+        path.write_text(f"{days}{key} = {text}\n")
         code = cli.main(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet",
                          "evaluate"])
         assert (code, capsys.readouterr().err) == (2, f"error: {example}\n")

@@ -15,16 +15,7 @@ from hypothesis import strategies as st
 
 from rtcast import cli, dataio, timebase
 from rtcast.dataio import SplitSpec, SynthConfig, TimeTable
-from rtcast.errors import (
-    ConfigError,
-    DataError,
-    IntegrityError,
-    NumericError,
-    ParseError,
-    SchemaError,
-    SplitError,
-    ToolkitError,
-)
+from rtcast.errors import ConfigError, DataError, NumericError, ToolkitError
 
 
 def _table(n=6, step=600, cols=("A",)):
@@ -39,7 +30,7 @@ def _table(n=6, step=600, cols=("A",)):
 class TestTimeTable:
     def test_rejects_irregular_spacing(self):
         ts = np.array([0, 600, 1300], dtype=np.int64)
-        with pytest.raises(IntegrityError) as err:
+        with pytest.raises(DataError) as err:
             TimeTable(timestamps=ts, columns={}, target=np.zeros(3), interval_seconds=600)
         assert "1970-01-01T00:21:40Z" in str(err.value)
 
@@ -86,18 +77,18 @@ class TestIngest:
         assert t.interval_seconds == 600
 
     def test_missing_target_column(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(DataError, match="^missing required column 'RT'$"):
             dataio.ingest_csv(io.StringIO("timestamp,foo\n2020-01-01,1\n2020-01-02,2\n"))
 
     def test_duplicate_timestamp_names_instant(self):
         text = "timestamp,RT\n2020-01-01T00:00:00Z,21.0\n2020-01-01T00:00:00Z,22.0\n"
-        with pytest.raises(IntegrityError) as err:
+        with pytest.raises(DataError) as err:
             dataio.ingest_csv(io.StringIO(text))
         assert "2020-01-01T00:00:00Z" in str(err.value)
 
     def test_unparseable_cell_reports_row(self):
         text = "timestamp,RT\n2020-01-01T00:00:00Z,21.0\n2020-01-01T00:10:00Z,warm\n"
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(DataError) as err:
             dataio.ingest_csv(io.StringIO(text))
         assert "row 2" in str(err.value)
 
@@ -109,7 +100,7 @@ class TestIngest:
         text = ("timestamp,RT,OutTemp\n"
                 "2020-01-01T00:00:00Z,21.0,4.0\n"
                 f"2020-01-01T00:10:00Z,21.5,{cell}\n")
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(DataError) as err:
             dataio.ingest_csv(io.StringIO(text))
         assert str(err.value) == f"row 2: non-numeric value {cell!r} in column 'OutTemp'"
 
@@ -126,7 +117,7 @@ class TestIngest:
            pick=st.data())
     def test_underscore_or_non_ascii_digit_is_refused(self, value, pick):
         """Inserting an underscore, or a non-ASCII digit in place of an ASCII
-        one, into a valid number gives a ParseError naming the row and column."""
+        one, into a valid number gives a DataError naming the row and column."""
         text = repr(value)
         mutate = pick.draw(st.sampled_from(["underscore", "fullwidth", "arabic-indic",
                                             "devanagari"]))
@@ -145,7 +136,7 @@ class TestIngest:
         lines = ["timestamp,RT,OutTemp"] + [
             f"2020-01-01T00:{10 * i:02d}:00Z,21.0,{cell if i + 1 == row else text}"
             for i in range(3)]
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(DataError) as err:
             dataio.ingest_csv(io.StringIO("\n".join(lines) + "\n"))
         assert str(err.value) == f"row {row}: non-numeric value {cell!r} in column 'OutTemp'"
 
@@ -179,7 +170,8 @@ class TestIngest:
 
     def test_schema_needs_exactly_one_timestamp(self):
         schema = {"a": "timestamp", "b": "timestamp", "c": "target"}
-        with pytest.raises(SchemaError):
+        with pytest.raises(DataError, match=r"^schema must declare exactly one timestamp "
+                                            r"column, found \['a', 'b'\]$"):
             dataio.ingest_csv(io.StringIO("a,b,c\n1,2,3\n"), schema)
 
     def test_no_schema_is_the_default_schema_with_features_for_the_rest(self):
@@ -189,14 +181,14 @@ class TestIngest:
         assert table_key(dataio.ingest_csv(io.StringIO(text))) == \
             table_key(dataio.ingest_csv(io.StringIO(text), spelled))
         # An empty schema file is no default: every column is ignored.
-        with pytest.raises(SchemaError, match="exactly one timestamp column, found \\[\\]"):
+        with pytest.raises(DataError, match="exactly one timestamp column, found \\[\\]"):
             dataio.ingest_csv(io.StringIO(text), {})
 
     @pytest.mark.parametrize("header, missing", [
         ("RT,x", "timestamp"), ("x,y", "timestamp"), ("timestamp,x", "RT"),
     ])
     def test_without_a_schema_the_first_missing_column_is_named(self, header, missing):
-        with pytest.raises(SchemaError) as err:
+        with pytest.raises(DataError) as err:
             dataio.ingest_csv(io.StringIO(f"{header}\n1,2\n3,4\n"))
         assert str(err.value) == f"missing required column {missing!r}"
 
@@ -210,16 +202,25 @@ class TestIngest:
         lines[i] = lines[i].replace(",", ',"', 1)
         text = "".join(lines)
         assert len(text) > csv.field_size_limit()
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(DataError) as err:
             dataio.ingest_csv(io.StringIO(text))
         assert str(err.value) == f"{row}: field larger than field limit ({csv.field_size_limit()})"
 
     def test_a_file_that_is_not_utf8_is_a_parse_error_naming_it(self, tmp_path):
         path = tmp_path / "latin1.csv"
         path.write_bytes("timestamp,RT,Ort\n2020-01-01T00:00:00Z,21.0,Zürich\n".encode("latin-1"))
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(DataError) as err:
             dataio.ingest_csv(str(path))
         assert str(err.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+    def test_a_byte_order_mark_is_read_as_the_encoding_mark(self, synth_table, tmp_path):
+        """Spreadsheet exports often start with EF BB BF: the table read from
+        such a file is the one read without it."""
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        dataio.write_csv(synth_table, str(plain))
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert table_key(dataio.ingest_csv(str(marked))) == \
+            table_key(dataio.ingest_csv(str(plain)))
 
 
 #: Roles for the writer's columns plus an ignored free-text ``note``.
@@ -341,7 +342,7 @@ class TestOnePassParser:
         rows[4].append("7.0")
         outcome, per_row = ingest_outcome(join(rows))
         assert per_row
-        assert outcome == (ParseError, "row 2: expected 6 cells, got 5")
+        assert outcome == (DataError, "row 2: expected 6 cells, got 5")
 
     @pytest.mark.parametrize("text", ["a\rb\n", "2017\r", "x\n\r"])
     def test_a_lone_carriage_return_goes_through_the_per_row_loop(self, text):
@@ -629,7 +630,7 @@ class TestSplit:
         # the test window lies entirely after the data ends
         d = timebase.parse_day
         spec = SplitSpec(d("2017-12-08"), d("2017-12-26"), d("2018-02-01"), d("2018-03-01"))
-        with pytest.raises(SplitError) as err:
+        with pytest.raises(DataError) as err:
             dataio.split(synth_table, spec)
         assert "test" in str(err.value)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rtcast import dataio, features, timebase
-from rtcast.errors import ConfigError, DataError, NumericError, PipelineError, SelectionError
+from rtcast.errors import ConfigError, DataError, NumericError
 from rtcast.features import EngineeringConfig, FeatureMatrix
 
 FULL = frozenset({"IOTS-MVA", "MVART", "Holiday"})
@@ -93,7 +93,7 @@ def ref_add_holiday(table, calendar, utc_offset_hours):
 def ref_add_occupancy(table, work_start_hour, work_end_hour):
     for dep in ("OnOffState", "Hour", "Holiday"):
         if dep not in table.columns:
-            raise PipelineError(f"occupancy needs column {dep!r}; add it first")
+            raise DataError(f"occupancy needs column {dep!r}; add it first")
     hour = table.columns["Hour"]
     occ = (
         (table.columns["OnOffState"] == 1.0)
@@ -119,7 +119,7 @@ def ref_engineered_table(table, config, feature_selection):
     groups = features._check_groups(feature_selection)
     for dep in ("OnOffState", "OpMode", "OutTemp", "OutHumid"):
         if dep not in table.columns:
-            raise PipelineError(f"input table is missing column {dep!r}")
+            raise DataError(f"input table is missing column {dep!r}")
     out = ref_add_time_features(table, config.utc_offset_hours)
     out = ref_add_holiday(out, config.holiday_calendar, config.utc_offset_hours)
     out = ref_add_occupancy(out, config.work_start_hour, config.work_end_hour)
@@ -237,11 +237,12 @@ class TestFeatureOrder:
         assert "OutHumidMVA" not in names and "MVART" not in names
 
     def test_smoothed_and_raw_groups_are_exclusive(self):
-        with pytest.raises(SelectionError):
+        with pytest.raises(DataError, match="^IOTS and IOTS-MVA are mutually exclusive$"):
             features.feature_order(frozenset({"IOTS", "IOTS-MVA"}))
 
     def test_unknown_group(self):
-        with pytest.raises(SelectionError):
+        with pytest.raises(DataError, match=r"^unknown feature group\(s\) \['Bogus'\]; known: "
+                                            r"\['IOTS', 'IOTS-MVA', 'MVART', 'Holiday'\]$"):
             features.feature_order(frozenset({"IOTS", "Bogus"}))
 
 
@@ -274,7 +275,7 @@ class TestBuildDesignMatrix:
         ts = 600 * np.arange(20, dtype=np.int64)
         t = dataio.TimeTable(timestamps=ts, columns={"OnOffState": np.zeros(20)},
                              target=np.zeros(20), interval_seconds=600)
-        with pytest.raises(PipelineError):
+        with pytest.raises(DataError, match="^input table is missing column 'OpMode'$"):
             features.build_design_matrix(t, engineering, FULL)
 
     def test_nan_leak_is_reported_with_column(self, synth_splits, engineering):
@@ -308,7 +309,7 @@ class TestBuildDesignMatrix:
 
     def test_column_lookup(self, train_matrix):
         assert train_matrix.index("Hour") == 5
-        with pytest.raises(SelectionError):
+        with pytest.raises(DataError, match="^unknown feature 'NoSuchFeature'$"):
             train_matrix.column("NoSuchFeature")
 
 

@@ -409,7 +409,14 @@ class TestTrain:
 
     def test_rejects_non_finite_targets(self):
         X = make_matrix([[0.0], [1.0]], ["A"], target=[1.0, np.nan])
-        with pytest.raises(NumericError):
+        with pytest.raises(DataError, match="^non-finite value in column 'RT' at "
+                                            "1970-01-01T00:10:00Z$"):
+            gbm.train(X, Hyperparams(n_trees=1))
+
+    def test_rejects_non_finite_rows_naming_the_column_and_instant(self):
+        X = make_matrix([[0.0, 1.0], [2.0, np.inf]], ["A", "B"], target=[1.0, 2.0])
+        with pytest.raises(DataError, match="^non-finite value in column 'B' at "
+                                            "1970-01-01T00:10:00Z$"):
             gbm.train(X, Hyperparams(n_trees=1))
 
     def test_grow_tree_raises_when_gradient_sums_overflow(self):
@@ -479,9 +486,10 @@ class TestGridSearch:
         bad = make_matrix(np.full((3, 3), np.nan), ["a", "b", "c"])
         grid = HyperparamGrid(max_depth=(2,), n_trees=(5,), gamma=(0.0,),
                               lambda_=(1.0,), learning_rate=(0.3,))
-        with pytest.raises(NumericError) as err:
+        with pytest.raises(DataError) as err:
             gbm.grid_search(bad, V, grid)
-        assert "grid combination" in str(err.value)
+        assert str(err.value).startswith("grid combination Hyperparams(max_depth=2, ")
+        assert str(err.value).endswith(": non-finite value in column 'a' at 1970-01-01T00:00:00Z")
 
 
 def train_both_ways(X, params) -> tuple:

@@ -1,7 +1,9 @@
 """Every name a package module imports is used in that module, no package
-module reads another one's private (``_``-prefixed) names, and only the
-entry-point types check their values in ``__post_init__``."""
+module reads another one's private (``_``-prefixed) names, only the
+entry-point types check their values in ``__post_init__``, and there is one
+error class per CLI exit code."""
 import ast
+import builtins
 import pathlib
 
 import pytest
@@ -79,3 +81,27 @@ def test_only_the_entry_point_types_check_their_fields():
                     for item in node.body):
                 checked.add(node.name)
     assert checked == CHECKED_TYPES
+
+
+#: The package's exception classes: the base and one class per CLI exit code
+#: (2, 3, 4), all in ``errors.py``. What went wrong is in the message; a class
+#: that a handler must tell apart from these is added here on purpose.
+ERROR_CLASSES = {"ToolkitError", "ConfigError", "DataError", "NumericError"}
+
+
+def test_one_error_class_per_exit_code():
+    bases, module = {}, {}
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [ast.unparse(b).rsplit(".", 1)[-1] for b in node.bases]
+                module[node.name] = path.name
+
+    def is_exception(name):
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type):
+            return issubclass(builtin, BaseException)
+        return any(is_exception(base) for base in bases.get(name, ()))
+
+    errors = {name: module[name] for name in bases if is_exception(name)}
+    assert errors == dict.fromkeys(ERROR_CLASSES, "errors.py")

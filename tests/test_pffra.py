@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from rtcast import forecast, gbm, pffra
-from rtcast.errors import ConfigError, DataError, NumericError, SelectionError
+from rtcast.errors import ConfigError, DataError, NumericError
 from rtcast.features import training_means
 from rtcast.pffra import DEFAULT_BANDS
 
@@ -152,7 +152,7 @@ class TestMeanSubstitute:
 
     def test_unknown_feature(self):
         X = make_matrix([[1.0]], ["a"])
-        with pytest.raises(SelectionError):
+        with pytest.raises(DataError, match="^unknown feature 'zzz'$"):
             pffra.mean_substitute(X, ["zzz"], {"zzz": 0.0})
 
     def test_missing_mean(self):
@@ -168,7 +168,7 @@ class TestVariants:
         assert got == {"original": [], "feature_permuted": ["a"], "feature_only": ["c", "b"]}
 
     def test_unknown_feature(self):
-        with pytest.raises(SelectionError, match="^unknown feature 'zzz'$"):
+        with pytest.raises(DataError, match="^unknown feature 'zzz'$"):
             pffra.variants(("a", "b"), "zzz")
 
 
@@ -189,12 +189,12 @@ class TestPffra:
         m0, m1 = x0.mean(), x1.mean()
         want_only = pffra.dft(x0 + m1 + 2.0, 600)
         want_perm = pffra.dft(m0 + x1 + 2.0, 600)
-        assert np.allclose(rep.spectrum_feature_only.magnitudes,
+        assert np.allclose(rep.spectra["feature_only"].magnitudes,
                            want_only.magnitudes, atol=1e-9)
-        assert np.allclose(rep.spectrum_feature_permuted.magnitudes,
+        assert np.allclose(rep.spectra["feature_permuted"].magnitudes,
                            want_perm.magnitudes, atol=1e-9)
-        assert rep.spectrum_original.dc == pytest.approx(np.mean(x0 + x1) + 2.0)
-        assert rep.spectrum_truth.dc == pytest.approx(np.mean(X.target))
+        assert rep.spectra["original"].dc == pytest.approx(np.mean(x0 + x1) + 2.0)
+        assert rep.spectra["truth"].dc == pytest.approx(np.mean(X.target))
 
     def test_interested_feature_keeps_its_own_band(self):
         X, model, _, _ = self._setup()
@@ -229,8 +229,8 @@ class TestPffra:
                                val_matrix.target, name, means)
             assert got.band_energies == want.band_energies
             for field in ("feature_only", "feature_permuted", "original", "truth"):
-                a = getattr(got, f"spectrum_{field}")
-                b = getattr(want, f"spectrum_{field}")
+                a = got.spectra[field]
+                b = want.spectra[field]
                 assert a.dc == b.dc and a.n == b.n
                 assert np.array_equal(a.magnitudes, b.magnitudes)
                 assert np.array_equal(a.frequencies, b.frequencies)
@@ -257,7 +257,7 @@ class TestPffra:
             pffra.pffra(model, bad, bad.target, "slow")
 
     def test_unknown_feature(self, small_model, val_matrix):
-        with pytest.raises(SelectionError):
+        with pytest.raises(DataError, match="^unknown feature 'Nope'$"):
             pffra.pffra(small_model, val_matrix, val_matrix.target, "Nope")
 
     @pytest.mark.parametrize("v", [1e304, 1e307])
@@ -298,8 +298,8 @@ class TestRollingPffra:
         assert got.feature == want.feature
         assert got.band_energies == want.band_energies
         for field in ("feature_only", "feature_permuted", "original", "truth"):
-            a = getattr(got, f"spectrum_{field}")
-            b = getattr(want, f"spectrum_{field}")
+            a = got.spectra[field]
+            b = want.spectra[field]
             assert (a.dc, a.n, a.sample_interval_seconds) == \
                 (b.dc, b.n, b.sample_interval_seconds)
             assert np.array_equal(a.magnitudes, b.magnitudes)
@@ -320,6 +320,6 @@ class TestRollingPffra:
         assert calls == []
 
     def test_unknown_feature(self, small_model, synth_splits, engineering, train_matrix):
-        with pytest.raises(SelectionError, match="^unknown feature 'Nope'$"):
+        with pytest.raises(DataError, match="^unknown feature 'Nope'$"):
             pffra.rolling_pffra(small_model, synth_splits[1], engineering, "Nope",
                                 training_means(train_matrix))

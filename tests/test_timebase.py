@@ -1,11 +1,11 @@
 """Timestamp parsing, local calendar fields, and the holiday calendar."""
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
 from rtcast import timebase
-from rtcast.errors import DataError, ParseError
+from rtcast.errors import DataError
 
 
 def test_parse_instant_accepts_common_forms():
@@ -23,7 +23,7 @@ def test_parse_format_round_trip():
 
 
 def test_parse_instant_rejects_garbage():
-    with pytest.raises(ParseError):
+    with pytest.raises(DataError, match="^unparseable timestamp 'not-a-time'$"):
         timebase.parse_instant("not-a-time")
 
 
@@ -82,6 +82,13 @@ def test_holiday_calendar_from_file(tmp_path):
     assert on_holiday(cal, "2020-01-06")
     assert on_holiday(cal, "2020-05-01")
     assert not on_holiday(cal, "2020-01-07")
+
+
+def test_from_file_reads_a_byte_order_mark_as_the_encoding_mark(tmp_path):
+    p = tmp_path / "days.txt"
+    p.write_bytes(b"\xef\xbb\xbf2019-01-01\n2019-01-06\n")
+    cal = timebase.HolidayCalendar.from_file(str(p))
+    assert cal.dates == {date(2019, 1, 1), date(2019, 1, 6)}
 
 
 def test_default_calendar_covers_fixed_national_days():
